@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +22,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import spectral_abstraction as sa
 from spectral_abstraction.structfunc import FcModel, fit_fc, predict_fc, spectra_similarity
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    blocks: int
-    block_size: int
-    truth: FcModel
-    noise_levels: tuple[float, ...]
-    seed: int
 
 
 def main() -> int:
@@ -47,22 +37,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = RecoveryConfig(
-        blocks=args.blocks,
-        block_size=args.block_size,
-        truth=FcModel(beta=args.beta, scale=args.scale, offset=args.offset),
-        noise_levels=tuple(args.noise),
-        seed=args.seed,
-    )
-
-    g = sa.sbm_generate(cfg.blocks, cfg.block_size, 0.8, 0.05, seed=6)
-    clean = predict_fc(g, cfg.truth)
-    rng = np.random.default_rng(cfg.seed)
+    truth = FcModel(beta=args.beta, scale=args.scale, offset=args.offset)
+    g = sa.sbm_generate(args.blocks, args.block_size, 0.8, 0.05, seed=6)
+    clean = predict_fc(g, truth)
+    rng = np.random.default_rng(args.seed)
     n = g.n
 
-    print(f"# truth: beta={cfg.truth.beta:g} scale={cfg.truth.scale:g} offset={cfg.truth.offset:g}")
+    print(f"# truth: beta={truth.beta:g} scale={truth.scale:g} offset={truth.offset:g}")
     print("noise,beta,scale,offset,frobenius_error,spectra_similarity")
-    for level in cfg.noise_levels:
+    for level in args.noise:
         noise = rng.normal(scale=level, size=(n, n)) if level > 0 else np.zeros((n, n))
         observed = clean + (noise + noise.T) / 2.0
         model, err = fit_fc(g, observed)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import spectral_abstraction as sa
 from spectral_abstraction.nonlinear import PLaplacianParams, p_spectral_bipartition
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    blocks: int
-    block_size: int
-    p_in: float
-    p_out: float
-    seeds: int
-    exponents: tuple[float, ...]
 
 
 def params_for(p: float) -> PLaplacianParams:
@@ -51,23 +40,14 @@ def main() -> int:
     parser.add_argument("--exponents", type=float, nargs="+", default=[2.0, 1.6, 1.2])
     args = parser.parse_args()
 
-    cfg = SweepConfig(
-        blocks=args.blocks,
-        block_size=args.block_size,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        seeds=args.seeds,
-        exponents=tuple(args.exponents),
-    )
-
-    values: dict[float, list[float]] = {p: [] for p in cfg.exponents}
-    print("seed," + ",".join(f"p={p:g}" for p in cfg.exponents))
-    for seed in range(cfg.seeds):
-        g = sa.sbm_generate(cfg.blocks, cfg.block_size, cfg.p_in, cfg.p_out, seed=seed)
+    values: dict[float, list[float]] = {p: [] for p in args.exponents}
+    print("seed," + ",".join(f"p={p:g}" for p in args.exponents))
+    for seed in range(args.seeds):
+        g = sa.sbm_generate(args.blocks, args.block_size, args.p_in, args.p_out, seed=seed)
         if len(sa.connected_components(g)) > 1:
             continue
         row = []
-        for p in cfg.exponents:
+        for p in args.exponents:
             part = p_spectral_bipartition(g, params_for(p))
             cheeger = sa.cut_metrics(g, part).cheeger
             values[p].append(cheeger)
@@ -76,7 +56,7 @@ def main() -> int:
 
     print()
     print("exponent,median_cheeger,mean_cheeger")
-    for p in cfg.exponents:
+    for p in args.exponents:
         arr = np.array(values[p])
         print(f"{p:g},{np.median(arr):.6f},{arr.mean():.6f}")
     return 0

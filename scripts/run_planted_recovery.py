@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -23,24 +25,12 @@ import spectral_abstraction as sa
 from spectral_abstraction.nonlinear import PLaplacianParams, p_recursive_bipartition
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    blocks: int
-    block_size: int
-    p_in: float
-    p_out_values: tuple[float, ...]
-    seeds: int
-
-
 def agreement(assignment, planted, k: int) -> float:
     """Best-matching fraction of nodes labeled consistently with the plant."""
-    from itertools import permutations
-
-    n = len(planted)
-    best = 0
-    for perm in permutations(range(k)):
-        best = max(best, sum(1 for a, b in zip(assignment, planted) if perm[a] == b))
-    return best / n
+    overlap = np.zeros((k, k))
+    np.add.at(overlap, (np.asarray(assignment), np.asarray(planted)), 1)
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    return overlap[rows, cols].sum() / len(planted)
 
 
 def cluster(g: sa.Graph, k: int, method: str, seed: int):
@@ -50,7 +40,7 @@ def cluster(g: sa.Graph, k: int, method: str, seed: int):
         s = sa.graph_spectrum(g, sa.LaplacianKind.COMBINATORIAL)
         emb = sa.spectral_embedding(s, max(1, k - 1))
         return sa.kway_embedding_cluster(emb, k, seed=seed)
-    return p_recursive_bipartition(g, k, PLaplacianParams(p=1.2), seed)
+    return p_recursive_bipartition(g, k, PLaplacianParams(p=1.2))
 
 
 def main() -> int:
@@ -68,24 +58,17 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args()
 
-    cfg = SweepConfig(
-        blocks=args.blocks,
-        block_size=args.block_size,
-        p_in=args.p_in,
-        p_out_values=tuple(args.p_out),
-        seeds=args.seeds,
-    )
-    planted = [i // cfg.block_size for i in range(cfg.blocks * cfg.block_size)]
+    planted = [i // args.block_size for i in range(args.blocks * args.block_size)]
 
     print("p_out,seed,method,agreement")
-    for p_out in cfg.p_out_values:
-        for seed in range(cfg.seeds):
-            g = sa.sbm_generate(cfg.blocks, cfg.block_size, cfg.p_in, p_out, seed=seed)
+    for p_out in args.p_out:
+        for seed in range(args.seeds):
+            g = sa.sbm_generate(args.blocks, args.block_size, args.p_in, p_out, seed=seed)
             if len(sa.connected_components(g)) > 1:
                 continue
             for method in ("recursive", "kway", "p-recursive"):
-                part = cluster(g, cfg.blocks, method, seed)
-                score = agreement(part.assignment, planted, cfg.blocks)
+                part = cluster(g, args.blocks, method, seed)
+                score = agreement(part.assignment, planted, args.blocks)
                 print(f"{p_out:g},{seed},{method},{score:.4f}")
     return 0
 

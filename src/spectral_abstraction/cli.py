@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from . import fileio
 from .errors import ToolkitError
@@ -36,30 +35,6 @@ from .spectral import eigendecompose, fiedler_vector, spectral_embedding
 from .structfunc import FcModel, fit_fc, predict_fc, spectra_similarity
 
 
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    input_path: str
-    output_path: str
-    seed: int = 0
-    laplacian_kind: LaplacianKind = LaplacianKind.COMBINATORIAL
-    k: int | None = None
-    dims: int | None = None
-    metric: str = "euclidean"
-    q: float = 0.5
-    p: float | None = None
-    beta: float | None = None
-    scale: float | None = None
-    offset: float | None = None
-    threshold: float = 0.0
-    observed_path: str | None = None
-    mask_path: str | None = None
-    levels: list[LevelSpec] = field(default_factory=list)
-    dot: bool = False
-
-
 class _UsageError(Exception):
     pass
 
@@ -70,135 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_level_spec(text: str) -> dict:
+_LEVEL_KEYS = {"k": int, "method": str, "dim": int, "metric": str, "q": float, "p": float}
+
+
+def _parse_level_spec(text: str, seed: int) -> LevelSpec:
     spec: dict = {}
     for item in text.split(","):
         if "=" not in item:
             raise _UsageError(f"level spec field {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key not in _LEVEL_KEYS:
+            raise _UsageError(f"unknown level spec key {key!r}")
         try:
-            if key == "k":
-                spec["k"] = int(value)
-            elif key == "method":
-                spec["method"] = value
-            elif key == "dim":
-                spec["dim"] = int(value)
-            elif key == "metric":
-                spec["metric"] = value
-            elif key == "q":
-                spec["q"] = float(value)
-            elif key == "p":
-                spec["p"] = float(value)
-            else:
-                raise _UsageError(f"unknown level spec key {key!r}")
+            spec[key] = _LEVEL_KEYS[key](value)
         except ValueError:
             raise _UsageError(f"level spec field {item!r} has a malformed value") from None
     if "k" not in spec:
         raise _UsageError(f"level spec {text!r} is missing k=")
-    return spec
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="spectral-abstraction", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def io_args(p: _Parser, output_help: str) -> None:
-        p.add_argument("--input", required=True, help="input graph (.tsv edge list or .csv matrix)")
-        p.add_argument("--output", required=True, help=output_help)
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument(
-            "--laplacian",
-            choices=["combinatorial", "normalized"],
-            default=None,
-            help="Laplacian normalization",
-        )
-
-    p = sub.add_parser("spectrum", help="full eigendecomposition plus scree CSV")
-    io_args(p, "JSON report path; a .scree.csv file is written beside it")
-
-    p = sub.add_parser("bipartition", help="two-way cut from the Fiedler vector sign pattern")
-    io_args(p, "JSON report path")
-
-    p = sub.add_parser("cluster", help="k clusters, recursive or embedding k-means with --dims")
-    io_args(p, "JSON report path")
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--dims", type=int, default=None, help="embedding dimension (switches to k-means)")
-    p.add_argument("--metric", choices=["euclidean", "manhattan", "fractional"], default="euclidean")
-    p.add_argument("--q", type=float, default=0.5, help="fractional metric exponent in (0,1)")
-
-    p = sub.add_parser("p-cluster", help="k clusters by recursive p-spectral cuts")
-    io_args(p, "JSON report path")
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--p", type=float, required=True, help="p-Laplacian exponent in (1,2]")
-
-    p = sub.add_parser("hierarchy", help="multi-level coarsening")
-    io_args(p, "JSON report path")
-    p.add_argument(
-        "--level",
-        action="append",
-        required=True,
-        metavar="k=K,method=M[,dim=D,metric=X,q=Q,p=P]",
-        help="one level spec; repeat for deeper hierarchies",
-    )
-    p.add_argument("--dot", action="store_true", help="write quotient graphs as a .dot file too")
-
-    p = sub.add_parser("predict-fc", help="model functional connectivity from structure")
-    io_args(p, "CSV matrix output path")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--scale", type=float, required=True)
-    p.add_argument("--offset", type=float, required=True)
-
-    p = sub.add_parser("fit-fc", help="fit the decay model to an observed matrix")
-    io_args(p, "JSON report path")
-    p.add_argument("--observed", required=True, help="observed functional matrix (.csv)")
-
-    p = sub.add_parser("jacobian-graph", help="interaction graph from couplings and mask")
-    p.add_argument("--input", required=True, help="couplings matrix (.csv)")
-    p.add_argument("--mask", required=True, help="0/1 linearity mask (.csv)")
-    p.add_argument("--output", required=True, help="JSON report path")
-    p.add_argument("--threshold", type=float, default=0.0, help="coupling magnitude threshold")
-    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    default_kind = {
-        "predict-fc": LaplacianKind.NORMALIZED,
-        "fit-fc": LaplacianKind.NORMALIZED,
-    }.get(args.command, LaplacianKind.COMBINATORIAL)
-    kind = default_kind
-    if getattr(args, "laplacian", None):
-        kind = LaplacianKind(args.laplacian)
-    levels = []
-    for text in getattr(args, "level", None) or []:
-        spec = _parse_level_spec(text)
-        p_exponent = spec.pop("p", None)
-        if p_exponent is not None:
-            spec["p_params"] = PLaplacianParams(p=p_exponent)
-        levels.append(LevelSpec(seed=args.seed, **spec))
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        seed=getattr(args, "seed", 0),
-        laplacian_kind=kind,
-        k=getattr(args, "k", None),
-        dims=getattr(args, "dims", None),
-        metric=getattr(args, "metric", "euclidean"),
-        q=getattr(args, "q", 0.5),
-        p=getattr(args, "p", None),
-        beta=getattr(args, "beta", None),
-        scale=getattr(args, "scale", None),
-        offset=getattr(args, "offset", None),
-        threshold=getattr(args, "threshold", 0.0),
-        observed_path=getattr(args, "observed", None),
-        mask_path=getattr(args, "mask", None),
-        levels=levels,
-        dot=getattr(args, "dot", False),
-    )
+    p_exponent = spec.pop("p", None)
+    if p_exponent is not None:
+        spec["p_params"] = PLaplacianParams(p=p_exponent)
+    return LevelSpec(seed=seed, **spec)
 
 
 def _sibling_path(output_path: str, suffix: str) -> str:
@@ -210,86 +77,149 @@ def _sibling_path(output_path: str, suffix: str) -> str:
     return stem + suffix
 
 
-def _partition_report(g, part) -> dict:
-    return {
+def _json_report(path: str, payload) -> dict[str, str]:
+    return {path: fileio.dumps(payload) + "\n"}
+
+
+def _partition_report(path: str, g, part) -> dict[str, str]:
+    report = {
         "partition": fileio.partition_payload(part, g.labels),
         "cut_metrics": fileio.cut_metrics_payload(cut_metrics(g, part)),
-        "connectivity_profile": fileio.connectivity_profile_payload(
-            connectivity_profile(g, part)
-        ),
+        "connectivity_profile": fileio.connectivity_profile_payload(connectivity_profile(g, part)),
     }
+    return _json_report(path, report)
 
 
-def _run(cfg: RunConfig) -> dict[str, str]:
-    """Execute one command, returning {path: text} pending writes."""
-    if cfg.command == "spectrum":
-        g = fileio.read_graph(cfg.input_path)
-        s = eigendecompose(laplacian(g, cfg.laplacian_kind))
-        return {
-            cfg.output_path: fileio.dumps(fileio.spectrum_payload(s)) + "\n",
-            _sibling_path(cfg.output_path, ".scree.csv"): fileio.scree_csv(s),
-        }
+# Each handler runs one subcommand and returns {path: text} pending writes.
 
-    if cfg.command == "bipartition":
-        g = fileio.read_graph(cfg.input_path)
-        s = eigendecompose(laplacian(g, cfg.laplacian_kind))
-        part = sign_bipartition(g, fiedler_vector(s))
-        return {cfg.output_path: fileio.dumps(_partition_report(g, part)) + "\n"}
+def _spectrum(args) -> dict[str, str]:
+    g = fileio.read_graph(args.input)
+    s = eigendecompose(laplacian(g, LaplacianKind(args.laplacian)))
+    out = _json_report(args.output, fileio.spectrum_payload(s))
+    out[_sibling_path(args.output, ".scree.csv")] = fileio.scree_csv(s)
+    return out
 
-    if cfg.command == "cluster":
-        g = fileio.read_graph(cfg.input_path)
-        if cfg.dims is None:
-            part = recursive_bipartition(g, cfg.k)
-        else:
-            s = eigendecompose(laplacian(g, cfg.laplacian_kind))
-            emb = spectral_embedding(s, cfg.dims)
-            part = kway_embedding_cluster(emb, cfg.k, metric=cfg.metric, q=cfg.q, seed=cfg.seed)
-        return {cfg.output_path: fileio.dumps(_partition_report(g, part)) + "\n"}
 
-    if cfg.command == "p-cluster":
-        g = fileio.read_graph(cfg.input_path)
-        part = p_recursive_bipartition(g, cfg.k, PLaplacianParams(p=cfg.p), cfg.seed)
-        return {cfg.output_path: fileio.dumps(_partition_report(g, part)) + "\n"}
+def _bipartition(args) -> dict[str, str]:
+    g = fileio.read_graph(args.input)
+    s = eigendecompose(laplacian(g, LaplacianKind(args.laplacian)))
+    return _partition_report(args.output, g, sign_bipartition(g, fiedler_vector(s)))
 
-    if cfg.command == "hierarchy":
-        g = fileio.read_graph(cfg.input_path)
-        h = build_hierarchy(g, cfg.levels)
-        out = {cfg.output_path: fileio.dumps(fileio.hierarchy_payload(h)) + "\n"}
-        if cfg.dot:
-            out[_sibling_path(cfg.output_path, ".dot")] = fileio.hierarchy_dot(h)
-        return out
 
-    if cfg.command == "predict-fc":
-        g = fileio.read_graph(cfg.input_path)
-        model = FcModel(beta=cfg.beta, scale=cfg.scale, offset=cfg.offset)
-        F = predict_fc(g, model, cfg.laplacian_kind)
-        return {cfg.output_path: fileio.matrix_csv(F, g.labels)}
+def _cluster(args) -> dict[str, str]:
+    g = fileio.read_graph(args.input)
+    if args.dims is None:
+        part = recursive_bipartition(g, args.k)
+    else:
+        s = eigendecompose(laplacian(g, LaplacianKind(args.laplacian)))
+        emb = spectral_embedding(s, args.dims)
+        part = kway_embedding_cluster(emb, args.k, metric=args.metric, q=args.q, seed=args.seed)
+    return _partition_report(args.output, g, part)
 
-    if cfg.command == "fit-fc":
-        g = fileio.read_graph(cfg.input_path)
-        observed = fileio.read_fc_matrix(cfg.observed_path)
-        model, error = fit_fc(g, observed, cfg.laplacian_kind)
-        predicted = predict_fc(g, model, cfg.laplacian_kind)
-        report = {
-            "beta": model.beta,
-            "scale": model.scale,
-            "offset": model.offset,
-            "frobenius_error": error,
-            "spectra_similarity": spectra_similarity(observed, predicted),
-        }
-        return {cfg.output_path: fileio.dumps(report) + "\n"}
 
-    if cfg.command == "jacobian-graph":
-        system = fileio.read_coupling_system(cfg.input_path, cfg.mask_path)
-        g, largest = jacobian_graph(system, cfg.threshold)
-        report = {
-            "labels": list(g.labels),
-            "edges": [[i, j, w] for i, j, w in g.edges],
-            "largest_component": list(largest),
-        }
-        return {cfg.output_path: fileio.dumps(report) + "\n"}
+def _p_cluster(args) -> dict[str, str]:
+    g = fileio.read_graph(args.input)
+    part = p_recursive_bipartition(g, args.k, PLaplacianParams(p=args.p))
+    return _partition_report(args.output, g, part)
 
-    raise _UsageError(f"unknown command {cfg.command!r}")
+
+def _hierarchy(args) -> dict[str, str]:
+    h = build_hierarchy(fileio.read_graph(args.input), args.level)
+    out = _json_report(args.output, fileio.hierarchy_payload(h))
+    if args.dot:
+        out[_sibling_path(args.output, ".dot")] = fileio.hierarchy_dot(h)
+    return out
+
+
+def _predict_fc(args) -> dict[str, str]:
+    g = fileio.read_graph(args.input)
+    model = FcModel(beta=args.beta, scale=args.scale, offset=args.offset)
+    F = predict_fc(g, model, LaplacianKind(args.laplacian))
+    return {args.output: fileio.matrix_csv(F, g.labels)}
+
+
+def _fit_fc(args) -> dict[str, str]:
+    g = fileio.read_graph(args.input)
+    observed = fileio.read_fc_matrix(args.observed)
+    kind = LaplacianKind(args.laplacian)
+    model, error = fit_fc(g, observed, kind)
+    predicted = predict_fc(g, model, kind)
+    report = {
+        "beta": model.beta,
+        "scale": model.scale,
+        "offset": model.offset,
+        "frobenius_error": error,
+        "spectra_similarity": spectra_similarity(observed, predicted),
+    }
+    return _json_report(args.output, report)
+
+
+def _jacobian_graph(args) -> dict[str, str]:
+    system = fileio.read_coupling_system(args.input, args.mask)
+    g, largest = jacobian_graph(system, args.threshold)
+    report = {
+        "labels": list(g.labels),
+        "edges": [[i, j, w] for i, j, w in g.edges],
+        "largest_component": list(largest),
+    }
+    return _json_report(args.output, report)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="spectral-abstraction", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, help_text, laplacian=None, output_help="JSON report path"):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--input", required=True, help="input graph (.tsv edge list or .csv matrix)")
+        p.add_argument("--output", required=True, help=output_help)
+        if laplacian is not None:
+            p.add_argument("--laplacian", choices=["combinatorial", "normalized"], default=laplacian,
+                           help=f"Laplacian normalization (default {laplacian})")
+        return p
+
+    command("spectrum", _spectrum, "full eigendecomposition plus scree CSV", "combinatorial",
+            "JSON report path; a .scree.csv file is written beside it")
+    command("bipartition", _bipartition, "two-way cut from the Fiedler vector sign pattern",
+            "combinatorial")
+
+    p = command("cluster", _cluster, "k clusters, recursive or embedding k-means with --dims",
+                "combinatorial")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--k", type=int, required=True, help="number of clusters")
+    p.add_argument("--dims", type=int, default=None, help="embedding dimension (switches to k-means)")
+    p.add_argument("--metric", choices=["euclidean", "manhattan", "fractional"], default="euclidean")
+    p.add_argument("--q", type=float, default=0.5, help="fractional metric exponent in (0,1)")
+
+    p = command("p-cluster", _p_cluster, "k clusters by recursive p-spectral cuts")
+    p.add_argument("--k", type=int, required=True, help="number of clusters")
+    p.add_argument("--p", type=float, required=True, help="p-Laplacian exponent in (1,2]")
+
+    p = command("hierarchy", _hierarchy, "multi-level coarsening")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--level", action="append", required=True,
+                   metavar="k=K,method=M[,dim=D,metric=X,q=Q,p=P]",
+                   help="one level spec; repeat for deeper hierarchies")
+    p.add_argument("--dot", action="store_true", help="write quotient graphs as a .dot file too")
+
+    p = command("predict-fc", _predict_fc, "model functional connectivity from structure",
+                "normalized", "CSV matrix output path")
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--scale", type=float, required=True)
+    p.add_argument("--offset", type=float, required=True)
+
+    p = command("fit-fc", _fit_fc, "fit the decay model to an observed matrix", "normalized")
+    p.add_argument("--observed", required=True, help="observed functional matrix (.csv)")
+
+    p = sub.add_parser("jacobian-graph", help="interaction graph from couplings and mask")
+    p.set_defaults(handler=_jacobian_graph)
+    p.add_argument("--input", required=True, help="couplings matrix (.csv)")
+    p.add_argument("--mask", required=True, help="0/1 linearity mask (.csv)")
+    p.add_argument("--output", required=True, help="JSON report path")
+    p.add_argument("--threshold", type=float, default=0.0, help="coupling magnitude threshold")
+
+    return parser
 
 
 def _fail(code: str, detail: str, status: int) -> int:
@@ -298,20 +228,19 @@ def _fail(code: str, detail: str, status: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        args = build_parser().parse_args(argv)
+        if args.command == "hierarchy":
+            # level specs need --seed, so they are built once parsing is done;
+            # their errors still exit 2 like any other bad flag value
+            args.level = [_parse_level_spec(text, args.seed) for text in args.level]
     except _UsageError as exc:
         return _fail("Usage", str(exc), 2)
     except ToolkitError as exc:
         return _fail(exc.code, str(exc), 2)
     try:
-        outputs = _run(cfg)
-        for path, text in outputs.items():
+        for path, text in args.handler(args).items():
             fileio.write_text_atomic(path, text)
-    except _UsageError as exc:
-        return _fail("Usage", str(exc), 2)
     except ToolkitError as exc:
         return _fail(exc.code, str(exc), 1)
     except OSError as exc:

@@ -16,6 +16,10 @@ class ToolkitError(Exception):
         return name[:-5] if name.endswith("Error") else name
 
 
+class InvalidArgumentError(ToolkitError, ValueError):
+    """An argument outside its documented domain (also a ValueError)."""
+
+
 # graph construction and editing
 
 class SelfLoopError(ToolkitError):

@@ -31,10 +31,10 @@ from .hierarchy import Hierarchy
 from .nonlinear import CouplingSystem
 from .partition import ConnectivityProfile, CutMetrics, Partition
 from .spectral import Spectrum
+from .structfunc import _FC_SYMMETRY_TOL
 
 _MATRIX_SYMMETRY_TOL = 1e-12
 _MATRIX_DIAGONAL_TOL = 1e-12
-_FC_SYMMETRY_TOL = 1e-10
 
 
 def format_float(x: float) -> str:
@@ -152,7 +152,7 @@ def parse_edge_list_tsv(text: str) -> Graph:
 
 
 def _parse_csv_cells(text: str) -> tuple[list[str] | None, np.ndarray]:
-    """Split CSV text into an optional label header and a float matrix."""
+    """Split CSV text into an optional label header and a finite float matrix."""
     rows: list[list[str]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -178,6 +178,8 @@ def _parse_csv_cells(text: str) -> tuple[list[str] | None, np.ndarray]:
                 data[r, cidx] = float(cell)
             except ValueError:
                 raise ParseError(f"matrix cell ({r + 1}, {cidx + 1}): {cell!r} is not a number") from None
+            if not math.isfinite(data[r, cidx]):
+                raise ParseError(f"matrix cell ({r + 1}, {cidx + 1}): {cell!r} is not finite")
     if data.shape[0] != data.shape[1]:
         raise ParseError(f"matrix must be square, got {data.shape[0]} x {data.shape[1]}")
     if header is not None and len(header) != data.shape[1]:

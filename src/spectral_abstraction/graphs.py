@@ -29,6 +29,7 @@ from .errors import (
     DuplicateEdgeError,
     EmptySubsetError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     InvalidProbabilityError,
     NonpositiveWeightError,
     PartitionMismatchError,
@@ -95,13 +96,13 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
     Edge endpoints may arrive in either order; they are canonicalized to
     (min, max) and sorted. Raises SelfLoopError, DuplicateEdgeError,
     NonpositiveWeightError or IndexOutOfRangeError naming the offending
-    edge, and ValueError for structural problems with the labels.
+    edge, and InvalidArgumentError for structural problems with the labels.
     """
     labels = tuple(str(x) for x in labels)
     if not labels:
-        raise ValueError("a graph needs at least one node")
+        raise InvalidArgumentError("a graph needs at least one node")
     if len(set(labels)) != len(labels):
-        raise ValueError("node labels must be distinct")
+        raise InvalidArgumentError("node labels must be distinct")
     n = len(labels)
 
     canonical: list[Edge] = []
@@ -110,7 +111,7 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
         try:
             a, b, w = edge
         except (TypeError, ValueError):
-            raise ValueError(f"edge {edge!r} is not an (i, j, weight) triple") from None
+            raise InvalidArgumentError(f"edge {edge!r} is not an (i, j, weight) triple") from None
         try:
             i, j = operator.index(a), operator.index(b)
         except TypeError:
@@ -183,7 +184,7 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> La
         M[~connected, ~connected] = 0.0
         M -= inv_sqrt[:, None] * A * inv_sqrt[None, :]
         return LaplacianMatrix(matrix=M, kind=kind)
-    raise ValueError(f"unknown Laplacian kind: {kind!r}")
+    raise InvalidArgumentError(f"unknown Laplacian kind: {kind!r}")
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -278,9 +279,9 @@ def sbm_generate(
     graph.
     """
     if blocks < 2:
-        raise ValueError("need at least 2 blocks")
+        raise InvalidArgumentError("need at least 2 blocks")
     if nodes_per_block < 2:
-        raise ValueError("need at least 2 nodes per block")
+        raise InvalidArgumentError("need at least 2 nodes per block")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise InvalidProbabilityError(
             f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelOutOfRangeError, SpecMonotonicityViolationError
+from .errors import InvalidArgumentError, LevelOutOfRangeError, SpecMonotonicityViolationError
 from .graphs import Graph, LaplacianKind, quotient_graph
 from .nonlinear import PLaplacianParams, p_recursive_bipartition
 from .partition import (
@@ -35,7 +35,7 @@ METHODS = ("recursive-linear", "recursive-p", "kway-embedding")
 class LevelSpec:
     """How to cluster one level: target count plus clustering method.
 
-    dim, metric and q apply to kway-embedding; p_params applies to
+    dim, metric, q and seed apply to kway-embedding; p_params applies to
     recursive-p (defaulting to p = 1.2 continuation when omitted).
     """
 
@@ -49,7 +49,7 @@ class LevelSpec:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise InvalidArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _cluster_level(g: Graph, spec: LevelSpec) -> tuple[Partition, int]:
         return recursive_bipartition(g, spec.k), 1
     if spec.method == "recursive-p":
         params = spec.p_params if spec.p_params is not None else PLaplacianParams(p=1.2)
-        return p_recursive_bipartition(g, spec.k, params, spec.seed), 1
+        return p_recursive_bipartition(g, spec.k, params), 1
     s = graph_spectrum(g, LaplacianKind.COMBINATORIAL)
     emb = spectral_embedding(s, spec.dim)
     part = kway_embedding_cluster(emb, spec.k, metric=spec.metric, q=spec.q, seed=spec.seed)
@@ -95,7 +95,7 @@ def build_hierarchy(g: Graph, level_specs: list[LevelSpec] | tuple[LevelSpec, ..
     """
     specs = tuple(level_specs)
     if not specs:
-        raise ValueError("need at least one level spec")
+        raise InvalidArgumentError("need at least one level spec")
     for a, b in zip(specs, specs[1:]):
         if b.k >= a.k:
             raise SpecMonotonicityViolationError(

@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatchError,
     DisconnectedGraphError,
     ExponentOutOfRangeError,
+    InvalidArgumentError,
 )
 from .graphs import Graph, LaplacianKind, connected_components, edge_arrays, graph_from_edges
 from .partition import (
@@ -74,11 +75,11 @@ class PLaplacianParams:
         if not 1.0 < self.p <= 2.0:
             raise ExponentOutOfRangeError(f"p must lie in (1, 2], got {self.p}")
         if self.continuation_steps < 1:
-            raise ValueError("continuation_steps must be at least 1")
+            raise InvalidArgumentError("continuation_steps must be at least 1")
         if self.inner_tolerance <= 0:
-            raise ValueError("inner_tolerance must be positive")
+            raise InvalidArgumentError("inner_tolerance must be positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise InvalidArgumentError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +115,16 @@ def p_laplacian_apply(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.shape[0] != g.n:
         raise DimensionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
-    out = np.zeros(g.n)
-    ei, ej, w = edge_arrays(g)
-    if ei.size:
-        d = f[ei] - f[ej]
-        t = w * np.abs(d) ** (p - 1.0) * np.sign(d)
-        np.add.at(out, ei, t)
-        np.add.at(out, ej, -t)
+    return _p_laplacian_edges(*edge_arrays(g), f, p)
+
+
+def _p_laplacian_edges(ei, ej, w, f: np.ndarray, p: float) -> np.ndarray:
+    """Edge-sum form of Delta_p f over the edge arrays of a graph."""
+    d = f[ei] - f[ej]
+    t = w * np.abs(d) ** (p - 1.0) * np.sign(d)
+    out = np.zeros_like(f)
+    np.add.at(out, ei, t)
+    np.add.at(out, ej, -t)
     return out
 
 
@@ -152,11 +156,7 @@ def _p_rayleigh(ei, ej, w, f: np.ndarray, p: float) -> tuple[float, float]:
 
 
 def _p_rayleigh_gradient(ei, ej, w, f: np.ndarray, p: float, value: float, c: float) -> np.ndarray:
-    d = f[ei] - f[ej]
-    t = w * np.abs(d) ** (p - 1.0) * np.sign(d)
-    grad_num = np.zeros_like(f)
-    np.add.at(grad_num, ei, t)
-    np.add.at(grad_num, ej, -t)
+    grad_num = _p_laplacian_edges(ei, ej, w, f, p)
     fc = f - c
     grad_den = np.abs(fc) ** (p - 1.0) * np.sign(fc)
     den = float((np.abs(fc) ** p).sum())
@@ -209,7 +209,6 @@ def _mean_weight_rescaled(g: Graph) -> Graph:
 def p_spectral_bipartition(
     g: Graph,
     params: PLaplacianParams,
-    seed: int = 0,
     selection: str = "cheeger",
 ) -> Partition:
     """Two-way p-spectral cut of a connected graph.
@@ -217,11 +216,10 @@ def p_spectral_bipartition(
     Minimizes R_p by continuation from the p = 2 Fiedler vector, then
     thresholds the minimizer at the sorted-entry split with the best
     cut value under `selection` (cheeger, ratio or normalized). The
-    whole pipeline is deterministic; seed is accepted for signature
-    uniformity with the other clustering routines and is not consumed.
+    whole pipeline is deterministic.
     """
     if selection not in _SELECTIONS:
-        raise ValueError(f"selection must be one of {_SELECTIONS}, got {selection!r}")
+        raise InvalidArgumentError(f"selection must be one of {_SELECTIONS}, got {selection!r}")
     if g.n < 2:
         raise DimensionMismatchError("need at least two nodes to bipartition")
     if len(connected_components(g)) > 1:
@@ -260,7 +258,6 @@ def p_recursive_bipartition(
     g: Graph,
     k: int,
     params: PLaplacianParams,
-    seed: int = 0,
 ) -> Partition:
     """Recursive p-spectral partitioning into exactly k clusters.
 
@@ -270,7 +267,7 @@ def p_recursive_bipartition(
     """
 
     def p_split(sub: Graph) -> Partition:
-        return p_spectral_bipartition(sub, params, seed)
+        return p_spectral_bipartition(sub, params)
 
     return _recursive_split(g, k, p_split)
 
@@ -284,7 +281,7 @@ def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[
     threshold. Components tie-break toward the smaller minimum index.
     """
     if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+        raise InvalidArgumentError(f"threshold must be nonnegative, got {threshold}")
     c = np.abs(sys.couplings)
     strength = np.maximum(c, c.T)
     present = sys.linear_mask | sys.linear_mask.T

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     ConstantVectorError,
+    InvalidArgumentError,
     InvalidFractionalExponentError,
     KOutOfRangeError,
     NotEnoughSplittableClustersError,
@@ -82,13 +83,6 @@ class Partition:
 
     def as_array(self) -> np.ndarray:
         return np.fromiter(self.assignment, dtype=np.int64, count=self.n)
-
-    def clusters(self) -> list[list[int]]:
-        """Member lists per cluster id."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for i, a in enumerate(self.assignment):
-            out[a].append(i)
-        return out
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     avoids by considering every split the ordering admits.
     """
     if selection not in SELECTIONS:
-        raise ValueError(f"selection must be one of {SELECTIONS}, got {selection!r}")
+        raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.shape[0] != g.n:
         raise PartitionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
@@ -315,7 +309,7 @@ def kway_embedding_cluster(
     requires 0 < q < 1.
     """
     if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "fractional" and not 0.0 < q < 1.0:
         raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
     pts = np.asarray(e.coordinates, dtype=np.float64)

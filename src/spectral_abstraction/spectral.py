@@ -91,10 +91,6 @@ class Spectrum:
     def n_pairs(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def is_complete(self) -> bool:
-        return self.n_pairs == self.n
-
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
@@ -219,6 +215,24 @@ def _check_symmetric(M: np.ndarray) -> None:
         raise NotSymmetricError(f"matrix asymmetry {asym:.2e} exceeds {_SYMMETRY_TOL}")
 
 
+def _solve(M: np.ndarray, kind: LaplacianKind, solver, name: str) -> Spectrum:
+    """Run solver(M), then sort its pairs ascending, canonicalize and verify them.
+
+    The solver's own arrays live only in this frame, so they are freed
+    once sorted and never sit in memory beside the copies being checked.
+    """
+    try:
+        vals, vecs = solver(M)
+    except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackNoConvergence) as exc:
+        raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
+    order = np.argsort(vals, kind="stable")
+    vals = np.ascontiguousarray(vals[order])
+    vecs = np.ascontiguousarray(vecs[:, order])
+    vecs = _canonicalize(vals, vecs)
+    _validate_spectrum(M, vals, vecs)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source_kind=kind)
+
+
 def eigendecompose(L: LaplacianMatrix) -> Spectrum:
     """Full deterministic eigendecomposition of a Laplacian.
 
@@ -228,51 +242,29 @@ def eigendecompose(L: LaplacianMatrix) -> Spectrum:
     """
     M = np.asarray(L.matrix, dtype=np.float64)
     _check_symmetric(M)
-    try:
-        vals, vecs = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
-    vecs = _canonicalize(vals, vecs)
-    _validate_spectrum(M, vals, vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source_kind=L.kind)
+    return _solve(M, L.kind, np.linalg.eigh, "dense eigensolver")
 
 
 def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
-    """Smallest `count` eigenpairs via shift-invert Lanczos.
+    """Smallest `count` eigenpairs via shift-invert Lanczos, 1 <= count < n.
 
-    Intended for matrices too large for the dense path; falls back to
-    the dense solver whenever that is at least as cheap. The Lanczos
-    start vector is fixed, so results are reproducible.
+    Always runs Lanczos; graph_spectrum decides when that beats the
+    dense solver. The Lanczos start vector is fixed, so results are
+    reproducible, and they pass the same canonicalization and checks as
+    eigendecompose.
     """
     n = L.n
-    if count < 1:
-        raise DimensionOutOfRangeError("count must be at least 1")
-    if count >= n - 1 or n <= DENSE_SOLVER_MAX_N:
-        full = eigendecompose(L)
-        return Spectrum(
-            eigenvalues=full.eigenvalues[:count].copy(),
-            eigenvectors=full.eigenvectors[:, :count].copy(),
-            source_kind=L.kind,
-        )
+    if not 1 <= count < n:
+        raise DimensionOutOfRangeError(f"count {count} outside 1..{n - 1}")
     M = np.asarray(L.matrix, dtype=np.float64)
     _check_symmetric(M)
-    sparse = scipy.sparse.csc_matrix(M)
-    v0 = np.linspace(1.0, 2.0, n)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            sparse, k=count, sigma=-1e-2, which="LM", v0=v0, tol=0
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceFailureError(f"Lanczos solver failed: {exc}") from exc
-    order = np.argsort(vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
-    vecs = _canonicalize(vals, vecs)
-    _validate_spectrum(M, vals, vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source_kind=L.kind)
+
+    def lanczos(A: np.ndarray):
+        sparse = scipy.sparse.csc_matrix(A)
+        v0 = np.linspace(1.0, 2.0, n)
+        return scipy.sparse.linalg.eigsh(sparse, k=count, sigma=-1e-2, which="LM", v0=v0, tol=0)
+
+    return _solve(M, L.kind, lanczos, "Lanczos solver")
 
 
 def graph_spectrum(
@@ -280,23 +272,23 @@ def graph_spectrum(
     kind: LaplacianKind = LaplacianKind.COMBINATORIAL,
     count: int | None = None,
 ) -> Spectrum:
-    """Spectrum of a graph Laplacian, choosing dense or partial solver.
+    """Spectrum of a graph Laplacian; the one place that picks the solver.
 
     With count=None the decomposition is always full (dense). With a
-    count, graphs above DENSE_SOLVER_MAX_N nodes use the partial solver
-    for just the smallest `count` pairs.
+    count, only the smallest `count` pairs are returned; graphs above
+    DENSE_SOLVER_MAX_N nodes get them from Lanczos unless count >= n - 1.
     """
     L = laplacian(g, kind)
-    if count is None or g.n <= DENSE_SOLVER_MAX_N:
-        s = eigendecompose(L)
-        if count is not None and count < s.n_pairs:
-            return Spectrum(
-                eigenvalues=s.eigenvalues[:count].copy(),
-                eigenvectors=s.eigenvectors[:, :count].copy(),
-                source_kind=kind,
-            )
-        return s
-    return partial_eigendecompose(L, count)
+    if count is not None and g.n > DENSE_SOLVER_MAX_N and count < g.n - 1:
+        return partial_eigendecompose(L, count)
+    s = eigendecompose(L)
+    if count is not None and count < s.n_pairs:
+        return Spectrum(
+            eigenvalues=s.eigenvalues[:count].copy(),
+            eigenvectors=s.eigenvectors[:, :count].copy(),
+            source_kind=kind,
+        )
+    return s
 
 
 def rayleigh_quotient(L: LaplacianMatrix, x: np.ndarray) -> float:

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
+    InvalidArgumentError,
     NotSymmetricError,
 )
 from .graphs import Graph, LaplacianKind
@@ -54,9 +55,9 @@ class FcModel:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+            raise InvalidArgumentError(f"beta must be finite and nonnegative, got {self.beta}")
         if not (np.isfinite(self.scale) and np.isfinite(self.offset)):
-            raise ValueError("scale and offset must be finite")
+            raise InvalidArgumentError("scale and offset must be finite")
 
 
 def _check_fc_matrix(m: np.ndarray, n: int | None = None) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 import spectral_abstraction as sa
 from spectral_abstraction.cli import main
-from spectral_abstraction.fileio import matrix_csv, read_fc_matrix
+from spectral_abstraction.fileio import matrix_csv, parse_edge_list_tsv, read_fc_matrix
 from spectral_abstraction.structfunc import FcModel, predict_fc
 
 BRIDGED_TSV = (
@@ -364,3 +364,64 @@ class TestSubprocessDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+INVALID_ARGUMENT_ARGVS = [
+    pytest.param(["hierarchy", "--input", "{tsv}", "--output", "{out}", "--level", "k=2,method=bogus"],
+                 id="level-method"),
+    pytest.param(["hierarchy", "--input", "{tsv}", "--output", "{out}",
+                  "--level", "k=2,method=kway-embedding,metric=bogus"], id="level-metric"),
+    pytest.param(["jacobian-graph", "--input", "{coup}", "--mask", "{mask}", "--output", "{out}",
+                  "--threshold", "-1"], id="negative-threshold"),
+    pytest.param(["predict-fc", "--input", "{tsv}", "--output", "{out}",
+                  "--beta", "-1", "--scale", "1", "--offset", "0"], id="negative-beta"),
+    pytest.param(["spectrum", "--input", "{dup}", "--output", "{out}"], id="repeated-header-label"),
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGUMENT_ARGVS)
+def test_invalid_argument_fails_with_one_json_line(argv, tmp_path, capsys):
+    paths = {
+        "tsv": tmp_path / "g.tsv",
+        "coup": tmp_path / "coup.csv",
+        "mask": tmp_path / "mask.csv",
+        "dup": tmp_path / "dup.csv",
+    }
+    paths["tsv"].write_text(BRIDGED_TSV)
+    paths["coup"].write_text("0,2,0\n0,0,0.1\n0,0,0\n")
+    paths["mask"].write_text("0,1,0\n0,0,1\n0,0,0\n")
+    paths["dup"].write_text("a,a,b\n0,1,0\n1,0,1\n0,1,0\n")
+    inputs = sorted(tmp_path.iterdir())
+    rc = main([arg.format(out=tmp_path / "out.json", **paths) for arg in argv])
+    assert rc in (1, 2)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidArgument"
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+class TestNonFiniteInput:
+    def test_nan_adjacency_cell_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "nan.csv"
+        f.write_text("0,1,nan\n1,0,1\nnan,1,0\n")
+        out = tmp_path / "o.json"
+        rc = run_cli("spectrum", "--input", str(f), "--output", str(out))
+        assert rc == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "Parse"
+        assert "(1, 3)" in err["detail"]
+
+    def test_nan_observed_cell_is_a_parse_error(self, bridged_file, tmp_path, capsys):
+        observed = tmp_path / "obs.csv"
+        F = predict_fc(parse_edge_list_tsv(BRIDGED_TSV), FcModel(beta=1.0, scale=1.0, offset=0.0))
+        F[2, 4] = F[4, 2] = np.nan
+        observed.write_text(matrix_csv(F))
+        out = tmp_path / "fit.json"
+        rc = run_cli("fit-fc", "--input", str(bridged_file), "--observed", str(observed),
+                     "--output", str(out))
+        assert rc == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "Parse"
+        assert "(3, 5)" in err["detail"]

@@ -125,6 +125,11 @@ class TestMatrixCsvGraph:
         with pytest.raises(ParseError, match=r"\(2, 1\)"):
             fileio.parse_matrix_csv_graph("0,1\nx,0\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_named(self, cell):
+        with pytest.raises(ParseError, match=r"\(1, 2\).*not finite"):
+            fileio.parse_matrix_csv_graph(f"0,{cell}\n{cell},0\n")
+
 
 class TestReadDispatch:
     def test_extension_dispatch(self, tmp_path):

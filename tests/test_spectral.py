@@ -14,7 +14,12 @@ from spectral_abstraction.errors import (
     TooFewNodesError,
     ZeroVectorError,
 )
-from spectral_abstraction.spectral import eigendecompose, partial_eigendecompose
+from spectral_abstraction import spectral
+from spectral_abstraction.spectral import (
+    DENSE_SOLVER_MAX_N,
+    eigendecompose,
+    partial_eigendecompose,
+)
 
 from conftest import random_connected_graph
 from oracles import charpoly_eigenvalues, power_iteration_lambda2, union_find_components
@@ -234,3 +239,22 @@ class TestEmbedding:
         s = spectrum_of(g)
         with pytest.raises(TooFewNodesError):
             sa.fiedler_vector(s)
+
+
+def test_large_counted_spectrum_uses_lanczos_and_matches_closed_form(monkeypatch):
+    # above DENSE_SOLVER_MAX_N a counted spectrum must come from Lanczos;
+    # the path graph P_n has lambda_k = 2 - 2 cos(pi k / n) with
+    # eigenvectors cos(pi k (j + 1/2) / n), whose first entries are positive
+    def no_dense(L):
+        raise AssertionError("dense solver used above DENSE_SOLVER_MAX_N")
+
+    monkeypatch.setattr(spectral, "eigendecompose", no_dense)
+    n = DENSE_SOLVER_MAX_N + 52
+    g = sa.graph_from_edges([f"v{i}" for i in range(n)], [(i, i + 1, 1.0) for i in range(n - 1)])
+    s = sa.graph_spectrum(g, count=4)
+    k = np.arange(4)
+    assert s.n_pairs == 4
+    assert np.abs(s.eigenvalues - (2.0 - 2.0 * np.cos(np.pi * k / n))).max() < 1e-12
+    expected = np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
+    expected /= np.linalg.norm(expected, axis=0)
+    assert np.abs(s.eigenvectors - expected).max() < 1e-9
