@@ -90,6 +90,19 @@ def _partition_report(path: str, g, part) -> dict[str, str]:
     return _json_report(path, report)
 
 
+_KMEANS_DEFAULTS = {"laplacian": "combinatorial", "metric": "euclidean", "q": 0.5, "seed": 0}
+
+
+def _check_cluster_flags(args) -> None:
+    """Reject k-means flags without --dims, which would ignore them; fill defaults."""
+    given = [key for key in _KMEANS_DEFAULTS if getattr(args, key) is not None]
+    if args.dims is None and given:
+        raise _UsageError(", ".join(f"--{key}" for key in given) + " only apply with --dims")
+    for key, default in _KMEANS_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+
+
 # Each handler runs one subcommand and returns {path: text} pending writes.
 
 def _spectrum(args) -> dict[str, str]:
@@ -184,13 +197,17 @@ def build_parser() -> _Parser:
     command("bipartition", _bipartition, "two-way cut from the Fiedler vector sign pattern",
             "combinatorial")
 
-    p = command("cluster", _cluster, "k clusters, recursive or embedding k-means with --dims",
-                "combinatorial")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    # the k-means flags default to None so that _check_cluster_flags sees which were given
+    p = command("cluster", _cluster, "k clusters, recursive or embedding k-means with --dims")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--dims", type=int, default=None, help="embedding dimension (switches to k-means)")
-    p.add_argument("--metric", choices=["euclidean", "manhattan", "fractional"], default="euclidean")
-    p.add_argument("--q", type=float, default=0.5, help="fractional metric exponent in (0,1)")
+    p.add_argument("--laplacian", choices=["combinatorial", "normalized"],
+                   help="Laplacian normalization, with --dims (default combinatorial)")
+    p.add_argument("--metric", choices=["euclidean", "manhattan", "fractional"],
+                   help="k-means distance, with --dims (default euclidean)")
+    p.add_argument("--q", type=float,
+                   help="fractional metric exponent in (0,1), with --dims (default 0.5)")
+    p.add_argument("--seed", type=int, help="k-means seed, with --dims (default 0)")
 
     p = command("p-cluster", _p_cluster, "k clusters by recursive p-spectral cuts")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
@@ -234,13 +251,14 @@ def main(argv: list[str] | None = None) -> int:
             # level specs need --seed, so they are built once parsing is done;
             # their errors still exit 2 like any other bad flag value
             args.level = [_parse_level_spec(text, args.seed) for text in args.level]
+        elif args.command == "cluster":
+            _check_cluster_flags(args)
     except _UsageError as exc:
         return _fail("Usage", str(exc), 2)
     except ToolkitError as exc:
         return _fail(exc.code, str(exc), 2)
     try:
-        for path, text in args.handler(args).items():
-            fileio.write_text_atomic(path, text)
+        fileio.write_files_atomic(args.handler(args))
     except ToolkitError as exc:
         return _fail(exc.code, str(exc), 1)
     except OSError as exc:

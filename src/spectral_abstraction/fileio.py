@@ -11,6 +11,7 @@ temp file and an atomic rename so failed runs leave nothing behind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -90,18 +91,36 @@ def _emit(value, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def write_files_atomic(files: dict[str, str]) -> None:
+    """Write several files all-or-nothing.
+
+    Each text goes to a temp file in its target's directory; only once
+    every one is staged are they renamed into place, in order. If any
+    step fails, the temps and the files this call already renamed into
+    place are removed before the error propagates.
+    """
+    staged: list[tuple[str, str]] = []
+    placed: list[str] = []
+    try:
+        for path, text in files.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for leftover in [tmp for tmp, _ in staged] + placed:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(leftover)
+        raise
+
+
 def write_text_atomic(path: str, text: str) -> None:
     """Write a file all-or-nothing: temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_files_atomic({path: text})
 
 
 # ---------------------------------------------------------------------------

@@ -166,13 +166,15 @@ def degree_matrix(g: Graph) -> np.ndarray:
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> LaplacianMatrix:
     """Build the graph Laplacian in the requested normalization.
 
-    The combinatorial form is computed literally as D - A so it matches
-    degree_matrix(g) - adjacency_matrix(g) entry for entry. The
+    The combinatorial form matches degree_matrix(g) - adjacency_matrix(g)
+    entry for entry, zero entries included as +0.0. The
     normalized form is I - D^(-1/2) A D^(-1/2) with rows and columns of
     isolated nodes (zero degree) set to zero, diagonal included.
     """
     if kind is LaplacianKind.COMBINATORIAL:
-        M = degree_matrix(g) - adjacency_matrix(g)
+        A = adjacency_matrix(g)
+        M = np.diag(A.sum(axis=1))
+        M -= A
         return LaplacianMatrix(matrix=M, kind=kind)
     if kind is LaplacianKind.NORMALIZED:
         A = adjacency_matrix(g)

@@ -50,7 +50,7 @@ from .partition import (
     _recursive_split,
     threshold_partition,
 )
-from .spectral import CONNECTIVITY_TOL, graph_spectrum
+from .spectral import CONNECTIVITY_TOL, Spectrum, graph_spectrum
 
 _SHIFT_BISECTIONS = 100
 _ARMIJO_SLOPE = 1e-4
@@ -98,6 +98,8 @@ class CouplingSystem:
             raise DimensionMismatchError(
                 f"mask shape {m.shape} does not match couplings shape {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise InvalidArgumentError("couplings must be finite")
         object.__setattr__(self, "couplings", c)
         object.__setattr__(self, "linear_mask", m)
         self.couplings.flags.writeable = False
@@ -266,7 +268,8 @@ def p_recursive_bipartition(
     p_spectral_bipartition as the splitter.
     """
 
-    def p_split(sub: Graph) -> Partition:
+    def p_split(sub: Graph, _spectrum: Spectrum) -> Partition:
+        # the p = 2 start comes from the mean-weight rescaled graph instead
         return p_spectral_bipartition(sub, params)
 
     return _recursive_split(g, k, p_split)

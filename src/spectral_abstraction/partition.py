@@ -47,9 +47,18 @@ from .graphs import (
     edge_arrays,
     induced_subgraph,
 )
-from .spectral import CONNECTIVITY_TOL, Embedding, algebraic_connectivity, graph_spectrum
+from .spectral import (
+    CONNECTIVITY_TOL,
+    Embedding,
+    Spectrum,
+    algebraic_connectivity,
+    graph_spectrum,
+)
 
 _SIGN_ZERO_REL_TOL = 1e-12
+# relative slack for the few roundings of the final divisions and products
+_SWEEP_REL_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 _KMEANS_RESTARTS = 20
 _KMEANS_MAX_ITER = 300
 
@@ -130,14 +139,15 @@ def sign_bipartition(g: Graph, v: np.ndarray) -> Partition:
     return _partition_from_labels(labels, 2)
 
 
-def _split_once(g: Graph, nodes: list[int], lam2: float, split_fn) -> tuple[list[int], list[int]]:
-    """Split one cluster of a host graph, returning the two halves."""
-    sub = induced_subgraph(g, nodes)
+def _split_once(
+    nodes: list[int], lam2: float, sub: Graph, s: Spectrum, split_fn
+) -> tuple[list[int], list[int]]:
+    """Split one cluster of a host graph, given its subgraph and spectrum."""
     if lam2 <= CONNECTIVITY_TOL:
         # internally disconnected: peel off the component with the lowest index
         side_local = set(connected_components(sub)[0])
     else:
-        part = split_fn(sub)
+        part = split_fn(sub, s)
         side_local = {i for i, a in enumerate(part.assignment) if a == 0}
     left = sorted(nodes[i] for i in side_local)
     right = sorted(nodes[i] for i in range(len(nodes)) if i not in side_local)
@@ -151,6 +161,8 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
     repeatedly splits the cluster with the smallest internal lambda_2
     (ties: larger cluster, then lower minimum node index), never splits
     singletons, and finally relabels clusters by minimum node index.
+    Each cluster's induced subgraph and two smallest combinatorial
+    eigenpairs are computed once; split_fn(sub, spectrum) receives both.
     """
     if not 1 <= k <= g.n:
         raise KOutOfRangeError(f"k={k} outside 1..{g.n}")
@@ -159,14 +171,16 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
         raise KOutOfRangeError(
             f"graph has {len(clusters)} connected components, cannot form k={k} clusters"
         )
-    lam2_cache: dict[tuple[int, ...], float] = {}
+    # entries live until their cluster is split
+    solved: dict[tuple[int, ...], tuple[float, Graph, Spectrum]] = {}
 
-    def lam2_of(nodes: list[int]) -> float:
+    def solve(nodes: list[int]) -> tuple[float, Graph, Spectrum]:
         key = tuple(nodes)
-        if key not in lam2_cache:
-            s = graph_spectrum(induced_subgraph(g, nodes), LaplacianKind.COMBINATORIAL, count=2)
-            lam2_cache[key] = algebraic_connectivity(s)
-        return lam2_cache[key]
+        if key not in solved:
+            sub = induced_subgraph(g, nodes)
+            s = graph_spectrum(sub, LaplacianKind.COMBINATORIAL, count=2)
+            solved[key] = algebraic_connectivity(s), sub, s
+        return solved[key]
 
     while len(clusters) < k:
         candidates = [c for c in clusters if len(c) >= 2]
@@ -174,9 +188,9 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
             raise NotEnoughSplittableClustersError(
                 f"only singleton clusters remain at {len(clusters)} < k={k}"
             )
-        target = min(candidates, key=lambda c: (lam2_of(c), -len(c), c[0]))
+        target = min(candidates, key=lambda c: (solve(c)[0], -len(c), c[0]))
         try:
-            left, right = _split_once(g, target, lam2_of(target), split_fn)
+            left, right = _split_once(target, *solved.pop(tuple(target)), split_fn)
         except ConstantVectorError as exc:
             raise NotEnoughSplittableClustersError(
                 f"cluster {target} admits no further spectral split"
@@ -195,33 +209,89 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
 def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> Partition:
     """Best split among the n - 1 sorted-entry thresholds of f.
 
-    Cluster 1 holds the t smallest entries of f for the threshold t
-    whose cut value under `selection` (cheeger, ratio or normalized) is
-    minimal; ties keep the smallest t. A plain sign cut can slice
-    through a cluster whose entries hover around zero, which the scan
-    avoids by considering every split the ordering admits.
+    Cluster 1 holds the t smallest entries of f (stable order) for the
+    threshold t whose cut value under `selection` (cheeger, ratio or
+    normalized) is minimal. A plain sign cut can slice through a
+    cluster whose entries hover around zero, which the sweep avoids by
+    considering every split the ordering admits.
+
+    One sorted sweep scores all thresholds in O(m + n log n): cut
+    weights from a difference array over ranks, volumes from prefix and
+    suffix sums of degrees. The winner is exactly the one a scan scoring
+    every threshold with cut_metrics would keep, the smallest t among
+    equal minima, float rounding included. A zero cut scores exactly
+    zero, so the first zero-cut threshold wins outright. Otherwise the
+    thresholds whose swept value, widened by a bound on the rounding
+    difference between the two routes, can reach the swept minimum are
+    re-scored with cut_metrics (normally one or two), and the smallest t
+    among their exact minima wins.
     """
     if selection not in SELECTIONS:
         raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.shape[0] != g.n:
         raise PartitionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
+    if g.n < 2:
+        raise PartitionMismatchError("need at least two nodes to threshold")
     order = np.argsort(f, kind="stable")
-    best_value = None
-    best_labels = None
-    for t in range(1, g.n):
-        labels = np.zeros(g.n, dtype=np.int64)
-        labels[order[:t]] = 1
-        m = cut_metrics(g, _partition_from_labels(labels, 2))
-        value = {
-            "cheeger": m.cheeger,
-            "ratio": m.ratio_cut,
-            "normalized": m.normalized_cut,
-        }[selection]
-        if best_value is None or value < best_value:
-            best_value = value
-            best_labels = labels
-    return _partition_from_labels(best_labels, 2)
+    return _partition_from_labels(_threshold_labels(order, _sweep(g, order, selection)), 2)
+
+
+def _sweep(g: Graph, order: np.ndarray, selection: str) -> int:
+    """The threshold t a cut_metrics scan over t = 1..n-1 would keep."""
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    ei, ej, w = edge_arrays(g)
+    # an edge crosses threshold t exactly when lo <= t < hi
+    lo = np.minimum(rank[ei], rank[ej]) + 1
+    hi = np.maximum(rank[ei], rank[ej]) + 1
+    crossing = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    zero_cut = np.flatnonzero(crossing[1:n] == 0)
+    if zero_cut.size:
+        return int(zero_cut[0]) + 1
+    cut = np.cumsum(np.bincount(lo, w, n + 1) - np.bincount(hi, w, n + 1))[1:n]
+    deg = degrees(g)[order]
+    vol = np.cumsum(deg)
+    vol_in = vol[:-1]
+    vol_out = np.cumsum(deg[::-1])[::-1][1:]
+    smaller = np.minimum(vol_in, vol_out)
+    if selection == "cheeger":
+        per_cut = 1.0 / smaller
+    elif selection == "ratio":
+        sizes = np.arange(1, n)
+        per_cut = 1.0 / sizes + 1.0 / (n - sizes)
+    else:
+        per_cut = 1.0 / vol_in + 1.0 / vol_out
+    value = cut * per_cut
+    # Bound |value - cut_metrics' value| by the rounding of the two
+    # routes: each sums a cut weight to within cut_err and a volume (or
+    # the total less a volume) to within vol_err of the exact sum. A
+    # threshold whose smaller volume is within vol_err of zero has no
+    # bound and is always re-scored.
+    cut_err = 2.0 * (w.size + n) * _EPS * float(w.sum())
+    vol_err = 16.0 * (n + 1) * _EPS * float(vol[-1])
+    margin = smaller - vol_err
+    rel = vol_err / np.where(margin > 0, margin, 1.0)
+    bound = np.where(
+        margin > 0,
+        np.abs(value) * (rel + _SWEEP_REL_TOL) + cut_err * per_cut * (1.0 + rel),
+        np.inf,
+    )
+    candidates = np.flatnonzero(value - bound <= np.min(value + bound)) + 1
+    exact = [_selected_cut(g, _threshold_labels(order, int(t)), selection) for t in candidates]
+    return int(candidates[int(np.argmin(exact))])
+
+
+def _threshold_labels(order: np.ndarray, t: int) -> np.ndarray:
+    labels = np.zeros(order.shape[0], dtype=np.int64)
+    labels[order[:t]] = 1
+    return labels
+
+
+def _selected_cut(g: Graph, labels: np.ndarray, selection: str) -> float:
+    m = cut_metrics(g, _partition_from_labels(labels, 2))
+    return {"cheeger": m.cheeger, "ratio": m.ratio_cut, "normalized": m.normalized_cut}[selection]
 
 
 def recursive_bipartition(g: Graph, k: int) -> Partition:
@@ -234,8 +304,7 @@ def recursive_bipartition(g: Graph, k: int) -> Partition:
     remain inside one piece.
     """
 
-    def fiedler_threshold_split(sub: Graph) -> Partition:
-        s = graph_spectrum(sub, LaplacianKind.COMBINATORIAL, count=2)
+    def fiedler_threshold_split(sub: Graph, s: Spectrum) -> Partition:
         return threshold_partition(sub, s.eigenvectors[:, 1], "cheeger")
 
     return _recursive_split(g, k, fiedler_threshold_split)

@@ -122,6 +122,34 @@ def direct_cut_metrics(n: int, edges, assignment) -> dict[str, float]:
     }
 
 
+def scan_threshold_partition(g, f: np.ndarray, selection: str = "cheeger"):
+    """The former O(n^3) threshold_partition: cut_metrics at every threshold.
+
+    Kept as the reference for the one-pass sweep: thresholds are scored
+    in order and a later one replaces the best only when strictly
+    smaller, so the smallest t wins ties.
+    """
+    import spectral_abstraction as sa
+
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    order = np.argsort(f, kind="stable")
+    best_value = None
+    best_labels = None
+    for t in range(1, g.n):
+        labels = np.zeros(g.n, dtype=np.int64)
+        labels[order[:t]] = 1
+        m = sa.cut_metrics(g, sa.Partition(assignment=tuple(int(a) for a in labels), k=2))
+        value = {
+            "cheeger": m.cheeger,
+            "ratio": m.ratio_cut,
+            "normalized": m.normalized_cut,
+        }[selection]
+        if best_value is None or value < best_value:
+            best_value = value
+            best_labels = labels
+    return sa.Partition(assignment=tuple(int(a) for a in best_labels), k=2)
+
+
 def best_bipartition(n: int, edges, key: str = "normalized_cut"):
     """Exhaustive minimum over all bipartitions; returns (value, side1)."""
     best = None

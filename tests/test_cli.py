@@ -126,6 +126,23 @@ class TestClusterCommand:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--laplacian", "normalized"), ("--metric", "manhattan"), ("--q", "0.3"), ("--seed", "9")],
+    )
+    def test_kmeans_flag_without_dims_is_a_usage_error(self, bridged_file, tmp_path, capsys,
+                                                       flag, value):
+        out = tmp_path / "rec.json"
+        rc = run_cli("cluster", "--input", str(bridged_file), "--output", str(out), "--k", "2",
+                     flag, value)
+        assert rc == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "Usage"
+        assert flag in err["detail"]
+
     def test_domain_error_exits_one_and_writes_nothing(self, bridged_file, tmp_path, capsys):
         out = tmp_path / "bad.json"
         rc = run_cli("cluster", "--input", str(bridged_file), "--output", str(out), "--k", "10")
@@ -339,6 +356,20 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "Parse"
         assert "line 2" in err["detail"]
+
+
+class TestNoPartialOutput:
+    def test_failed_second_file_removes_the_first(self, bridged_file, tmp_path, capsys):
+        (tmp_path / "o.scree.csv").mkdir()
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "o.json"
+        rc = run_cli("spectrum", "--input", str(bridged_file), "--output", str(out))
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "IO"
+        assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestSubprocessDeterminism:

@@ -102,6 +102,13 @@ class TestMatrices:
         A = sa.adjacency_matrix(bridged_triangles)
         assert np.array_equal(L, D - A)
 
+    def test_laplacian_zero_entries_are_positive_zero(self, bridged_triangles):
+        L = np.asarray(sa.laplacian(bridged_triangles, sa.LaplacianKind.COMBINATORIAL).matrix)
+        D = sa.degree_matrix(bridged_triangles)
+        A = sa.adjacency_matrix(bridged_triangles)
+        assert L.tobytes() == (D - A).tobytes()
+        assert not np.signbit(L[L == 0.0]).any()
+
     def test_normalized_laplacian_unit_diagonal(self, bridged_triangles):
         L = np.asarray(sa.laplacian(bridged_triangles, sa.LaplacianKind.NORMALIZED).matrix)
         assert np.allclose(np.diag(L), 1.0)

@@ -10,6 +10,7 @@ from spectral_abstraction.errors import (
     DimensionMismatchError,
     DisconnectedGraphError,
     ExponentOutOfRangeError,
+    InvalidArgumentError,
 )
 from spectral_abstraction.nonlinear import (
     CouplingSystem,
@@ -221,6 +222,12 @@ class TestJacobianGraph:
             CouplingSystem(couplings=np.zeros((2, 3)), linear_mask=np.zeros((2, 3), dtype=bool))
         with pytest.raises(DimensionMismatchError):
             CouplingSystem(couplings=np.zeros((3, 3)), linear_mask=np.zeros((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        c = np.array([[0.0, bad, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidArgumentError):
+            CouplingSystem(couplings=c, linear_mask=np.ones((3, 3), dtype=bool))
 
     def test_negative_threshold_rejected(self):
         sysm = CouplingSystem(couplings=np.zeros((2, 2)), linear_mask=np.zeros((2, 2), dtype=bool))

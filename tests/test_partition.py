@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
+from spectral_abstraction import nonlinear, partition
 from spectral_abstraction.errors import (
     ConstantVectorError,
     InvalidFractionalExponentError,
@@ -18,7 +19,7 @@ from spectral_abstraction.errors import (
 from spectral_abstraction.spectral import Embedding
 
 from conftest import random_connected_graph
-from oracles import best_assignment, direct_cut_metrics, kmeans_objective
+from oracles import best_assignment, direct_cut_metrics, kmeans_objective, scan_threshold_partition
 
 
 def embed(g, dim):
@@ -100,6 +101,78 @@ class TestThresholdPartition:
     def test_length_mismatch_rejected(self, c4):
         with pytest.raises(PartitionMismatchError):
             sa.threshold_partition(c4, np.arange(3, dtype=np.float64))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A graph and a vector covering equal, tenth, real and wildly mixed
+    edge weights, repeated f values, and orders that admit a zero cut."""
+    n = draw(st.integers(2, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weight = draw(st.sampled_from([
+        st.just(1.0),
+        # tenths tie often in exact arithmetic but not after rounding
+        st.integers(1, 9).map(lambda x: x / 10),
+        st.floats(0.01, 100.0),
+        # wide enough that sums lose the small weights entirely
+        st.sampled_from([1e-9, 1.0, 1e8]),
+    ]))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    f_kind = draw(st.sampled_from(["distinct", "repeated", "zero-cut"]))
+    if f_kind == "repeated":
+        f = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    else:
+        f = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n, unique=True))
+    if f_kind == "zero-cut":
+        # no edge joins the s lowest entries of f to the rest
+        s = draw(st.integers(1, n - 1))
+        low = set(np.argsort(f, kind="stable")[:s].tolist())
+        present = [keep and ((i in low) == (j in low)) for keep, (i, j) in zip(present, pairs)]
+    edges = [(i, j, w) for keep, (i, j), w in zip(present, pairs, weights) if keep]
+    return sa.graph_from_edges([f"n{i}" for i in range(n)], edges), np.array(f, dtype=np.float64)
+
+
+@given(case=sweep_inputs(), selection=st.sampled_from(sa.SELECTIONS))
+@settings(max_examples=300, deadline=None)
+def test_sweep_picks_the_same_threshold_as_the_scan(case, selection):
+    g, f = case
+    fast = sa.threshold_partition(g, f, selection)
+    assert fast.assignment == scan_threshold_partition(g, f, selection).assignment
+
+
+class TestRecursiveSpectra:
+    def test_each_cluster_is_solved_once(self, monkeypatch):
+        # one spectrum for the whole graph, then one per half of every split but the last
+        g = sa.sbm_generate(5, 12, 0.8, 0.02, seed=3)
+        assert len(sa.connected_components(g)) == 1
+        calls = []
+        real = partition.graph_spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "graph_spectrum", counting)
+        for k in range(2, 6):
+            calls.clear()
+            sa.recursive_bipartition(g, k)
+            assert len(calls) == 1 + 2 * (k - 2)
+
+    def test_recursive_splits_match_the_scan(self, monkeypatch):
+        graphs = [sa.sbm_generate(4, 12, 0.5, 0.05, seed=s) for s in range(6)]
+        small = [sa.sbm_generate(2, 8, 0.8, 0.1, seed=s) for s in range(3)]
+        params = sa.PLaplacianParams(p=1.5)
+
+        def run():
+            linear = [sa.recursive_bipartition(g, 4).assignment for g in graphs]
+            p = [nonlinear.p_recursive_bipartition(g, 2, params).assignment for g in small]
+            return linear, p
+
+        fast = run()
+        monkeypatch.setattr(partition, "threshold_partition", scan_threshold_partition)
+        monkeypatch.setattr(nonlinear, "threshold_partition", scan_threshold_partition)
+        assert run() == fast
 
 
 class TestRecursiveBipartition:
