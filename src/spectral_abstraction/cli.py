@@ -21,7 +21,7 @@ import sys
 
 from . import fileio
 from .errors import ToolkitError
-from .graphs import LaplacianKind, laplacian
+from .graphs import LaplacianKind
 from .hierarchy import LevelSpec, build_hierarchy
 from .nonlinear import PLaplacianParams, jacobian_graph, p_recursive_bipartition
 from .partition import (
@@ -31,7 +31,7 @@ from .partition import (
     recursive_bipartition,
     sign_bipartition,
 )
-from .spectral import eigendecompose, fiedler_vector, spectral_embedding
+from .spectral import fiedler_vector, graph_spectrum, spectral_embedding
 from .structfunc import FcModel, fit_fc, predict_fc, spectra_similarity
 
 
@@ -46,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 _LEVEL_KEYS = {"k": int, "method": str, "dim": int, "metric": str, "q": float, "p": float}
+# the keys each method reads, besides method itself
+_METHOD_KEYS = {
+    "recursive-linear": {"k"},
+    "recursive-p": {"k", "p"},
+    "kway-embedding": {"k", "dim", "metric", "q"},
+}
 
 
 def _parse_level_spec(text: str, seed: int) -> LevelSpec:
@@ -62,6 +68,11 @@ def _parse_level_spec(text: str, seed: int) -> LevelSpec:
             raise _UsageError(f"level spec field {item!r} has a malformed value") from None
     if "k" not in spec:
         raise _UsageError(f"level spec {text!r} is missing k=")
+    method = spec.get("method", "recursive-linear")
+    # an unknown method is left to LevelSpec to reject
+    ignored = sorted(set(spec) - {"method"} - _METHOD_KEYS.get(method, set(spec)))
+    if ignored:
+        raise _UsageError(f"level spec {text!r}: {', '.join(ignored)} do not apply to {method}")
     p_exponent = spec.pop("p", None)
     if p_exponent is not None:
         spec["p_params"] = PLaplacianParams(p=p_exponent)
@@ -107,7 +118,7 @@ def _check_cluster_flags(args) -> None:
 
 def _spectrum(args) -> dict[str, str]:
     g = fileio.read_graph(args.input)
-    s = eigendecompose(laplacian(g, LaplacianKind(args.laplacian)))
+    s = graph_spectrum(g, LaplacianKind(args.laplacian))
     out = _json_report(args.output, fileio.spectrum_payload(s))
     out[_sibling_path(args.output, ".scree.csv")] = fileio.scree_csv(s)
     return out
@@ -115,7 +126,7 @@ def _spectrum(args) -> dict[str, str]:
 
 def _bipartition(args) -> dict[str, str]:
     g = fileio.read_graph(args.input)
-    s = eigendecompose(laplacian(g, LaplacianKind(args.laplacian)))
+    s = graph_spectrum(g, LaplacianKind(args.laplacian))
     return _partition_report(args.output, g, sign_bipartition(g, fiedler_vector(s)))
 
 
@@ -124,7 +135,7 @@ def _cluster(args) -> dict[str, str]:
     if args.dims is None:
         part = recursive_bipartition(g, args.k)
     else:
-        s = eigendecompose(laplacian(g, LaplacianKind(args.laplacian)))
+        s = graph_spectrum(g, LaplacianKind(args.laplacian))
         emb = spectral_embedding(s, args.dims)
         part = kway_embedding_cluster(emb, args.k, metric=args.metric, q=args.q, seed=args.seed)
     return _partition_report(args.output, g, part)
@@ -214,7 +225,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True, help="p-Laplacian exponent in (1,2]")
 
     p = command("hierarchy", _hierarchy, "multi-level coarsening")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, help="k-means seed, with a kway-embedding level (default 0)")
     p.add_argument("--level", action="append", required=True,
                    metavar="k=K,method=M[,dim=D,metric=X,q=Q,p=P]",
                    help="one level spec; repeat for deeper hierarchies")
@@ -250,7 +261,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hierarchy":
             # level specs need --seed, so they are built once parsing is done;
             # their errors still exit 2 like any other bad flag value
-            args.level = [_parse_level_spec(text, args.seed) for text in args.level]
+            seed = 0 if args.seed is None else args.seed
+            args.level = [_parse_level_spec(text, seed) for text in args.level]
+            kmeans = any(spec.method == "kway-embedding" for spec in args.level)
+            if args.seed is not None and not kmeans:
+                raise _UsageError("--seed only applies with a kway-embedding level")
         elif args.command == "cluster":
             _check_cluster_flags(args)
     except _UsageError as exc:

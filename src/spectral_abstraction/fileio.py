@@ -12,6 +12,7 @@ temp file and an atomic rename so failed runs leave nothing behind.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -227,13 +228,8 @@ def parse_matrix_csv_graph(text: str) -> Graph:
     if negatives < 0:
         raise NonpositiveWeightError(f"adjacency contains a negative weight {negatives}")
     labels = header if header is not None else [f"n{i}" for i in range(n)]
-    edges = [
-        (i, j, float(data[i, j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if data[i, j] > 0
-    ]
-    return graph_from_edges(labels, edges)
+    ei, ej = np.nonzero(np.triu(data > 0, k=1))
+    return graph_from_edges(labels, zip(ei.tolist(), ej.tolist(), data[ei, ej].tolist()))
 
 
 def read_graph(path: str) -> Graph:
@@ -302,24 +298,11 @@ def partition_payload(p: Partition, labels: tuple[str, ...]) -> dict:
 
 
 def cut_metrics_payload(m: CutMetrics) -> dict:
-    return {
-        "cut_weight": m.cut_weight,
-        "ratio_cut": m.ratio_cut,
-        "normalized_cut": m.normalized_cut,
-        "cheeger": m.cheeger,
-    }
+    return dataclasses.asdict(m)
 
 
 def connectivity_profile_payload(profile: ConnectivityProfile) -> list[dict]:
-    return [
-        {
-            "internal_weight": c.internal_weight,
-            "external_weight": c.external_weight,
-            "internal_density": c.internal_density,
-            "separation": c.separation,
-        }
-        for c in profile.clusters
-    ]
+    return [dataclasses.asdict(c) for c in profile.clusters]
 
 
 def hierarchy_payload(h: Hierarchy) -> dict:

@@ -2,9 +2,11 @@
 
 The graph model is intentionally small. Nodes carry string labels,
 edges are undirected with strictly positive weights, there are no self
-loops, and every constructed value is immutable. Matrix forms are dense
-numpy arrays, which is the right trade-off at the network sizes this
-toolkit targets (up to a few thousand nodes).
+loops, and every constructed value is immutable. Edges are stored once,
+as read-only arrays, and graphs derived from a valid graph skip the
+per-edge validation of outside input. Matrix forms are dense numpy
+arrays, which is the right trade-off at the network sizes this toolkit
+targets (up to a few thousand nodes).
 
 Matrix conventions, for a graph on n nodes with adjacency A and
 weighted degree d(i) = sum_j A[i, j]:
@@ -24,6 +26,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from .errors import (
     DuplicateEdgeError,
@@ -49,18 +52,32 @@ class LaplacianKind(Enum):
     NORMALIZED = "normalized"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted undirected graph with labeled nodes.
 
-    Edges are stored canonically as (i, j, weight) with i < j, sorted by
-    endpoint pair, so equal graphs compare equal and serialize
-    identically. Construct through :func:`graph_from_edges`, which
-    validates and canonicalizes; the raw constructor trusts its input.
+    Edge k joins ei[k] < ej[k] with weight w[k], in read-only int64,
+    int64 and float64 arrays sorted by endpoint pair, so equal graphs
+    compare equal and serialize identically; `edges` renders them as
+    (i, j, weight) tuples. Construct through :func:`graph_from_edges`,
+    which validates and canonicalizes; the raw constructor trusts its
+    input.
     """
 
     labels: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    ei: np.ndarray
+    ej: np.ndarray
+    w: np.ndarray
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.ei.tolist(), self.ej.tolist(), self.w.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and (self.labels, self.edges) == (other.labels, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.edges))
 
     @property
     def n(self) -> int:
@@ -68,11 +85,11 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
     @property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        return float(sum(self.w.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,26 +147,36 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
         canonical.append((key[0], key[1], w))
 
     canonical.sort(key=lambda e: (e[0], e[1]))
-    return Graph(labels=labels, edges=tuple(canonical))
+    return _graph(labels, *np.array(canonical, dtype=np.float64).reshape(-1, 3).T)
+
+
+def _graph(labels: Sequence[str], ei, ej, w) -> Graph:
+    """Graph from canonical edge arrays (i < j, sorted by (i, j), no repeats).
+
+    The structure is trusted. The weights are checked, since sums and
+    rescalings of valid weights can overflow or underflow.
+    """
+    ei, ej = np.ascontiguousarray(ei, np.int64), np.ascontiguousarray(ej, np.int64)
+    w = np.ascontiguousarray(w, np.float64)
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+    if bad.size:
+        i, j, x = int(ei[bad[0]]), int(ej[bad[0]]), float(w[bad[0]])
+        raise NonpositiveWeightError(f"edge ({i}, {j}, {x}): weight must be positive and finite")
+    for a in (ei, ej, w):
+        a.flags.writeable = False
+    return Graph(labels=tuple(labels), ei=ei, ej=ej, w=w)
 
 
 def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge list as (i, j, w) arrays; convenient for vectorized sums."""
-    if not g.edges:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), np.zeros(0)
-    ei = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.n_edges)
-    ej = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.n_edges)
-    w = np.fromiter((e[2] for e in g.edges), dtype=np.float64, count=g.n_edges)
-    return ei, ej, w
+    """The stored (i, j, w) edge arrays, read-only; convenient for vectorized sums."""
+    return g.ei, g.ej, g.w
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense symmetric adjacency matrix with zero diagonal."""
     A = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        A[i, j] = w
-        A[j, i] = w
+    A[g.ei, g.ej] = g.w
+    A[g.ej, g.ei] = g.w
     return A
 
 
@@ -201,14 +228,11 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
         raise EmptySubsetError("node subset must be nonempty")
     if wanted[0] < 0 or wanted[-1] >= g.n:
         raise IndexOutOfRangeError(f"subset contains indices outside 0..{g.n - 1}")
-    remap = {old: new for new, old in enumerate(wanted)}
-    members = set(wanted)
-    kept = [
-        (remap[i], remap[j], w)
-        for i, j, w in g.edges
-        if i in members and j in members
-    ]
-    return graph_from_edges([g.labels[i] for i in wanted], kept)
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[wanted] = np.arange(len(wanted))
+    # remap is increasing on the kept nodes, so kept edges stay canonical
+    keep = (remap[g.ei] >= 0) & (remap[g.ej] >= 0)
+    return _graph([g.labels[i] for i in wanted], remap[g.ei[keep]], remap[g.ej[keep]], g.w[keep])
 
 
 def quotient_graph(g: Graph, partition: "Partition") -> Graph:
@@ -223,41 +247,22 @@ def quotient_graph(g: Graph, partition: "Partition") -> Graph:
         raise PartitionMismatchError(
             f"partition covers {partition.n} nodes, graph has {g.n}"
         )
-    accum: dict[tuple[int, int], float] = {}
-    for i, j, w in g.edges:
-        a, b = partition.assignment[i], partition.assignment[j]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        accum[key] = accum.get(key, 0.0) + w
-    labels = [f"c{c}" for c in range(partition.k)]
-    edges = [(a, b, w) for (a, b), w in sorted(accum.items())]
-    return graph_from_edges(labels, edges)
+    k = partition.k
+    a, b = np.sort(partition.as_array()[np.stack([g.ei, g.ej])], axis=0)
+    crossing = a != b
+    pairs, slot = np.unique(a[crossing] * k + b[crossing], return_inverse=True)
+    # bincount adds each pair's weights in edge order, as a running sum would
+    w = np.bincount(slot, weights=g.w[crossing], minlength=pairs.size)
+    return _graph([f"c{c}" for c in range(k)], pairs // k, pairs % k, w)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted index lists, ordered by minimum index."""
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j, _ in g.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = [False] * g.n
-    components: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        components.append(sorted(comp))
-    return components
+    A = scipy.sparse.coo_matrix((g.w, (g.ei, g.ej)), shape=(g.n, g.n))
+    _, comp = scipy.sparse.csgraph.connected_components(A, directed=False)
+    order = np.argsort(comp, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+    return sorted((group.tolist() for group in groups), key=lambda c: c[0])
 
 
 def sbm_generate(
@@ -291,11 +296,11 @@ def sbm_generate(
     n = blocks * nodes_per_block
     labels = [f"b{i // nodes_per_block}n{i % nodes_per_block}" for i in range(n)]
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int, float]] = []
-    for i in range(n):
-        bi = i // nodes_per_block
-        for j in range(i + 1, n):
-            p = p_in if j // nodes_per_block == bi else p_out
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
-    return graph_from_edges(labels, edges)
+    block = np.arange(n) // nodes_per_block
+    # one draw per pair (i, j > i), row by row: the scalar draw order
+    hits = []
+    for i in range(n - 1):
+        p = np.where(block[i + 1:] == block[i], p_in, p_out)
+        hits.append(i + 1 + np.flatnonzero(rng.random(n - i - 1) < p))
+    ej = np.concatenate(hits)
+    return _graph(labels, np.repeat(np.arange(n - 1), [h.size for h in hits]), ej, np.ones(ej.size))

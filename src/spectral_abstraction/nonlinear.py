@@ -43,7 +43,7 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, connected_components, edge_arrays, graph_from_edges
+from .graphs import Graph, LaplacianKind, _graph, connected_components, edge_arrays
 from .partition import (
     SELECTIONS as _SELECTIONS,
     Partition,
@@ -203,9 +203,7 @@ def _descend(ei, ej, w, f: np.ndarray, p: float, tol: float, max_iter: int) -> t
 
 
 def _mean_weight_rescaled(g: Graph) -> Graph:
-    weights = [w for _, _, w in g.edges]
-    mean = sum(weights) / len(weights)
-    return graph_from_edges(g.labels, [(i, j, w / mean) for i, j, w in g.edges])
+    return _graph(g.labels, g.ei, g.ej, g.w / (g.total_weight / g.n_edges))
 
 
 def p_spectral_bipartition(
@@ -285,17 +283,14 @@ def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[
     """
     if threshold < 0:
         raise InvalidArgumentError(f"threshold must be nonnegative, got {threshold}")
+    if sys.n == 0:
+        raise InvalidArgumentError("a graph needs at least one node")
     c = np.abs(sys.couplings)
     strength = np.maximum(c, c.T)
     present = sys.linear_mask | sys.linear_mask.T
     n = sys.n
-    edges = [
-        (i, j, 1.0)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if present[i, j] and strength[i, j] > threshold
-    ]
-    g = graph_from_edges([f"x{i}" for i in range(n)], edges)
+    ei, ej = np.nonzero(np.triu(present & (strength > threshold), k=1))
+    g = _graph([f"x{i}" for i in range(n)], ei, ej, np.ones(ei.size))
     components = connected_components(g)
     largest = max(components, key=len)
     return g, tuple(largest)

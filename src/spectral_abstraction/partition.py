@@ -265,10 +265,9 @@ def _sweep(g: Graph, order: np.ndarray, selection: str) -> int:
         per_cut = 1.0 / vol_in + 1.0 / vol_out
     value = cut * per_cut
     # Bound |value - cut_metrics' value| by the rounding of the two
-    # routes: each sums a cut weight to within cut_err and a volume (or
-    # the total less a volume) to within vol_err of the exact sum. A
-    # threshold whose smaller volume is within vol_err of zero has no
-    # bound and is always re-scored.
+    # routes: each sums a cut weight to within cut_err and a volume to
+    # within vol_err of the exact sum. A threshold whose smaller volume
+    # is within vol_err of zero has no bound and is always re-scored.
     cut_err = 2.0 * (w.size + n) * _EPS * float(w.sum())
     vol_err = 16.0 * (n + 1) * _EPS * float(vol[-1])
     margin = smaller - vol_err
@@ -410,11 +409,10 @@ def _per_cluster_cut(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray, np
     """Per-cluster crossing weight, volume and size."""
     assign = p.as_array()
     ei, ej, w = edge_arrays(g)
-    crossing = assign[ei] != assign[ej] if ei.size else np.zeros(0, dtype=bool)
+    crossing = assign[ei] != assign[ej]
     cut = np.zeros(p.k)
-    if ei.size:
-        np.add.at(cut, assign[ei[crossing]], w[crossing])
-        np.add.at(cut, assign[ej[crossing]], w[crossing])
+    np.add.at(cut, assign[ei[crossing]], w[crossing])
+    np.add.at(cut, assign[ej[crossing]], w[crossing])
     vol = np.bincount(assign, weights=degrees(g), minlength=p.k)
     size = np.bincount(assign, minlength=p.k).astype(np.float64)
     return cut, vol, size
@@ -430,7 +428,8 @@ def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
         raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
     cut, vol, size = _per_cluster_cut(g, p)
     total_cut = float(cut.sum()) / 2.0
-    total_vol = float(vol.sum())
+    # the complement's own volume: the total less vol(C) can round to 0
+    complement = [float(np.delete(vol, a).sum()) for a in range(p.k)]
 
     def safe(num: float, den: float) -> float:
         return 0.0 if num == 0.0 else num / den
@@ -438,7 +437,7 @@ def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
     ratio = float(sum(safe(c, s) for c, s in zip(cut, size)))
     normalized = float(sum(safe(c, v) for c, v in zip(cut, vol)))
     cheeger = float(
-        max((safe(c, min(v, total_vol - v)) for c, v in zip(cut, vol)), default=0.0)
+        max((safe(c, min(v, r)) for c, v, r in zip(cut, vol, complement)), default=0.0)
     )
     return CutMetrics(
         cut_weight=total_cut,
@@ -462,11 +461,10 @@ def connectivity_profile(g: Graph, p: Partition) -> ConnectivityProfile:
     ei, ej, w = edge_arrays(g)
     internal = np.zeros(p.k)
     external = np.zeros(p.k)
-    if ei.size:
-        same = assign[ei] == assign[ej]
-        np.add.at(internal, assign[ei[same]], w[same])
-        np.add.at(external, assign[ei[~same]], w[~same])
-        np.add.at(external, assign[ej[~same]], w[~same])
+    same = assign[ei] == assign[ej]
+    np.add.at(internal, assign[ei[same]], w[same])
+    np.add.at(external, assign[ei[~same]], w[~same])
+    np.add.at(external, assign[ej[~same]], w[~same])
     size = np.bincount(assign, minlength=p.k).astype(np.float64)
     n = float(g.n)
     records = []

@@ -274,3 +274,48 @@ def _canonical_labels(labels):
             remap[a] = len(remap)
         out.append(remap[a])
     return out
+
+
+# The former per-edge graph builders, kept as references for the
+# array-based ones. Each returns a graph through graph_from_edges.
+
+def scalar_sbm_generate(blocks: int, nodes_per_block: int, p_in: float, p_out: float, seed: int):
+    """sbm_generate by one scalar draw per pair, row by row."""
+    import spectral_abstraction as sa
+
+    n = blocks * nodes_per_block
+    labels = [f"b{i // nodes_per_block}n{i % nodes_per_block}" for i in range(n)]
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_in if j // nodes_per_block == i // nodes_per_block else p_out
+            if rng.random() < p:
+                edges.append((i, j, 1.0))
+    return sa.graph_from_edges(labels, edges)
+
+
+def dict_quotient_graph(g, partition):
+    """quotient_graph by a dict of running crossing-weight sums."""
+    import spectral_abstraction as sa
+
+    accum: dict[tuple[int, int], float] = {}
+    for i, j, w in g.edges:
+        a, b = partition.assignment[i], partition.assignment[j]
+        if a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        accum[key] = accum.get(key, 0.0) + w
+    edges = [(a, b, w) for (a, b), w in sorted(accum.items())]
+    return sa.graph_from_edges([f"c{c}" for c in range(partition.k)], edges)
+
+
+def set_induced_subgraph(g, nodes):
+    """induced_subgraph by set membership and a dict remap."""
+    import spectral_abstraction as sa
+
+    wanted = sorted(set(nodes))
+    remap = {old: new for new, old in enumerate(wanted)}
+    members = set(wanted)
+    kept = [(remap[i], remap[j], w) for i, j, w in g.edges if i in members and j in members]
+    return sa.graph_from_edges([g.labels[i] for i in wanted], kept)

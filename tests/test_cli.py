@@ -456,3 +456,52 @@ class TestNonFiniteInput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "Parse"
         assert "(3, 5)" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "level,field",
+    [
+        ("k=2,dim=2", "dim"),
+        ("k=2,p=1.5", "p"),
+        ("k=2,method=recursive-linear,metric=manhattan", "metric"),
+        ("k=2,method=recursive-linear,q=0.3", "q"),
+        ("k=2,method=recursive-p,dim=2", "dim"),
+        ("k=2,method=recursive-p,metric=manhattan", "metric"),
+        ("k=2,method=recursive-p,q=0.3", "q"),
+        ("k=2,method=kway-embedding,p=1.5", "p"),
+    ],
+)
+def test_level_field_its_method_ignores_is_a_usage_error(bridged_file, tmp_path, capsys,
+                                                          level, field):
+    out = tmp_path / "h.json"
+    rc = run_cli("hierarchy", "--input", str(bridged_file), "--output", str(out), "--level", level)
+    assert rc == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "Usage"
+    assert field in err["detail"]
+
+
+def test_hierarchy_seed_without_a_kway_level_is_a_usage_error(bridged_file, tmp_path, capsys):
+    out = tmp_path / "h.json"
+    rc = run_cli("hierarchy", "--input", str(bridged_file), "--output", str(out),
+                 "--level", "k=2,method=recursive-p,p=1.5", "--seed", "3")
+    assert rc == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "Usage"
+    assert "--seed" in err["detail"]
+
+
+def test_hierarchy_seed_zero_is_the_default(bridged_file, tmp_path):
+    texts = []
+    for extra in ((), ("--seed", "0")):
+        out = tmp_path / f"h{len(extra)}.json"
+        rc = run_cli("hierarchy", "--input", str(bridged_file), "--output", str(out),
+                     "--level", "k=3,method=kway-embedding,dim=2,metric=manhattan,q=0.3",
+                     "--level", "k=2", *extra)
+        assert rc == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]

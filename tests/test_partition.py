@@ -380,3 +380,12 @@ class TestConnectivityProfile:
     def test_partition_size_mismatch(self, triangle):
         with pytest.raises(PartitionMismatchError):
             sa.connectivity_profile(triangle, sa.Partition(assignment=(0,), k=1))
+
+
+def test_cheeger_is_finite_when_weights_span_many_orders():
+    # vol{a, b} = 2e8 swallows vol{c} = 1e-9 in the total, so the total
+    # less vol{a, b} is 0; the complement's own volume is 1e-9
+    g = sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1e8), (1, 2, 1e-9)])
+    m = sa.cut_metrics(g, sa.Partition(assignment=(0, 0, 1), k=2))
+    assert m.cheeger == 1.0
+    assert m.normalized_cut == pytest.approx(1.0)
