@@ -32,6 +32,7 @@ largest connected component as the subsystem worth analyzing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ from .partition import (
 )
 from .spectral import CONNECTIVITY_TOL, Spectrum, graph_spectrum
 
-_SHIFT_BISECTIONS = 100
+_SHIFT_RTOL = 1e-15
+_SHIFT_MAX_STEPS = 64
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK_LIMIT = 60
 
@@ -131,21 +133,54 @@ def _p_laplacian_edges(ei, ej, w, f: np.ndarray, p: float) -> np.ndarray:
 
 
 def _optimal_shift(f: np.ndarray, p: float) -> float:
-    """The c minimizing sum_i |f_i - c|^p; unique since p > 1."""
+    """The c minimizing sum_i |f_i - c|^p; unique since p > 1.
+
+    The minimizer is the root of the increasing slope
+    sum_i sign(c - f_i) |c - f_i|^(p-1), bracketed by min f and max f.
+    Ridders' method keeps the root bracketed and at least halves the
+    bracket at each step; once its estimate settles, one probe just
+    past it closes the bracket, so the result is always within the
+    bracket tolerance of a sign change of the slope, also where the
+    slope is nearly flat (p close to 1) or steep (near an entry of f).
+    """
     lo, hi = float(f.min()), float(f.max())
     if hi <= lo:
         return lo
     if p == 2.0:
         return float(f.mean())
-    for _ in range(_SHIFT_BISECTIONS):
+
+    def slope(c: float) -> float:
+        d = c - f
+        return float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum())
+
+    # f has an entry above lo and one below hi, so f_lo < 0 < f_hi, and
+    # the bracket updates below keep it so
+    f_lo, f_hi = slope(lo), slope(hi)
+    xtol = _SHIFT_RTOL * max(abs(lo), abs(hi))
+    x = float("nan")
+    for _ in range(_SHIFT_MAX_STEPS):
+        # Ridders' estimate lies between mid and the root
         mid = 0.5 * (lo + hi)
-        d = mid - f
-        slope = float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum())
-        if slope < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        f_mid = slope(mid)
+        estimate = mid - (mid - lo) * f_mid / math.sqrt(f_mid * f_mid - f_lo * f_hi)
+        settled = abs(estimate - x) <= xtol
+        x = estimate
+        f_x = slope(x)
+        points = [(mid, f_mid), (x, f_x)]
+        if settled:
+            # step just past a settled estimate so the bracket can close on it
+            probe = x + xtol if f_x < 0.0 else x - xtol
+            points.append((probe, slope(probe)))
+        for c, f_c in points:
+            if f_c == 0.0:
+                return c
+            if f_c < 0.0 and c > lo:
+                lo, f_lo = c, f_c
+            elif f_c > 0.0 and c < hi:
+                hi, f_hi = c, f_c
+        if hi - lo <= xtol:
+            break
+    return x
 
 
 def _p_rayleigh(ei, ej, w, f: np.ndarray, p: float) -> tuple[float, float]:

@@ -12,11 +12,24 @@ whole network: every functional edge emerges from the same few global
 eigenmodes, which is why the model's eigenvectors coincide with the
 structural ones and only the eigenvalue profile is reshaped.
 
-Fitting inverts the map from an observed matrix: a coarse grid over
+Fitting inverts the map from an observed matrix O: a coarse grid over
 beta in [0, 10] (step 0.1), closed-form least squares for scale and
 offset at each grid point, then golden-section refinement of beta. The
 refinement runs far below the contractual 1e-6 interval so that exact
 model matrices round-trip to numerical precision.
+
+The search never forms an n x n model. The model is diagonal in the
+eigenbasis U, and the Frobenius norm is invariant under rotation, so
+with O~ = U^T O U, o_k = O~_kk and w_k = exp(-beta * lambda_k):
+
+    ||F - O||_F^2 = sum_k (scale * w_k + offset - o_k)^2 + sum_{k != l} O~_kl^2
+
+O~ is formed once per fit, after which each beta costs O(n). The
+residual is summed mode by mode rather than expanded into
+||F||^2 - 2<F, O> + ||O||^2, which cancels catastrophically when O is
+an exact model matrix. The two final candidates (the grid minimum and
+the refined beta) are scored by a dense reconstruction, so the
+returned error is a direct Frobenius norm of the returned model.
 
 Model quality between two symmetric matrices is summarized by
 spectra_similarity, the Pearson correlation of their ascending
@@ -26,6 +39,7 @@ comparison of global structure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +80,8 @@ def _check_fc_matrix(m: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if n is not None and m.shape[0] != n:
         raise DimensionMismatchError(f"matrix is {m.shape[0]} x {m.shape[0]}, graph has {n} nodes")
+    if not np.isfinite(m).all():
+        raise InvalidArgumentError("matrix entries must be finite")
     asym = np.abs(m - m.T).max() if m.size else 0.0
     if asym > _FC_SYMMETRY_TOL:
         raise NotSymmetricError(f"matrix asymmetry {asym:.2e} exceeds {_FC_SYMMETRY_TOL}")
@@ -111,6 +127,32 @@ def _fit_at_beta(s: Spectrum, observed: np.ndarray, beta: float) -> tuple[float,
     return error, scale, offset
 
 
+def _eigenbasis_error(s: Spectrum, observed: np.ndarray) -> Callable[[float], float]:
+    """The fit error at each beta, as a function summed over eigenmodes.
+
+    Scale and offset solve the same 2 x 2 normal equations as
+    _fit_at_beta, built from sums over the decay weights w.
+    """
+    rotated = s.eigenvectors.T @ observed @ s.eigenvectors
+    o = rotated.diagonal().copy()
+    rotated[np.diag_indices(s.n)] = 0.0
+    off_diagonal = float(np.vdot(rotated, rotated))
+    del rotated
+    trace = float(np.trace(observed))
+    n = float(s.n)
+
+    def error(beta: float) -> float:
+        w = np.exp(-beta * s.eigenvalues)
+        sum_w = float(w.sum())
+        gram = np.array([[float(w @ w), sum_w], [sum_w, n]])
+        rhs = np.array([float(w @ o), trace])
+        (scale, offset), *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        residual = scale * w + offset - o
+        return float(np.sqrt(residual @ residual + off_diagonal))
+
+    return error
+
+
 def fit_fc(
     g: Graph,
     observed: np.ndarray,
@@ -120,14 +162,19 @@ def fit_fc(
 
     Grid search on beta (0 to 10, step 0.1, closed-form scale and
     offset at each point, first minimum wins ties) plus golden-section
-    refinement inside the bracketing grid cell. Returns the model and
-    its Frobenius-norm error against the observed matrix.
+    refinement inside the bracketing grid cell. The search scores each
+    beta in the Laplacian eigenbasis at O(n) cost after one rotation of
+    the observed matrix; the grid minimum and the refined beta are then
+    scored by dense reconstruction and the better one (the smaller beta
+    on a tie) is returned with its Frobenius-norm error against the
+    observed matrix.
     """
     observed = _check_fc_matrix(observed, g.n)
     s = graph_spectrum(g, kind)
+    error_at = _eigenbasis_error(s, observed)
 
     betas = np.linspace(0.0, _BETA_GRID_MAX, _BETA_GRID_POINTS)
-    errors = [_fit_at_beta(s, observed, float(b))[0] for b in betas]
+    errors = [error_at(float(b)) for b in betas]
     best = int(np.argmin(errors))
 
     lo = float(betas[max(0, best - 1)])
@@ -136,17 +183,17 @@ def fit_fc(
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = _fit_at_beta(s, observed, c)[0]
-    fd = _fit_at_beta(s, observed, d)[0]
+    fc = error_at(c)
+    fd = error_at(d)
     while b - a > _GOLDEN_XTOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _fit_at_beta(s, observed, c)[0]
+            fc = error_at(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _fit_at_beta(s, observed, d)[0]
+            fd = error_at(d)
     candidates = sorted({float(betas[best]), (a + b) / 2.0})
     evaluated = [(_fit_at_beta(s, observed, beta), beta) for beta in candidates]
     (error, scale, offset), beta = min(evaluated, key=lambda item: (item[0][0], item[1]))

@@ -319,3 +319,85 @@ def set_induced_subgraph(g, nodes):
     members = set(wanted)
     kept = [(remap[i], remap[j], w) for i, j, w in g.edges if i in members and j in members]
     return sa.graph_from_edges([g.labels[i] for i in wanted], kept)
+
+
+def bisection_shift(f: np.ndarray, p: float) -> float:
+    """The former nonlinear._optimal_shift: 100 bisection steps on the slope."""
+    lo, hi = float(f.min()), float(f.max())
+    if hi <= lo:
+        return lo
+    if p == 2.0:
+        return float(f.mean())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        d = mid - f
+        slope = float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum())
+        if slope < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# The former fit_fc, which scores every beta by a dense n x n
+# reconstruction, kept as the reference for the eigenbasis search.
+
+def _dense_decay_matrix(s, beta: float) -> np.ndarray:
+    weights = np.exp(-beta * s.eigenvalues)
+    E = (s.eigenvectors * weights) @ s.eigenvectors.T
+    return (E + E.T) / 2.0
+
+
+def _dense_fit_at_beta(s, observed: np.ndarray, beta: float) -> tuple[float, float, float]:
+    n = s.n
+    E = _dense_decay_matrix(s, beta)
+    gram = np.array(
+        [
+            [float((E * E).sum()), float(np.trace(E))],
+            [float(np.trace(E)), float(n)],
+        ]
+    )
+    rhs = np.array([float((E * observed).sum()), float(np.trace(observed))])
+    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    scale, offset = float(coeffs[0]), float(coeffs[1])
+    model = scale * E
+    model[np.diag_indices(n)] += offset
+    error = float(np.linalg.norm(model - observed))
+    return error, scale, offset
+
+
+def dense_fit_fc(g, observed: np.ndarray, kind=None):
+    """fit_fc with a dense reconstruction at every grid and golden-section beta."""
+    import spectral_abstraction as sa
+    from spectral_abstraction.structfunc import _check_fc_matrix
+
+    kind = sa.LaplacianKind.NORMALIZED if kind is None else kind
+    grid_max, grid_points, golden_xtol = 10.0, 101, 1e-12
+    observed = _check_fc_matrix(observed, g.n)
+    s = sa.graph_spectrum(g, kind)
+
+    betas = np.linspace(0.0, grid_max, grid_points)
+    errors = [_dense_fit_at_beta(s, observed, float(b))[0] for b in betas]
+    best = int(np.argmin(errors))
+
+    lo = float(betas[max(0, best - 1)])
+    hi = float(betas[min(grid_points - 1, best + 1)])
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = _dense_fit_at_beta(s, observed, c)[0]
+    fd = _dense_fit_at_beta(s, observed, d)[0]
+    while b - a > golden_xtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = _dense_fit_at_beta(s, observed, c)[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = _dense_fit_at_beta(s, observed, d)[0]
+    candidates = sorted({float(betas[best]), (a + b) / 2.0})
+    evaluated = [(_dense_fit_at_beta(s, observed, beta), beta) for beta in candidates]
+    (error, scale, offset), beta = min(evaluated, key=lambda item: (item[0][0], item[1]))
+    return sa.FcModel(beta=beta, scale=scale, offset=offset), error

@@ -1,0 +1,29 @@
+"""What importing the package loads."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import spectral_abstraction as sa
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sa.__file__)))
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize alone adds about 16 MB of resident memory
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, spectral_abstraction; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

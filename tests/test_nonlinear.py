@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_abstraction as sa
+from spectral_abstraction import nonlinear
 from spectral_abstraction.errors import (
     DimensionMismatchError,
     DisconnectedGraphError,
@@ -22,7 +25,7 @@ from spectral_abstraction.nonlinear import (
 )
 
 from conftest import random_connected_graph
-from oracles import best_bipartition
+from oracles import best_bipartition, bisection_shift
 
 
 class TestPLaplacianApply:
@@ -153,6 +156,43 @@ class TestPRecursive:
     def test_k_out_of_range(self, triangle):
         with pytest.raises(sa.errors.KOutOfRangeError):
             p_recursive_bipartition(triangle, 9, PLaplacianParams(p=1.5))
+
+
+def shift_test_vector(seed: int, n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "repeated":
+        return np.round(rng.normal(size=n), 1)
+    if kind == "three-valued":
+        return rng.integers(0, 3, size=n).astype(np.float64)
+    # a large common offset with a spread from 1e-6 to 10
+    return 1e6 + rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 1.0)
+
+
+class TestOptimalShift:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 70),
+        kind=st.sampled_from(["normal", "repeated", "three-valued", "offset"]),
+        p=st.one_of(st.sampled_from([1.01, 1.2, 1.5, 2.0]), st.floats(1.001, 2.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bisection(self, seed, n, kind, p):
+        f = shift_test_vector(seed, n, kind)
+        ours = nonlinear._optimal_shift(f, p)
+        assert f.min() <= ours <= f.max()
+        assert abs(ours - bisection_shift(f, p)) <= 1e-12 * np.abs(f).max()
+
+    def test_bisection_shift_gives_the_same_partitions(self, monkeypatch):
+        params = PLaplacianParams(p=1.5)
+        # planted two-block splits; splitting a near-clique further is a
+        # degenerate problem whose cut can move with the last digits
+        graphs = [sa.sbm_generate(2, 8, 0.9, 0.05, seed=seed) for seed in range(4)]
+        graphs.append(random_connected_graph(np.random.default_rng(5), 10))
+        ours = [p_recursive_bipartition(g, 2, params).assignment for g in graphs]
+        monkeypatch.setattr(nonlinear, "_optimal_shift", bisection_shift)
+        assert [p_recursive_bipartition(g, 2, params).assignment for g in graphs] == ours
 
 
 class TestJacobianGraph:

@@ -9,12 +9,28 @@ import spectral_abstraction as sa
 from spectral_abstraction.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
+    InvalidArgumentError,
     NotSymmetricError,
 )
 from spectral_abstraction.structfunc import FcModel, fit_fc, predict_fc, spectra_similarity
 
 from conftest import random_connected_graph
-from oracles import series_expm
+from oracles import dense_fit_fc, series_expm
+
+
+def disconnected_graph(rng: np.random.Generator) -> sa.Graph:
+    """Two random connected components side by side: lambda = 0 twice."""
+    a = random_connected_graph(rng, 5)
+    b = random_connected_graph(rng, 7)
+    edges = list(a.edges) + [(i + a.n, j + a.n, w) for i, j, w in b.edges]
+    return sa.graph_from_edges([f"v{i}" for i in range(a.n + b.n)], edges)
+
+
+FIT_GRAPHS = {
+    "random": lambda rng: random_connected_graph(rng, 12),
+    "sbm": lambda rng: sa.sbm_generate(3, 6, 0.8, 0.1, seed=int(rng.integers(1000))),
+    "disconnected": disconnected_graph,
+}
 
 
 class TestPredictFc:
@@ -116,6 +132,55 @@ class TestFitFc:
         bad[0, 1] = 1e-3
         with pytest.raises(NotSymmetricError):
             fit_fc(triangle, bad)
+
+
+class TestFitFcMatchesDenseSearch:
+    """The eigenbasis search against the former dense reconstruction per beta."""
+
+    @pytest.mark.parametrize("graph", sorted(FIT_GRAPHS))
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_same_fit_as_dense_search(self, graph, kind, noise):
+        rng = np.random.default_rng(31)
+        for beta in (0.77, 1.3, 4.2):
+            g = FIT_GRAPHS[graph](rng)
+            observed = predict_fc(g, FcModel(beta=beta, scale=2.0, offset=0.1), kind=kind)
+            z = rng.normal(scale=noise, size=observed.shape)
+            observed = observed + (z + z.T) / 2.0
+            model, err = fit_fc(g, observed, kind)
+            ref, ref_err = dense_fit_fc(g, observed, kind)
+            if noise == 0.0:
+                assert abs(err - ref_err) <= 1e-12
+            else:
+                assert abs(err - ref_err) <= 1e-9 * ref_err
+            assert abs(model.beta - ref.beta) <= 1e-6
+            assert abs(model.scale - ref.scale) <= 1e-6
+            assert abs(model.offset - ref.offset) <= 1e-6
+
+    def test_disconnected_graph_has_a_repeated_zero_eigenvalue(self):
+        g = disconnected_graph(np.random.default_rng(31))
+        for kind in sa.LaplacianKind:
+            assert (np.abs(sa.graph_spectrum(g, kind).eigenvalues) < 1e-9).sum() == 2
+
+
+class TestNonFiniteMatrices:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_fit_rejects_a_non_finite_cell(self, bad):
+        g = sa.sbm_generate(2, 4, 0.9, 0.2, seed=1)
+        observed = predict_fc(g, FcModel(beta=1.0, scale=1.0, offset=0.1))
+        observed[2, 5] = observed[5, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            fit_fc(g, observed)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_spectra_similarity_rejects_a_non_finite_cell(self, bad):
+        a = np.diag([1.0, 2.0, 3.0])
+        b = np.diag([1.0, 2.0, 4.0])
+        b[0, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            spectra_similarity(a, b)
+        with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            spectra_similarity(b, a)
 
 
 class TestSpectraSimilarity:
