@@ -24,12 +24,6 @@ import spectral_abstraction as sa
 from spectral_abstraction.nonlinear import PLaplacianParams, p_spectral_bipartition
 
 
-def params_for(p: float) -> PLaplacianParams:
-    if p == 2.0:
-        return PLaplacianParams(p=2.0, continuation_steps=1)
-    return PLaplacianParams(p=p)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--blocks", type=int, default=2)
@@ -48,7 +42,7 @@ def main() -> int:
             continue
         row = []
         for p in args.exponents:
-            part = p_spectral_bipartition(g, params_for(p))
+            part = p_spectral_bipartition(g, PLaplacianParams(p=p))
             cheeger = sa.cut_metrics(g, part).cheeger
             values[p].append(cheeger)
             row.append(f"{cheeger:.6f}")

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrixError,
-    DimensionMismatchError,
     DuplicateEdgeError,
     NonpositiveWeightError,
     ParseError,
@@ -32,10 +31,9 @@ from .graphs import Graph, graph_from_edges
 from .hierarchy import Hierarchy
 from .nonlinear import CouplingSystem
 from .partition import ConnectivityProfile, CutMetrics, Partition
-from .spectral import Spectrum
+from .spectral import Spectrum, _check_symmetric
 from .structfunc import _FC_SYMMETRY_TOL
 
-_MATRIX_SYMMETRY_TOL = 1e-12
 _MATRIX_DIAGONAL_TOL = 1e-12
 
 
@@ -117,11 +115,6 @@ def write_files_atomic(files: dict[str, str]) -> None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(leftover)
         raise
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write a file all-or-nothing: temp file in the same directory, then rename."""
-    write_files_atomic({path: text})
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +211,7 @@ def parse_matrix_csv_graph(text: str) -> Graph:
     """
     header, data = _parse_csv_cells(text)
     n = data.shape[0]
-    asym = np.abs(data - data.T).max() if n else 0.0
-    if asym > _MATRIX_SYMMETRY_TOL:
-        raise AsymmetricMatrixError(f"adjacency asymmetry {asym:.2e} exceeds {_MATRIX_SYMMETRY_TOL}")
+    _check_symmetric(data, error=AsymmetricMatrixError)
     diag = np.abs(np.diag(data)).max() if n else 0.0
     if diag > _MATRIX_DIAGONAL_TOL:
         raise SelfLoopError(f"adjacency diagonal magnitude {diag:.2e} exceeds {_MATRIX_DIAGONAL_TOL}")
@@ -245,9 +236,7 @@ def read_graph(path: str) -> Graph:
 def read_fc_matrix(path: str) -> np.ndarray:
     """Read a functional matrix: CSV, symmetric within 1e-10, any diagonal."""
     _, data = _parse_csv_cells(_read_text(path))
-    asym = np.abs(data - data.T).max() if data.size else 0.0
-    if asym > _FC_SYMMETRY_TOL:
-        raise AsymmetricMatrixError(f"matrix asymmetry {asym:.2e} exceeds {_FC_SYMMETRY_TOL}")
+    _check_symmetric(data, _FC_SYMMETRY_TOL, AsymmetricMatrixError)
     return data
 
 
@@ -255,21 +244,24 @@ def read_coupling_system(couplings_path: str, mask_path: str) -> CouplingSystem:
     """Read a coupling matrix and its parallel 0/1 structure mask."""
     _, couplings = _parse_csv_cells(_read_text(couplings_path))
     _, mask_values = _parse_csv_cells(_read_text(mask_path))
-    if mask_values.shape != couplings.shape:
-        raise DimensionMismatchError(
-            f"mask shape {mask_values.shape} does not match couplings shape {couplings.shape}"
-        )
+    # CouplingSystem checks the shapes, which take precedence over the values
+    system = CouplingSystem(couplings=couplings, linear_mask=mask_values != 0)
     if not np.isin(mask_values, (0.0, 1.0)).all():
         raise ParseError("mask entries must be 0 or 1")
-    return CouplingSystem(couplings=couplings, linear_mask=mask_values.astype(bool))
+    return system
 
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        # the parsers split lines with splitlines, so line endings need no translation
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not valid UTF-8: bad byte at offset {exc.start}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ over nonconstant f. As p decreases toward 1, minimizers approach
 indicator-like step functions whose thresholded cuts track the optimal
 Cheeger cut more closely than the p = 2 relaxation does, so the
 minimizer is tracked by continuation: start at the p = 2 Fiedler
-vector, lower p geometrically, and descend R_p at each stage with a
-backtracking gradient method. The final vector is thresholded at the
-split (over all n - 1 sorted-entry cuts) that minimizes the selected
-cut criterion.
+vector, lower p geometrically in six stages (one at p = 2, where there
+is no path to follow), and descend R_p at each stage with a
+backtracking gradient method. The descent tolerances are fixed: a
+stage stops once R_p falls by a relative 1e-9 or less in a step, or
+after 400 steps. The final vector is thresholded at the split (over
+all n - 1 sorted-entry cuts) that minimizes the selected cut
+criterion.
 
 Only 1 < p <= 2 is supported. The functional is scale and shift
 invariant, so iterates are recentred (at the minimizing shift c*) and
@@ -44,7 +47,7 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _graph, connected_components, edge_arrays
+from .graphs import Graph, LaplacianKind, _graph, connected_components
 from .partition import (
     SELECTIONS as _SELECTIONS,
     Partition,
@@ -57,31 +60,26 @@ _SHIFT_RTOL = 1e-15
 _SHIFT_MAX_STEPS = 64
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK_LIMIT = 60
+_CONTINUATION_STEPS = 6
+_INNER_TOLERANCE = 1e-9
+_MAX_ITERATIONS = 400
 
 
 @dataclass(frozen=True)
 class PLaplacianParams:
-    """Settings for p-spectral partitioning.
+    """Settings for p-spectral partitioning: the target exponent p.
 
-    continuation_steps geometric stages take the exponent from 2 down
-    to p; inner_tolerance is the relative objective decrease that stops
-    the descent at each stage.
+    Six geometric stages take the exponent from 2 down to p; at p = 2
+    every stage would have exponent 2, so one stage runs. Each stage
+    descends until the relative objective decrease falls to 1e-9, or
+    for at most 400 iterations.
     """
 
     p: float
-    continuation_steps: int = 6
-    inner_tolerance: float = 1e-9
-    max_iterations: int = 400
 
     def __post_init__(self) -> None:
         if not 1.0 < self.p <= 2.0:
             raise ExponentOutOfRangeError(f"p must lie in (1, 2], got {self.p}")
-        if self.continuation_steps < 1:
-            raise InvalidArgumentError("continuation_steps must be at least 1")
-        if self.inner_tolerance <= 0:
-            raise InvalidArgumentError("inner_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvalidArgumentError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +117,7 @@ def p_laplacian_apply(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.shape[0] != g.n:
         raise DimensionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
-    return _p_laplacian_edges(*edge_arrays(g), f, p)
+    return _p_laplacian_edges(g.ei, g.ej, g.w, f, p)
 
 
 def _p_laplacian_edges(ei, ej, w, f: np.ndarray, p: float) -> np.ndarray:
@@ -208,12 +206,12 @@ def _recentre(f: np.ndarray, p: float) -> np.ndarray:
     return g / nrm
 
 
-def _descend(ei, ej, w, f: np.ndarray, p: float, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
+def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """Backtracking gradient descent on R_p from f. Never increases R_p."""
     f = _recentre(f, p)
     value, c = _p_rayleigh(ei, ej, w, f, p)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITERATIONS):
         grad = _p_rayleigh_gradient(ei, ej, w, f, p, value, c)
         gnorm2 = float(grad @ grad)
         if gnorm2 <= 1e-24:
@@ -232,7 +230,7 @@ def _descend(ei, ej, w, f: np.ndarray, p: float, tol: float, max_iter: int) -> t
         decrease = value - trial_value
         f, value, c = trial, trial_value, trial_c
         step = 2.0 * t
-        if decrease <= tol * max(abs(value), 1e-300):
+        if decrease <= _INNER_TOLERANCE * max(abs(value), 1e-300):
             break
     return f, value
 
@@ -263,27 +261,19 @@ def p_spectral_bipartition(
     s = graph_spectrum(gs, LaplacianKind.COMBINATORIAL, count=2)
     if s.eigenvalues[1] <= CONNECTIVITY_TOL:
         raise DisconnectedGraphError("graph is disconnected (lambda_2 is numerically zero)")
-    ei, ej, w = edge_arrays(gs)
+    ei, ej, w = gs.ei, gs.ej, gs.w
     fiedler = np.array(s.eigenvectors[:, 1])
 
     f = fiedler
-    steps = params.continuation_steps
+    steps = 1 if params.p == 2.0 else _CONTINUATION_STEPS
     for t in range(1, steps + 1):
-        p_t = 2.0 * (params.p / 2.0) ** (t / steps)
-        before, _ = _p_rayleigh(ei, ej, w, _recentre(f, p_t), p_t)
-        f, after = _descend(ei, ej, w, f, p_t, params.inner_tolerance, params.max_iterations)
-        if after > before + 1e-12 * max(1.0, before):
-            raise ConvergenceFailureError(
-                f"objective rose from {before} to {after} at continuation exponent {p_t}"
-            )
+        f, _ = _descend(ei, ej, w, f, 2.0 * (params.p / 2.0) ** (t / steps))
 
     # the continuation path must not end worse than a direct descent start
     final_value, _ = _p_rayleigh(ei, ej, w, _recentre(f, params.p), params.p)
     fiedler_value, _ = _p_rayleigh(ei, ej, w, _recentre(fiedler, params.p), params.p)
     if fiedler_value < final_value:
-        alt, alt_value = _descend(
-            ei, ej, w, fiedler, params.p, params.inner_tolerance, params.max_iterations
-        )
+        alt, alt_value = _descend(ei, ej, w, fiedler, params.p)
         if alt_value < final_value:
             f = alt
     return threshold_partition(gs, f, selection)
@@ -316,8 +306,8 @@ def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[
     present in the mask and the larger coupling magnitude exceeds the
     threshold. Components tie-break toward the smaller minimum index.
     """
-    if threshold < 0:
-        raise InvalidArgumentError(f"threshold must be nonnegative, got {threshold}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise InvalidArgumentError(f"threshold must be finite and nonnegative, got {threshold}")
     if sys.n == 0:
         raise InvalidArgumentError("a graph needs at least one node")
     c = np.abs(sys.couplings)

@@ -44,7 +44,6 @@ from .graphs import (
     LaplacianKind,
     connected_components,
     degrees,
-    edge_arrays,
     induced_subgraph,
 )
 from .spectral import (
@@ -78,10 +77,9 @@ class Partition:
             raise KOutOfRangeError(f"k must be at least 1, got {self.k}")
         if not self.assignment:
             raise PartitionMismatchError("assignment must cover at least one node")
-        ids = set(int(a) for a in self.assignment)
         if not all(isinstance(a, (int, np.integer)) and 0 <= a < self.k for a in self.assignment):
             raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
-        if ids != set(range(self.k)):
+        if set(int(a) for a in self.assignment) != set(range(self.k)):
             raise PartitionMismatchError(
                 f"every cluster id in 0..{self.k - 1} must occur at least once"
             )
@@ -121,17 +119,26 @@ def _partition_from_labels(labels: np.ndarray, k: int) -> Partition:
     return Partition(assignment=tuple(int(a) for a in labels), k=k)
 
 
+def _node_vector(g: Graph, v: np.ndarray) -> np.ndarray:
+    """v as a flat float vector with one finite entry per node of g."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if v.shape[0] != g.n:
+        raise PartitionMismatchError(f"vector has length {v.shape[0]}, graph has {g.n} nodes")
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("vector entries must be finite")
+    return v
+
+
 def sign_bipartition(g: Graph, v: np.ndarray) -> Partition:
     """Split nodes by the sign of a vector: negatives against the rest.
 
     Entries within 1e-12 of zero (relative to the largest magnitude)
     join cluster 0 together with the positive side, so the output is
     invariant under positive rescaling of v. Raises ConstantVectorError
-    when the vector fails to separate anything.
+    when the vector fails to separate anything and InvalidArgumentError
+    when it has a NaN or infinite entry.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != g.n:
-        raise PartitionMismatchError(f"vector has length {v.shape[0]}, graph has {g.n} nodes")
+    v = _node_vector(g, v)
     tol = _SIGN_ZERO_REL_TOL * float(np.abs(v).max())
     labels = (v < -tol).astype(np.int64)
     if labels.min() == labels.max():
@@ -228,9 +235,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     """
     if selection not in SELECTIONS:
         raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.shape[0] != g.n:
-        raise PartitionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
+    f = _node_vector(g, f)
     if g.n < 2:
         raise PartitionMismatchError("need at least two nodes to threshold")
     order = np.argsort(f, kind="stable")
@@ -242,7 +247,7 @@ def _sweep(g: Graph, order: np.ndarray, selection: str) -> int:
     n = g.n
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    ei, ej, w = edge_arrays(g)
+    ei, ej, w = g.ei, g.ej, g.w
     # an edge crosses threshold t exactly when lo <= t < hi
     lo = np.minimum(rank[ei], rank[ej]) + 1
     hi = np.maximum(rank[ei], rank[ej]) + 1
@@ -374,12 +379,14 @@ def kway_embedding_cluster(
     clusters in order of first appearance. metric is one of euclidean
     (mean centers), manhattan or fractional (coordinate-wise median
     centers); fractional uses d(x, y) = (sum |x_i - y_i|^q)^(1/q) and
-    requires 0 < q < 1.
+    requires 0 < q < 1. The seed must be nonnegative.
     """
     if metric not in METRICS:
         raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "fractional" and not 0.0 < q < 1.0:
         raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     pts = np.asarray(e.coordinates, dtype=np.float64)
     n = pts.shape[0]
     distinct = np.unique(pts, axis=0).shape[0]
@@ -408,11 +415,10 @@ def kway_embedding_cluster(
 def _per_cluster_cut(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster crossing weight, volume and size."""
     assign = p.as_array()
-    ei, ej, w = edge_arrays(g)
-    crossing = assign[ei] != assign[ej]
+    crossing = assign[g.ei] != assign[g.ej]
     cut = np.zeros(p.k)
-    np.add.at(cut, assign[ei[crossing]], w[crossing])
-    np.add.at(cut, assign[ej[crossing]], w[crossing])
+    np.add.at(cut, assign[g.ei[crossing]], g.w[crossing])
+    np.add.at(cut, assign[g.ej[crossing]], g.w[crossing])
     vol = np.bincount(assign, weights=degrees(g), minlength=p.k)
     size = np.bincount(assign, minlength=p.k).astype(np.float64)
     return cut, vol, size
@@ -458,13 +464,12 @@ def connectivity_profile(g: Graph, p: Partition) -> ConnectivityProfile:
     if p.n != g.n:
         raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
     assign = p.as_array()
-    ei, ej, w = edge_arrays(g)
     internal = np.zeros(p.k)
     external = np.zeros(p.k)
-    same = assign[ei] == assign[ej]
-    np.add.at(internal, assign[ei[same]], w[same])
-    np.add.at(external, assign[ei[~same]], w[~same])
-    np.add.at(external, assign[ej[~same]], w[~same])
+    same = assign[g.ei] == assign[g.ej]
+    np.add.at(internal, assign[g.ei[same]], g.w[same])
+    np.add.at(external, assign[g.ei[~same]], g.w[~same])
+    np.add.at(external, assign[g.ej[~same]], g.w[~same])
     size = np.bincount(assign, minlength=p.k).astype(np.float64)
     n = float(g.n)
     records = []

@@ -77,7 +77,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_kind: LaplacianKind
 
     def __post_init__(self) -> None:
         self.eigenvalues.flags.writeable = False
@@ -207,20 +206,23 @@ def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Non
             )
 
 
-def _check_symmetric(M: np.ndarray) -> None:
+def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetricError) -> None:
+    """Raise `error` unless M is square with max |M - M^T| at most `tol`."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {M.shape}")
+        raise error(f"expected a square matrix, got shape {M.shape}")
     asym = np.abs(M - M.T).max() if M.size else 0.0
-    if asym > _SYMMETRY_TOL:
-        raise NotSymmetricError(f"matrix asymmetry {asym:.2e} exceeds {_SYMMETRY_TOL}")
+    if asym > tol:
+        raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
 
 
-def _solve(M: np.ndarray, kind: LaplacianKind, solver, name: str) -> Spectrum:
-    """Run solver(M), then sort its pairs ascending, canonicalize and verify them.
+def _solve(L: LaplacianMatrix, solver, name: str) -> Spectrum:
+    """Check L, run solver on its matrix, then sort, canonicalize and verify the pairs.
 
     The solver's own arrays live only in this frame, so they are freed
     once sorted and never sit in memory beside the copies being checked.
     """
+    M = np.asarray(L.matrix, dtype=np.float64)
+    _check_symmetric(M)
     try:
         vals, vecs = solver(M)
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackNoConvergence) as exc:
@@ -230,7 +232,7 @@ def _solve(M: np.ndarray, kind: LaplacianKind, solver, name: str) -> Spectrum:
     vecs = np.ascontiguousarray(vecs[:, order])
     vecs = _canonicalize(vals, vecs)
     _validate_spectrum(M, vals, vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, source_kind=kind)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def eigendecompose(L: LaplacianMatrix) -> Spectrum:
@@ -240,9 +242,7 @@ def eigendecompose(L: LaplacianMatrix) -> Spectrum:
     degenerate eigenspaces canonically, applies the sign convention and
     verifies orthonormality, residuals and positive semidefiniteness.
     """
-    M = np.asarray(L.matrix, dtype=np.float64)
-    _check_symmetric(M)
-    return _solve(M, L.kind, np.linalg.eigh, "dense eigensolver")
+    return _solve(L, np.linalg.eigh, "dense eigensolver")
 
 
 def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
@@ -256,15 +256,13 @@ def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
     n = L.n
     if not 1 <= count < n:
         raise DimensionOutOfRangeError(f"count {count} outside 1..{n - 1}")
-    M = np.asarray(L.matrix, dtype=np.float64)
-    _check_symmetric(M)
 
     def lanczos(A: np.ndarray):
         sparse = scipy.sparse.csc_matrix(A)
         v0 = np.linspace(1.0, 2.0, n)
         return scipy.sparse.linalg.eigsh(sparse, k=count, sigma=-1e-2, which="LM", v0=v0, tol=0)
 
-    return _solve(M, L.kind, lanczos, "Lanczos solver")
+    return _solve(L, lanczos, "Lanczos solver")
 
 
 def graph_spectrum(
@@ -286,7 +284,6 @@ def graph_spectrum(
         return Spectrum(
             eigenvalues=s.eigenvalues[:count].copy(),
             eigenvectors=s.eigenvectors[:, :count].copy(),
-            source_kind=kind,
         )
     return s
 

@@ -48,10 +48,9 @@ from .errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
     InvalidArgumentError,
-    NotSymmetricError,
 )
 from .graphs import Graph, LaplacianKind
-from .spectral import Spectrum, graph_spectrum
+from .spectral import Spectrum, _check_symmetric, graph_spectrum
 
 _FC_SYMMETRY_TOL = 1e-10
 _BETA_GRID_MAX = 10.0
@@ -82,9 +81,7 @@ def _check_fc_matrix(m: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"matrix is {m.shape[0]} x {m.shape[0]}, graph has {n} nodes")
     if not np.isfinite(m).all():
         raise InvalidArgumentError("matrix entries must be finite")
-    asym = np.abs(m - m.T).max() if m.size else 0.0
-    if asym > _FC_SYMMETRY_TOL:
-        raise NotSymmetricError(f"matrix asymmetry {asym:.2e} exceeds {_FC_SYMMETRY_TOL}")
+    _check_symmetric(m, _FC_SYMMETRY_TOL)
     return m
 
 

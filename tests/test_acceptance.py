@@ -182,7 +182,7 @@ def test_criterion_5_p_laplacian_consistency():
         worst_apply = max(worst_apply, float(np.abs(p_laplacian_apply(g, f, 2.0) - L @ f).max()))
 
     worst_gap = 0.0
-    p2 = PLaplacianParams(p=2.0, continuation_steps=1)
+    p2 = PLaplacianParams(p=2.0)
     for _ in range(20):
         n = int(rng.integers(4, 16))
         g = random_connected_graph(rng, n)

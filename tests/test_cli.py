@@ -357,6 +357,19 @@ class TestErrorChannels:
         assert err["error"] == "Parse"
         assert "line 2" in err["detail"]
 
+    def test_non_utf8_input_is_a_parse_error_naming_the_offset(self, tmp_path, capsys):
+        f = tmp_path / "bad.tsv"
+        f.write_bytes(b"a\tb\t1\n\xff\xfe\tc\t1\n")
+        out = tmp_path / "o.json"
+        rc = run_cli("spectrum", "--input", str(f), "--output", str(out))
+        assert rc == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "Parse"
+        assert "offset 6" in err["detail"]
+
 
 class TestNoPartialOutput:
     def test_failed_second_file_removes_the_first(self, bridged_file, tmp_path, capsys):
@@ -404,9 +417,15 @@ INVALID_ARGUMENT_ARGVS = [
                   "--level", "k=2,method=kway-embedding,metric=bogus"], id="level-metric"),
     pytest.param(["jacobian-graph", "--input", "{coup}", "--mask", "{mask}", "--output", "{out}",
                   "--threshold", "-1"], id="negative-threshold"),
+    pytest.param(["jacobian-graph", "--input", "{coup}", "--mask", "{mask}", "--output", "{out}",
+                  "--threshold", "nan"], id="nan-threshold"),
+    pytest.param(["jacobian-graph", "--input", "{coup}", "--mask", "{mask}", "--output", "{out}",
+                  "--threshold", "inf"], id="inf-threshold"),
     pytest.param(["predict-fc", "--input", "{tsv}", "--output", "{out}",
                   "--beta", "-1", "--scale", "1", "--offset", "0"], id="negative-beta"),
     pytest.param(["spectrum", "--input", "{dup}", "--output", "{out}"], id="repeated-header-label"),
+    pytest.param(["cluster", "--input", "{tsv}", "--output", "{out}", "--k", "2", "--dims", "1",
+                  "--seed", "-1"], id="negative-seed"),
 ]
 
 

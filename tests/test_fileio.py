@@ -193,14 +193,14 @@ class TestFcAndCouplings:
 class TestAtomicWrite:
     def test_writes_content_and_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "out.json"
-        fileio.write_text_atomic(str(target), "payload\n")
+        fileio.write_files_atomic({str(target): "payload\n"})
         assert target.read_text() == "payload\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_overwrites_existing_file(self, tmp_path):
         target = tmp_path / "out.json"
         target.write_text("old")
-        fileio.write_text_atomic(str(target), "new")
+        fileio.write_files_atomic({str(target): "new"})
         assert target.read_text() == "new"
 
 

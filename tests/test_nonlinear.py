@@ -66,14 +66,6 @@ class TestParams:
         with pytest.raises(ExponentOutOfRangeError):
             PLaplacianParams(p=2.1)
 
-    def test_step_and_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            PLaplacianParams(p=1.5, continuation_steps=0)
-        with pytest.raises(ValueError):
-            PLaplacianParams(p=1.5, inner_tolerance=0.0)
-        with pytest.raises(ValueError):
-            PLaplacianParams(p=1.5, max_iterations=0)
-
 
 class TestPSpectralBipartition:
     def test_bridged_triangles_match_exhaustive_cheeger_optimum(self, bridged_triangles):
@@ -87,7 +79,7 @@ class TestPSpectralBipartition:
         for _ in range(10):
             n = int(rng.integers(4, 16))
             g = random_connected_graph(rng, n)
-            p2 = p_spectral_bipartition(g, PLaplacianParams(p=2.0, continuation_steps=1))
+            p2 = p_spectral_bipartition(g, PLaplacianParams(p=2.0))
             v = sa.fiedler_vector(sa.graph_spectrum(g, sa.LaplacianKind.COMBINATORIAL))
             linear = sa.threshold_partition(g, v, "cheeger")
             ours = sa.cut_metrics(g, p2).cheeger
@@ -112,7 +104,7 @@ class TestPSpectralBipartition:
                 continue
             c12 = sa.cut_metrics(g, p_spectral_bipartition(g, PLaplacianParams(p=1.2))).cheeger
             c20 = sa.cut_metrics(
-                g, p_spectral_bipartition(g, PLaplacianParams(p=2.0, continuation_steps=1))
+                g, p_spectral_bipartition(g, PLaplacianParams(p=2.0))
             ).cheeger
             deltas.append(c12 - c20)
         assert np.median(deltas) <= 1e-12
@@ -143,7 +135,7 @@ class TestPRecursive:
         assert p.assignment == (0, 0, 0, 1, 1, 1)
 
     def test_p2_matches_linear_recursion(self):
-        params = PLaplacianParams(p=2.0, continuation_steps=1)
+        params = PLaplacianParams(p=2.0)
         rng = np.random.default_rng(17)
         for _ in range(10):
             n = int(rng.integers(5, 14))
@@ -273,3 +265,9 @@ class TestJacobianGraph:
         sysm = CouplingSystem(couplings=np.zeros((2, 2)), linear_mask=np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             jacobian_graph(sysm, -0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        sysm = CouplingSystem(couplings=np.ones((2, 2)), linear_mask=np.ones((2, 2), dtype=bool))
+        with pytest.raises(InvalidArgumentError):
+            jacobian_graph(sysm, bad)

@@ -11,6 +11,7 @@ import spectral_abstraction as sa
 from spectral_abstraction import nonlinear, partition
 from spectral_abstraction.errors import (
     ConstantVectorError,
+    InvalidArgumentError,
     InvalidFractionalExponentError,
     KOutOfRangeError,
     PartitionMismatchError,
@@ -25,6 +26,23 @@ from oracles import best_assignment, direct_cut_metrics, kmeans_objective, scan_
 def embed(g, dim):
     s = sa.graph_spectrum(g, sa.LaplacianKind.COMBINATORIAL)
     return sa.spectral_embedding(s, dim)
+
+
+@pytest.mark.parametrize(
+    "assignment,k,error",
+    [
+        ((0, 0), 0, KOutOfRangeError),
+        ((), 1, PartitionMismatchError),
+        ((0, 2), 2, PartitionMismatchError),
+        ((0, 0), 2, PartitionMismatchError),
+        ((0, 1.0), 2, PartitionMismatchError),
+        (("x",), 1, PartitionMismatchError),
+        ((None,), 1, PartitionMismatchError),
+    ],
+)
+def test_partition_rejects_malformed_assignments(assignment, k, error):
+    with pytest.raises(error):
+        sa.Partition(assignment=assignment, k=k)
 
 
 class TestSignBipartition:
@@ -51,6 +69,11 @@ class TestSignBipartition:
     def test_length_mismatch_rejected(self, triangle):
         with pytest.raises(PartitionMismatchError):
             sa.sign_bipartition(triangle, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, c4, bad):
+        with pytest.raises(InvalidArgumentError):
+            sa.sign_bipartition(c4, np.array([bad, 0.3, -1.0, 2.0]))
 
 
 @given(
@@ -101,6 +124,11 @@ class TestThresholdPartition:
     def test_length_mismatch_rejected(self, c4):
         with pytest.raises(PartitionMismatchError):
             sa.threshold_partition(c4, np.arange(3, dtype=np.float64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, c4, bad):
+        with pytest.raises(InvalidArgumentError):
+            sa.threshold_partition(c4, np.array([0.1, bad, -1.0, 2.0]))
 
 
 @st.composite
@@ -280,6 +308,10 @@ class TestKwayCluster:
             sa.kway_embedding_cluster(e, 2, metric="fractional", q=1.5)
         with pytest.raises(InvalidFractionalExponentError):
             sa.kway_embedding_cluster(e, 2, metric="fractional", q=0.0)
+
+    def test_negative_seed_rejected(self, bridged_triangles):
+        with pytest.raises(InvalidArgumentError):
+            sa.kway_embedding_cluster(embed(bridged_triangles, 1), 2, seed=-1)
 
     def test_k_bounds(self, c4):
         e = embed(c4, 1)
