@@ -94,10 +94,9 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
-    """A Laplacian together with the normalization that produced it."""
+    """A dense Laplacian matrix, read-only."""
 
     matrix: np.ndarray
-    kind: LaplacianKind
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
@@ -113,7 +112,8 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
     Edge endpoints may arrive in either order; they are canonicalized to
     (min, max) and sorted. Raises SelfLoopError, DuplicateEdgeError,
     NonpositiveWeightError or IndexOutOfRangeError naming the offending
-    edge, and InvalidArgumentError for structural problems with the labels.
+    edge, and InvalidArgumentError for structural problems with the labels
+    or for weights whose doubled sum (the total volume) overflows.
     """
     labels = tuple(str(x) for x in labels)
     if not labels:
@@ -162,6 +162,9 @@ def _graph(labels: Sequence[str], ei, ej, w) -> Graph:
     if bad.size:
         i, j, x = int(ei[bad[0]]), int(ej[bad[0]]), float(w[bad[0]])
         raise NonpositiveWeightError(f"edge ({i}, {j}, {x}): weight must be positive and finite")
+    with np.errstate(over="ignore"):  # total volume bounds every degree, cut, eigenvalue
+        if not np.isfinite(2.0 * w.sum()):
+            raise InvalidArgumentError("total edge weight overflows: twice its sum must be finite")
     for a in (ei, ej, w):
         a.flags.writeable = False
     return Graph(labels=tuple(labels), ei=ei, ej=ej, w=w)
@@ -202,7 +205,7 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> La
         A = adjacency_matrix(g)
         M = np.diag(A.sum(axis=1))
         M -= A
-        return LaplacianMatrix(matrix=M, kind=kind)
+        return LaplacianMatrix(matrix=M)
     if kind is LaplacianKind.NORMALIZED:
         A = adjacency_matrix(g)
         d = A.sum(axis=1)
@@ -212,7 +215,7 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> La
         M = np.eye(g.n)
         M[~connected, ~connected] = 0.0
         M -= inv_sqrt[:, None] * A * inv_sqrt[None, :]
-        return LaplacianMatrix(matrix=M, kind=kind)
+        return LaplacianMatrix(matrix=M)
     raise InvalidArgumentError(f"unknown Laplacian kind: {kind!r}")
 
 

@@ -65,7 +65,6 @@ class HierarchyLevel:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    base: Graph
     levels: tuple[HierarchyLevel, ...]
 
     @property
@@ -117,7 +116,7 @@ def build_hierarchy(g: Graph, level_specs: list[LevelSpec] | tuple[LevelSpec, ..
             )
         )
         current = quotient
-    return Hierarchy(base=g, levels=tuple(levels))
+    return Hierarchy(levels=tuple(levels))
 
 
 def flatten(h: Hierarchy, level: int) -> Partition:

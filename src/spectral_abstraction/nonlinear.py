@@ -23,7 +23,8 @@ criterion.
 
 Only 1 < p <= 2 is supported. The functional is scale and shift
 invariant, so iterates are recentred (at the minimizing shift c*) and
-renormalized freely; edge weights are rescaled by their mean so the
+renormalized freely, and R_p is then taken with shift 0 (c* is solved
+once per iterate); edge weights are rescaled by their mean so the
 optimization, and hence the returned partition, ignores global weight
 scale.
 
@@ -182,24 +183,16 @@ def _optimal_shift(f: np.ndarray, p: float) -> float:
 
 
 def _p_rayleigh(ei, ej, w, f: np.ndarray, p: float) -> tuple[float, float]:
-    c = _optimal_shift(f, p)
+    """R_p(f) at shift 0, and its denominator, for f from _recentre."""
     num = float((w * np.abs(f[ei] - f[ej]) ** p).sum())
-    den = float((np.abs(f - c) ** p).sum())
-    if den == 0.0:
-        return float("inf"), c
-    return num / den, c
-
-
-def _p_rayleigh_gradient(ei, ej, w, f: np.ndarray, p: float, value: float, c: float) -> np.ndarray:
-    grad_num = _p_laplacian_edges(ei, ej, w, f, p)
-    fc = f - c
-    grad_den = np.abs(fc) ** (p - 1.0) * np.sign(fc)
-    den = float((np.abs(fc) ** p).sum())
-    return p * (grad_num - value * grad_den) / den
+    den = float((np.abs(f) ** p).sum())
+    return num / den, den
 
 
 def _recentre(f: np.ndarray, p: float) -> np.ndarray:
-    g = f - _optimal_shift(f, p)
+    # mean first: f - c* is off by up to half an ulp of c*, large for a large common offset
+    g = f - f.mean()
+    g -= _optimal_shift(g, p)
     nrm = float(np.linalg.norm(g))
     if nrm == 0.0:
         raise ConvergenceFailureError("iterate collapsed to a constant vector")
@@ -207,12 +200,16 @@ def _recentre(f: np.ndarray, p: float) -> np.ndarray:
 
 
 def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float]:
-    """Backtracking gradient descent on R_p from f. Never increases R_p."""
+    """Backtracking gradient descent on R_p from f. Never increases R_p.
+
+    Iterates come out of _recentre, so R_p is taken with shift 0.
+    """
     f = _recentre(f, p)
-    value, c = _p_rayleigh(ei, ej, w, f, p)
+    value, den = _p_rayleigh(ei, ej, w, f, p)
     step = 1.0
     for _ in range(_MAX_ITERATIONS):
-        grad = _p_rayleigh_gradient(ei, ej, w, f, p, value, c)
+        grad_den = np.abs(f) ** (p - 1.0) * np.sign(f)
+        grad = p * (_p_laplacian_edges(ei, ej, w, f, p) - value * grad_den) / den
         gnorm2 = float(grad @ grad)
         if gnorm2 <= 1e-24:
             break
@@ -220,7 +217,7 @@ def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float]:
         accepted = False
         for _ in range(_BACKTRACK_LIMIT):
             trial = _recentre(f - t * grad, p)
-            trial_value, trial_c = _p_rayleigh(ei, ej, w, trial, p)
+            trial_value, trial_den = _p_rayleigh(ei, ej, w, trial, p)
             if trial_value <= value - _ARMIJO_SLOPE * t * gnorm2:
                 accepted = True
                 break
@@ -228,7 +225,7 @@ def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float]:
         if not accepted:
             break
         decrease = value - trial_value
-        f, value, c = trial, trial_value, trial_c
+        f, value, den = trial, trial_value, trial_den
         step = 2.0 * t
         if decrease <= _INNER_TOLERANCE * max(abs(value), 1e-300):
             break
@@ -261,19 +258,22 @@ def p_spectral_bipartition(
     s = graph_spectrum(gs, LaplacianKind.COMBINATORIAL, count=2)
     if s.eigenvalues[1] <= CONNECTIVITY_TOL:
         raise DisconnectedGraphError("graph is disconnected (lambda_2 is numerically zero)")
-    ei, ej, w = gs.ei, gs.ej, gs.w
-    fiedler = np.array(s.eigenvectors[:, 1])
+    return _p_split(gs, s, params.p, selection)
 
-    f = fiedler
-    steps = 1 if params.p == 2.0 else _CONTINUATION_STEPS
+
+def _p_split(gs: Graph, s: Spectrum, p: float, selection: str) -> Partition:
+    """Continuation from the Fiedler vector of s (of gs or a multiple), then the sweep."""
+    ei, ej, w = gs.ei, gs.ej, gs.w
+    f = fiedler = s.eigenvectors[:, 1]
+    steps = 1 if p == 2.0 else _CONTINUATION_STEPS
     for t in range(1, steps + 1):
-        f, _ = _descend(ei, ej, w, f, 2.0 * (params.p / 2.0) ** (t / steps))
+        # the last stage runs at exactly p, so final_value is R_p(f)
+        f, final_value = _descend(ei, ej, w, f, 2.0 * (p / 2.0) ** (t / steps))
 
     # the continuation path must not end worse than a direct descent start
-    final_value, _ = _p_rayleigh(ei, ej, w, _recentre(f, params.p), params.p)
-    fiedler_value, _ = _p_rayleigh(ei, ej, w, _recentre(fiedler, params.p), params.p)
+    fiedler_value, _ = _p_rayleigh(ei, ej, w, _recentre(fiedler, p), p)
     if fiedler_value < final_value:
-        alt, alt_value = _descend(ei, ej, w, fiedler, params.p)
+        alt, alt_value = _descend(ei, ej, w, fiedler, p)
         if alt_value < final_value:
             f = alt
     return threshold_partition(gs, f, selection)
@@ -287,13 +287,12 @@ def p_recursive_bipartition(
     """Recursive p-spectral partitioning into exactly k clusters.
 
     Shares the recursion policy of recursive_bipartition (weakest
-    cluster first, components pre-split, singletons untouched) with
-    p_spectral_bipartition as the splitter.
+    cluster first, components pre-split, singletons untouched, one
+    spectrum per cluster) with p_spectral_bipartition's descent as the splitter.
     """
 
-    def p_split(sub: Graph, _spectrum: Spectrum) -> Partition:
-        # the p = 2 start comes from the mean-weight rescaled graph instead
-        return p_spectral_bipartition(sub, params)
+    def p_split(sub: Graph, s: Spectrum) -> Partition:
+        return _p_split(_mean_weight_rescaled(sub), s, params.p, "cheeger")
 
     return _recursive_split(g, k, p_split)
 

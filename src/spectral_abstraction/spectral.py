@@ -188,19 +188,19 @@ def _canonicalize(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    if vals.size and vals[0] < -_PSD_TOL:
+    if vals.size and not vals[0] >= -_PSD_TOL:
         raise ConvergenceFailureError(
             f"spectrum violates positive semidefiniteness: lambda_1 = {vals[0]}"
         )
     gram = vecs.T @ vecs
     gram_err = np.abs(gram - np.eye(vals.shape[0])).max() if vals.size else 0.0
-    if gram_err >= _ORTHONORMALITY_TOL:
+    if not gram_err < _ORTHONORMALITY_TOL:
         raise ConvergenceFailureError(f"eigenvectors lost orthonormality ({gram_err:.2e})")
     residual = M @ vecs - vecs * vals
     for k in range(vals.shape[0]):
         bound = _RESIDUAL_TOL * max(1.0, abs(vals[k]))
         err = np.linalg.norm(residual[:, k])
-        if err >= bound:
+        if not err < bound:
             raise ConvergenceFailureError(
                 f"residual for eigenpair {k} is {err:.2e}, bound {bound:.2e}"
             )
@@ -211,7 +211,7 @@ def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetr
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise error(f"expected a square matrix, got shape {M.shape}")
     asym = np.abs(M - M.T).max() if M.size else 0.0
-    if asym > tol:
+    if not asym <= tol:
         raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
 
 

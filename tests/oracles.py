@@ -401,3 +401,10 @@ def dense_fit_fc(g, observed: np.ndarray, kind=None):
     evaluated = [(_dense_fit_at_beta(s, observed, beta), beta) for beta in candidates]
     (error, scale, offset), beta = min(evaluated, key=lambda item: (item[0][0], item[1]))
     return sa.FcModel(beta=beta, scale=scale, offset=offset), error
+
+
+def exact_shift_p_rayleigh(edges, f: np.ndarray, p: float) -> float:
+    """R_p(f) by an edge loop, at the minimizing shift found by bisection_shift."""
+    c = bisection_shift(f, p)
+    num = sum(w * abs(float(f[i] - f[j])) ** p for i, j, w in edges)
+    return num / float((np.abs(f - c) ** p).sum())

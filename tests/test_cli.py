@@ -476,6 +476,19 @@ class TestNonFiniteInput:
         assert err["error"] == "Parse"
         assert "(3, 5)" in err["detail"]
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["cluster", "--k", "2"]])
+    def test_weights_whose_sum_overflows_are_rejected(self, command, tmp_path, capsys):
+        # each weight is finite, but the degree of b and the total volume are not
+        f = tmp_path / "huge.tsv"
+        f.write_text("a\tb\t1e308\nb\tc\t1e308\n")
+        out = tmp_path / "o.json"
+        rc = run_cli(command[0], "--input", str(f), "--output", str(out), *command[1:])
+        assert rc == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidArgument"
+
 
 @pytest.mark.parametrize(
     "level,field",

@@ -36,12 +36,17 @@ FILES = {
     "csv": ("g.csv", b"0,1,0\n1,0,2\n0,2,0\n"),
     "mask": ("m.csv", b"0,1,0\n1,0,1\n0,1,0\n"),
 }
+# parseable contents that must still fail: finite weights whose sum overflows
+PARSEABLE = {"tsv": [b"a\tb\t1e308\nb\tc\t1e308\n"]}
 
 
 @st.composite
 def invocations(draw):
     """(file contents by name, argv with {name} placeholders for paths in a temp dir)."""
-    files = {key: draw(st.one_of(st.just(valid), CONTENTS)) for key, (_, valid) in FILES.items()}
+    files = {
+        key: draw(st.one_of(st.sampled_from([valid, *PARSEABLE.get(key, [])]), CONTENTS))
+        for key, (_, valid) in FILES.items()
+    }
     graph = draw(st.sampled_from(["{tsv}", "{csv}"]))
     laplacian = st.sampled_from(["combinatorial", "normalized", "x"])
     command = draw(st.sampled_from([

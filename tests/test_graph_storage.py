@@ -108,11 +108,13 @@ def test_graphs_and_hierarchies_hash_by_value(bridged_triangles):
     assert h1 == h2 and hash(h1) == hash(h2)
 
 
-def test_quotient_weight_overflow_is_rejected():
-    # two finite crossing edges whose sum overflows to inf
-    g = sa.graph_from_edges(["a", "b", "c"], [(0, 2, 1e308), (1, 2, 1e308)])
-    with pytest.raises(NonpositiveWeightError, match=r"edge \(0, 1, inf\): weight must be"):
-        sa.quotient_graph(g, sa.Partition(assignment=(0, 0, 1), k=2))
+@pytest.mark.parametrize("weights", [(1e308, 1e308), (1e308,)], ids=["sum", "volume"])
+def test_weight_sum_overflow_is_rejected(weights):
+    # finite weights whose sum, or twice it (the total volume), overflows;
+    # a quotient edge sums host edges, so it cannot overflow after this
+    edges = [(i, 2, w) for i, w in enumerate(weights)]
+    with pytest.raises(InvalidArgumentError, match="total edge weight overflows"):
+        sa.graph_from_edges(["a", "b", "c"], edges)
 
 
 def test_rescaled_weight_underflow_is_rejected():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
@@ -25,7 +25,7 @@ from spectral_abstraction.nonlinear import (
 )
 
 from conftest import random_connected_graph
-from oracles import best_bipartition, bisection_shift
+from oracles import best_bipartition, bisection_shift, exact_shift_p_rayleigh
 
 
 class TestPLaplacianApply:
@@ -175,6 +175,23 @@ class TestOptimalShift:
         ours = nonlinear._optimal_shift(f, p)
         assert f.min() <= ours <= f.max()
         assert abs(ours - bisection_shift(f, p)) <= 1e-12 * np.abs(f).max()
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 70),
+        kind=st.sampled_from(["normal", "repeated", "three-valued", "offset"]),
+        p=st.floats(1.0001, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_recentred_vector_needs_no_shift(self, seed, n, kind, p):
+        f = shift_test_vector(seed, n, kind)
+        assume(f.max() > f.min())
+        ei, ej = np.triu_indices(n, 1)
+        w = np.random.default_rng(seed).uniform(0.2, 3.0, ei.size)
+        g = nonlinear._recentre(f, p)
+        ours, _ = nonlinear._p_rayleigh(ei, ej, w, g, p)
+        exact = exact_shift_p_rayleigh(zip(ei.tolist(), ej.tolist(), w.tolist()), g, p)
+        assert abs(ours - exact) <= 1e-12 * exact
 
     def test_bisection_shift_gives_the_same_partitions(self, monkeypatch):
         params = PLaplacianParams(p=1.5)

@@ -170,7 +170,17 @@ def test_sweep_picks_the_same_threshold_as_the_scan(case, selection):
 
 
 class TestRecursiveSpectra:
-    def test_each_cluster_is_solved_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "split",
+        [
+            pytest.param(sa.recursive_bipartition, id="linear"),
+            pytest.param(
+                lambda g, k: nonlinear.p_recursive_bipartition(g, k, sa.PLaplacianParams(p=1.5)),
+                id="p",
+            ),
+        ],
+    )
+    def test_each_cluster_is_solved_once(self, monkeypatch, split):
         # one spectrum for the whole graph, then one per half of every split but the last
         g = sa.sbm_generate(5, 12, 0.8, 0.02, seed=3)
         assert len(sa.connected_components(g)) == 1
@@ -182,10 +192,11 @@ class TestRecursiveSpectra:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(partition, "graph_spectrum", counting)
+        monkeypatch.setattr(nonlinear, "graph_spectrum", counting)
         for k in range(2, 6):
             calls.clear()
-            sa.recursive_bipartition(g, k)
-            assert len(calls) == 1 + 2 * (k - 2)
+            split(g, k)
+            assert len(calls) == 2 * k - 3
 
     def test_recursive_splits_match_the_scan(self, monkeypatch):
         graphs = [sa.sbm_generate(4, 12, 0.5, 0.05, seed=s) for s in range(6)]

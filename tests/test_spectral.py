@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import spectral_abstraction as sa
 from spectral_abstraction.errors import (
+    ConvergenceFailureError,
     DimensionOutOfRangeError,
     NotSymmetricError,
     TooFewNodesError,
@@ -83,13 +84,23 @@ class TestSpectrumShape:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_asymmetric_input_rejected(self):
-        M = np.array([[1.0, 2.0], [0.0, 1.0]])
-        bad = sa.LaplacianMatrix.__new__(sa.LaplacianMatrix)
-        object.__setattr__(bad, "matrix", M)
-        object.__setattr__(bad, "kind", sa.LaplacianKind.COMBINATORIAL)
+    @pytest.mark.parametrize("M", [[[1.0, 2.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+                             ids=["asymmetric", "nan"])
+    def test_asymmetric_input_rejected(self, M):
         with pytest.raises(NotSymmetricError):
-            eigendecompose(bad)
+            eigendecompose(sa.LaplacianMatrix(matrix=np.array(M)))
+
+    @pytest.mark.parametrize(
+        "M, vals, vecs",
+        [
+            pytest.param(np.eye(2), [np.nan, 1.0], np.eye(2), id="eigenvalue"),
+            pytest.param(np.eye(2), [1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], id="eigenvector"),
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], [0.0, 1.0], np.eye(2), id="matrix"),
+        ],
+    )
+    def test_nan_fails_the_spectrum_checks(self, M, vals, vecs):
+        with pytest.raises(ConvergenceFailureError):
+            spectral._validate_spectrum(np.array(M), np.array(vals), np.array(vecs))
 
 
 class TestDegenerateCanonicalization:

@@ -1,9 +1,10 @@
 """Static hygiene of the package source, checked with ast alone.
 
-No module other than __init__.py may import a name it never uses, and
-no module may define a module-level _private name that nothing in the
-package references. Deletions then cannot leave dead imports or dead
-helpers behind.
+No module other than __init__.py may import a name it never uses, no
+module may define a module-level _private name that nothing in the
+package references, and no def or lambda may take a parameter its body
+never reads. Deletions then cannot leave dead imports, dead helpers or
+dead parameters behind.
 """
 
 from __future__ import annotations
@@ -100,3 +101,29 @@ def test_every_private_module_name_is_referenced():
         if private not in references
     }
     assert not dead, f"module-level private names nothing references: {dead}"
+
+
+def _parameters(node) -> list[str]:
+    a = node.args
+    named = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+    return [arg.arg for arg in named]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_parameter_is_read(name):
+    unread = {}
+    for node in ast.walk(_tree(name)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for param in _parameters(node):
+            # a method's receiver is there by calling convention, read or not
+            if param not in read and param not in ("self", "cls"):
+                unread[f"{name}:{node.lineno}"] = param
+    assert not unread, f"{name} has parameters their body never reads: {unread}"
