@@ -5,8 +5,10 @@ starts a comment; labels indexed by first appearance) or as CSV
 adjacency matrices with an optional label header. Functional matrices
 reuse the CSV form but may carry a nonzero diagonal. All numeric output
 is rendered with 17 significant digits, which round-trips doubles
-exactly and keeps repeated runs byte-identical. Writes go through a
-temp file and an atomic rename so failed runs leave nothing behind.
+exactly and keeps repeated runs byte-identical. Whole rows of finite
+floats are formatted at once; a row with NaN or an infinity falls back
+to `format_float`, element by element. Writes go through a temp file
+and an atomic rename so failed runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -50,11 +52,26 @@ def dumps(value) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dict order is insertion order. Infinities use the same literals the
-    stdlib json module emits and accepts.
+    stdlib json module emits and accepts. A list, tuple or array whose
+    items are all finite floats is formatted at once; any other row,
+    including one with a non-finite value, goes element by element
+    through `format_float`.
     """
     parts: list[str] = []
     _emit(value, parts)
     return "".join(parts)
+
+
+def _float_row(values, sep: str) -> str | None:
+    """values joined by sep if all are finite Python floats, else None.
+
+    "%.17g" agrees with format_float on every finite float; only nan
+    and inf put an "n" in the row.
+    """
+    if not all(type(x) is float for x in values):
+        return None
+    row = sep.join(["%.17g"] * len(values)) % tuple(values)
+    return None if "n" in row else row
 
 
 def _emit(value, parts: list[str]) -> None:
@@ -67,6 +84,8 @@ def _emit(value, parts: list[str]) -> None:
             parts.append(": ")
             _emit(item, parts)
         parts.append("}")
+    elif isinstance(value, (list, tuple)) and (row := _float_row(value, ", ")) is not None:
+        parts.append("[" + row + "]")
     elif isinstance(value, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(value):
@@ -164,19 +183,31 @@ def parse_edge_list_tsv(text: str) -> Graph:
     return graph_from_edges(labels, edges)
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """Stripped cells of each CSV line that is neither blank nor a # comment."""
+    return [
+        [cell.strip() for cell in raw.split(",")]
+        for raw in text.splitlines()
+        if raw.strip() and not raw.lstrip().startswith("#")
+    ]
+
+
+def _is_header(cells: list[str]) -> bool:
+    """A first row is a label header when some cell is not a number."""
+    try:
+        [float(cell) for cell in cells]
+    except ValueError:
+        return True
+    return False
+
+
 def _parse_csv_cells(text: str) -> tuple[list[str] | None, np.ndarray]:
     """Split CSV text into an optional label header and a finite float matrix."""
-    rows: list[list[str]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        rows.append([cell.strip() for cell in raw.split(",")])
+    rows = _csv_rows(text)
     if not rows:
         raise ParseError("matrix file is empty")
     header: list[str] | None = None
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
+    if _is_header(rows[0]):
         header = rows[0]
         rows = rows[1:]
     if not rows:
@@ -270,8 +301,8 @@ def _read_text(path: str) -> str:
 def spectrum_payload(s: Spectrum) -> dict:
     """Spectrum as {eigenvalues, eigenvectors}, one eigenvector per row."""
     return {
-        "eigenvalues": [float(v) for v in s.eigenvalues],
-        "eigenvectors": [[float(x) for x in s.eigenvectors[:, k]] for k in range(s.n_pairs)],
+        "eigenvalues": s.eigenvalues.tolist(),
+        "eigenvectors": s.eigenvectors.T.tolist(),
     }
 
 
@@ -313,12 +344,21 @@ def hierarchy_payload(h: Hierarchy) -> dict:
 
 
 def matrix_csv(matrix: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
-    """CSV text for a matrix, optionally preceded by a label header."""
+    """CSV text for a matrix, preceded by a label header if it reads back.
+
+    The header is written only when the CSV readers would take it for a
+    header naming exactly these labels; numeric labels or labels with a
+    comma would read as a data row or as the wrong columns. The matrix
+    is positional, so it reads back the same without a header.
+    """
     lines = []
     if labels is not None:
-        lines.append(",".join(labels))
-    for row in np.asarray(matrix):
-        lines.append(",".join(format_float(float(x)) for x in row))
+        header = ",".join(labels)
+        if _csv_rows(header) == [list(labels)] and _is_header(list(labels)):
+            lines.append(header)
+    for row in np.asarray(matrix).tolist():
+        # an empty row gives "" on either path
+        lines.append(_float_row(row, ",") or ",".join(format_float(float(x)) for x in row))
     return "\n".join(lines) + "\n"
 
 

@@ -4,16 +4,21 @@ Everything here is deliberately written by a different route than the
 library code: connectivity by union-find instead of BFS, eigenvalues by
 characteristic polynomial instead of a symmetric eigensolver, cut
 metrics by direct edge loops instead of vectorized incidence sums, the
-matrix exponential by a scaled power series instead of an eigen-sum.
+matrix exponential by a scaled power series instead of an eigen-sum,
+JSON and CSV text by formatting one float at a time instead of a row at
+once.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+
+from spectral_abstraction.fileio import format_float
 
 
 def union_find_components(n: int, edges) -> list[set[int]]:
@@ -408,3 +413,75 @@ def exact_shift_p_rayleigh(edges, f: np.ndarray, p: float) -> float:
     c = bisection_shift(f, p)
     num = sum(w * abs(float(f[i] - f[j])) ** p for i, j, w in edges)
     return num / float((np.abs(f - c) ** p).sum())
+
+
+def elementwise_dumps(value) -> str:
+    """fileio.dumps as it was before rows were formatted at once."""
+    parts: list[str] = []
+    _emit(value, parts)
+    return "".join(parts)
+
+
+def _emit(value, parts: list[str]) -> None:
+    if isinstance(value, dict):
+        parts.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                parts.append(", ")
+            parts.append(json.dumps(str(key)))
+            parts.append(": ")
+            _emit(item, parts)
+        parts.append("}")
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(value):
+            if i:
+                parts.append(", ")
+            _emit(item, parts)
+        parts.append("]")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        parts.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        parts.append(format_float(float(value)))
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, np.ndarray):
+        _emit(value.tolist(), parts)
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def elementwise_matrix_csv(matrix: np.ndarray, labels=None) -> str:
+    """fileio.matrix_csv one cell at a time, with its header rule spelled out.
+
+    The header line is kept when the CSV reader would take it for a
+    header naming exactly these labels: it is neither blank nor a #
+    comment, no label holds a comma or a line break or is padded with
+    whitespace, and some label is not a number.
+    """
+
+    def number(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+    lines = []
+    if labels is not None:
+        header = ",".join(labels)
+        if (
+            header.strip()
+            and not header.lstrip().startswith("#")
+            and all("," not in label and label == label.strip() for label in labels)
+            and all("".join(label.splitlines()) == label for label in labels)
+            and not all(number(label) for label in labels)
+        ):
+            lines.append(header)
+    for row in np.asarray(matrix):
+        lines.append(",".join(format_float(float(x)) for x in row))
+    return "\n".join(lines) + "\n"

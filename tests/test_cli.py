@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_abstraction as sa
 from spectral_abstraction.cli import main
@@ -302,6 +306,62 @@ class TestFcCommands:
         )
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "AsymmetricMatrix"
+
+
+# node labels for the bridged graph, by kind
+NUMERIC_IDS = st.one_of(st.integers(0, 99).map(str), st.sampled_from(["1.5", "1e3", "-2"]))
+NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity", "-Infinity", "INF"])
+WITH_COMMA = st.text("abc1", min_size=1, max_size=2).map(lambda t: t + ",x")
+WORDS = st.text("abcxyz", min_size=1, max_size=4)
+LEADING_HASH = WORDS.map("#".__add__)
+LABEL_KINDS = [NUMERIC_IDS, NON_FINITE, WITH_COMMA, WORDS, LEADING_HASH]
+# the bridged graph with nodes in order of first appearance; a TSV line
+# starting with # is a comment, so only nodes 1 and 4, never a line's
+# first field, may carry a #-label
+BRIDGED_EDGES = [(0, 1), (0, 2), (2, 1), (2, 3), (3, 4), (3, 5), (5, 4)]
+
+
+@st.composite
+def bridged_label_sets(draw):
+    kind = draw(st.sampled_from(LABEL_KINDS + [st.one_of(*LABEL_KINDS)]))
+    source_kind = WORDS if kind is LEADING_HASH else kind.filter(lambda t: not t.startswith("#"))
+    sources = draw(st.lists(source_kind, min_size=4, max_size=4, unique=True))
+    sinks = draw(st.lists(kind.filter(lambda t: t not in sources), min_size=2, max_size=2, unique=True))
+    return [sources[0], sinks[0], sources[1], sources[2], sinks[1], sources[3]]
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@given(bridged_label_sets())
+@settings(max_examples=60, deadline=None)
+def test_predicted_fc_reads_back_into_fit_fc(labels):
+    tsv = "".join(f"{labels[i]}\t{labels[j]}\t1\n" for i, j in BRIDGED_EDGES)
+    g = parse_edge_list_tsv(tsv)
+    assert list(g.labels) == labels
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, fc, fit = (os.path.join(tmp, name) for name in ("g.tsv", "fc.csv", "fit.json"))
+        with open(graph, "w") as handle:
+            handle.write(tsv)
+        assert run_cli("predict-fc", "--input", graph, "--output", fc,
+                       "--beta", "1.3", "--scale", "2.0", "--offset", "0.1") == 0
+        with open(fc) as handle:
+            first_line = handle.readline().rstrip("\n")
+        expected = predict_fc(g, FcModel(beta=1.3, scale=2.0, offset=0.1))
+        assert np.abs(read_fc_matrix(fc) - expected).max() < 1e-15
+        assert run_cli("fit-fc", "--input", graph, "--observed", fc, "--output", fit) == 0
+        with open(fit) as handle:
+            report = json.load(handle)
+    # the same bounds as criterion 7's fit error
+    assert abs(report["beta"] - 1.3) < 1e-8
+    assert report["frobenius_error"] < 1e-8
+    header = not any("," in label for label in labels) and not all(map(_is_number, labels))
+    assert (first_line == ",".join(labels)) == header
 
 
 class TestJacobianCommand:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from spectral_abstraction.cli import main
 
 VALUES = st.sampled_from(["nan", "inf", "-inf", "1e309", "-1", "0", "1", "2", "3", "1.5", "0.5", "x", ""])
-TOKENS = st.sampled_from(["a", "b", "c", "", " ", "#", "0", "1", "2", "-2", "0.5", "nan", "inf", "x", "é"])
+TOKENS = st.sampled_from(["a", "b", "c", "", " ", "#", "0", "1", "2", "-2", "0.5", "1e3", "nan", "inf", "x", "a,b", "é"])
 
 
 def _rows(sep: str):
@@ -36,8 +36,9 @@ FILES = {
     "csv": ("g.csv", b"0,1,0\n1,0,2\n0,2,0\n"),
     "mask": ("m.csv", b"0,1,0\n1,0,1\n0,1,0\n"),
 }
-# parseable contents that must still fail: finite weights whose sum overflows
-PARSEABLE = {"tsv": [b"a\tb\t1e308\nb\tc\t1e308\n"]}
+# more parseable contents: numeric node ids, labels holding a comma, and
+# finite weights whose sum overflows (which must still fail)
+PARSEABLE = {"tsv": [b"1\t2\t1\n2\t3\t2\n3\t4\t1\n", b"a,b\tc\t1\nc\td\t2\n", b"a\tb\t1e308\nb\tc\t1e308\n"]}
 
 
 @st.composite

@@ -7,8 +7,9 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import spectral_abstraction as sa
 from spectral_abstraction import fileio
@@ -21,6 +22,9 @@ from spectral_abstraction.errors import (
     SelfLoopError,
 )
 from spectral_abstraction.hierarchy import LevelSpec, build_hierarchy
+from spectral_abstraction.structfunc import FcModel, predict_fc
+
+from oracles import elementwise_dumps, elementwise_matrix_csv
 
 
 class TestFormatFloat:
@@ -57,6 +61,94 @@ class TestDumps:
     def test_numpy_values_serialize_like_python_ones(self):
         text = fileio.dumps({"v": np.float64(0.5), "n": np.int64(3), "arr": np.array([1.0, 2.0])})
         assert text == '{"v": 0.5, "n": 3, "arr": [1, 2]}'
+
+
+# the float values where "%.17g" and format_float could part ways
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
+])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(), st.floats(min_value=-1e-307, max_value=1e-307))
+FLOAT_ROWS = st.lists(FLOATS, max_size=6)
+LEAVES = st.one_of(
+    FLOATS,
+    st.integers(),
+    st.booleans(),
+    FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=3),
+    st.none(),
+)
+FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=FLOATS)
+JSON_VALUES = st.recursive(
+    st.one_of(LEAVES, FLOAT_ROWS, FLOAT_ROWS.map(tuple), FLOAT_ARRAYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+LABELS = st.one_of(
+    st.sampled_from(["a", "x y", "1", "-2.5", "1e3", "nan", "inf", "-Infinity", "a,b", "#c", " d", "", "é"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def labelled_matrices(draw):
+    matrix = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4), elements=FLOATS))
+    labels = draw(st.none() | st.lists(LABELS, min_size=matrix.shape[1], max_size=matrix.shape[1]).map(tuple))
+    return matrix, labels
+
+
+@given(JSON_VALUES)
+@example([1.0, float("nan")])
+@example([float("-inf"), 0.5])
+@example({"row": (float("inf"),), "mixed": [1.5, True, 2, np.float64(0.25), np.int64(3), "s"]})
+@example(np.array([[-0.0, 5e-324], [1e308, float("nan")]]))
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_the_elementwise_oracle(value):
+    assert fileio.dumps(value) == elementwise_dumps(value)
+
+
+@given(labelled_matrices())
+@example((np.array([[0.0, float("nan")], [float("inf"), -1e308]]), ("a", "b")))
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_matches_the_elementwise_oracle(case):
+    matrix, labels = case
+    assert fileio.matrix_csv(matrix, labels) == elementwise_matrix_csv(matrix, labels)
+
+
+class TestLargeReportsMatchTheOracle:
+    """Whole reports of a 300-node graph, byte for byte against one-float-at-a-time output."""
+
+    @pytest.fixture(scope="class")
+    def sbm(self):
+        return sa.sbm_generate(3, 100, 0.2, 0.01, seed=11)
+
+    @staticmethod
+    def elementwise_spectrum_text(s) -> tuple[str, str]:
+        payload = {
+            "eigenvalues": [float(v) for v in s.eigenvalues],
+            "eigenvectors": [[float(x) for x in s.eigenvectors[:, k]] for k in range(s.n_pairs)],
+        }
+        scree = "".join(f"{k + 1},{fileio.format_float(float(v))}\n" for k, v in enumerate(s.eigenvalues))
+        return elementwise_dumps(payload), scree
+
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    @pytest.mark.parametrize("count", [None, 5])
+    def test_spectrum_report_and_scree(self, sbm, kind, count):
+        s = sa.graph_spectrum(sbm, kind, count=count)
+        assert s.eigenvectors.shape == (300, count or 300)
+        text, scree = self.elementwise_spectrum_text(s)
+        assert fileio.dumps(fileio.spectrum_payload(s)) == text
+        assert fileio.scree_csv(s) == scree
+
+    def test_predicted_fc_matrix(self, sbm):
+        F = predict_fc(sbm, FcModel(beta=1.3, scale=2.0, offset=0.1))
+        assert fileio.matrix_csv(F, sbm.labels) == elementwise_matrix_csv(F, sbm.labels)
+        assert fileio.matrix_csv(F, sbm.labels).startswith(",".join(sbm.labels) + "\n")
 
 
 class TestEdgeListTsv:
@@ -258,6 +350,12 @@ class TestPayloads:
         g = fileio.parse_matrix_csv_graph(text)
         assert g.labels == ("a", "b")
         assert g.edges[0][2] == 1.0 / 3.0
+
+    @pytest.mark.parametrize("labels", [("1", "2"), ("a,b", "c"), ("nan", "inf")])
+    def test_matrix_csv_omits_a_header_that_would_not_read_back(self, labels):
+        m = np.array([[2.0, 0.5], [0.5, 2.0]])
+        text = fileio.matrix_csv(m, labels=labels)
+        assert text == "2,0.5\n0.5,2\n"
 
     def test_hierarchy_dot_blocks(self, bridged_triangles):
         h = build_hierarchy(bridged_triangles, [LevelSpec(k=3), LevelSpec(k=2)])
