@@ -201,6 +201,18 @@ def _is_header(cells: list[str]) -> bool:
     return False
 
 
+def _bad_cell(r: int, cells: list[str]) -> ParseError:
+    """The error for the first cell of row r that is not a finite number."""
+    for c, cell in enumerate(cells):
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            return ParseError(f"matrix cell ({r + 1}, {c + 1}): {cell!r} is not a number")
+        if not finite:
+            return ParseError(f"matrix cell ({r + 1}, {c + 1}): {cell!r} is not finite")
+    raise AssertionError(f"matrix row {r + 1} has no bad cell")
+
+
 def _parse_csv_cells(text: str) -> tuple[list[str] | None, np.ndarray]:
     """Split CSV text into an optional label header and a finite float matrix."""
     rows = _csv_rows(text)
@@ -217,13 +229,12 @@ def _parse_csv_cells(text: str) -> tuple[list[str] | None, np.ndarray]:
     for r, cells in enumerate(rows):
         if len(cells) != width:
             raise ParseError(f"matrix row {r + 1} has {len(cells)} cells, expected {width}")
-        for cidx, cell in enumerate(cells):
-            try:
-                data[r, cidx] = float(cell)
-            except ValueError:
-                raise ParseError(f"matrix cell ({r + 1}, {cidx + 1}): {cell!r} is not a number") from None
-            if not math.isfinite(data[r, cidx]):
-                raise ParseError(f"matrix cell ({r + 1}, {cidx + 1}): {cell!r} is not finite")
+        try:
+            data[r] = list(map(float, cells))
+        except ValueError:
+            raise _bad_cell(r, cells) from None
+        if not np.isfinite(data[r]).all():
+            raise _bad_cell(r, cells)
     if data.shape[0] != data.shape[1]:
         raise ParseError(f"matrix must be square, got {data.shape[0]} x {data.shape[1]}")
     if header is not None and len(header) != data.shape[1]:

@@ -21,12 +21,11 @@ nodes are zero, including the diagonal entry.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from .errors import (
     DuplicateEdgeError,
@@ -61,13 +60,16 @@ class Graph:
     compare equal and serialize identically; `edges` renders them as
     (i, j, weight) tuples. Construct through :func:`graph_from_edges`,
     which validates and canonicalizes; the raw constructor trusts its
-    input.
+    input. `_spectra` holds the full spectra that
+    :func:`spectral.graph_spectrum` has solved, by Laplacian kind; it
+    takes no part in equality, hashing or repr.
     """
 
     labels: tuple[str, ...]
     ei: np.ndarray
     ej: np.ndarray
     w: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -261,6 +263,8 @@ def quotient_graph(g: Graph, partition: "Partition") -> Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted index lists, ordered by minimum index."""
+    import scipy.sparse.csgraph  # loaded on first use: the package import stays numpy-only
+
     A = scipy.sparse.coo_matrix((g.w, (g.ei, g.ej)), shape=(g.n, g.n))
     _, comp = scipy.sparse.csgraph.connected_components(A, directed=False)
     order = np.argsort(comp, kind="stable")

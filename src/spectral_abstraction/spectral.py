@@ -28,7 +28,13 @@ component.
 
 Dense symmetric solvers are exact enough up to a couple thousand nodes;
 beyond DENSE_SOLVER_MAX_N a shift-invert Lanczos solver extracts the
-few smallest pairs instead.
+few smallest pairs instead. scipy is imported only inside that solver.
+
+A full spectrum is a pure function of the graph and the Laplacian kind,
+so graph_spectrum stores each full dense spectrum on its graph, and one
+eigendecomposition per graph and kind serves every later dense request.
+Count-limited and Lanczos results are never stored; stored spectra are
+freed with their graph and shared read-only.
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     ConvergenceFailureError,
@@ -225,7 +229,7 @@ def _solve(L: LaplacianMatrix, solver, name: str) -> Spectrum:
     _check_symmetric(M)
     try:
         vals, vecs = solver(M)
-    except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackNoConvergence) as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
     order = np.argsort(vals, kind="stable")
     vals = np.ascontiguousarray(vals[order])
@@ -258,9 +262,16 @@ def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
         raise DimensionOutOfRangeError(f"count {count} outside 1..{n - 1}")
 
     def lanczos(A: np.ndarray):
-        sparse = scipy.sparse.csc_matrix(A)
+        import scipy.sparse
+        import scipy.sparse.linalg
+
         v0 = np.linspace(1.0, 2.0, n)
-        return scipy.sparse.linalg.eigsh(sparse, k=count, sigma=-1e-2, which="LM", v0=v0, tol=0)
+        try:
+            return scipy.sparse.linalg.eigsh(
+                scipy.sparse.csc_matrix(A), k=count, sigma=-1e-2, which="LM", v0=v0, tol=0
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
 
     return _solve(L, lanczos, "Lanczos solver")
 
@@ -275,11 +286,21 @@ def graph_spectrum(
     With count=None the decomposition is always full (dense). With a
     count, only the smallest `count` pairs are returned; graphs above
     DENSE_SOLVER_MAX_N nodes get them from Lanczos unless count >= n - 1.
+
+    A full spectrum (count=None) is stored on `g` by kind, freed with
+    the graph and shared read-only. It serves every later dense request,
+    a count-limited one as copies of its leading pairs, byte-equal to a
+    fresh truncated solve. Count-limited and Lanczos results are never
+    stored.
     """
-    L = laplacian(g, kind)
     if count is not None and g.n > DENSE_SOLVER_MAX_N and count < g.n - 1:
-        return partial_eigendecompose(L, count)
-    s = eigendecompose(L)
+        return partial_eigendecompose(laplacian(g, kind), count)
+    # an unknown kind, hashable or not, is left for laplacian to reject
+    s = g._spectra.get(kind) if isinstance(kind, LaplacianKind) else None
+    if s is None:
+        s = eigendecompose(laplacian(g, kind))
+        if count is None:
+            g._spectra[kind] = s
     if count is not None and count < s.n_pairs:
         return Spectrum(
             eigenvalues=s.eigenvalues[:count].copy(),

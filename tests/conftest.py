@@ -25,6 +25,22 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 
 @pytest.fixture
+def dense_solves(monkeypatch) -> list[int]:
+    """Node counts of the dense eigensolves the test runs, in call order."""
+    from spectral_abstraction import spectral
+
+    calls: list[int] = []
+    solve = spectral.eigendecompose
+
+    def counted(L):
+        calls.append(L.n)
+        return solve(L)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    return calls
+
+
+@pytest.fixture
 def triangle() -> sa.Graph:
     return sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 

@@ -6,7 +6,8 @@ characteristic polynomial instead of a symmetric eigensolver, cut
 metrics by direct edge loops instead of vectorized incidence sums, the
 matrix exponential by a scaled power series instead of an eigen-sum,
 JSON and CSV text by formatting one float at a time instead of a row at
-once.
+once, and CSV cells by parsing and checking one cell at a time instead of
+a row at once.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
@@ -18,7 +19,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from spectral_abstraction.fileio import format_float
+from spectral_abstraction.errors import ParseError
+from spectral_abstraction.fileio import _csv_rows, _is_header, format_float
 
 
 def union_find_components(n: int, edges) -> list[set[int]]:
@@ -485,3 +487,33 @@ def elementwise_matrix_csv(matrix: np.ndarray, labels=None) -> str:
     for row in np.asarray(matrix):
         lines.append(",".join(format_float(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def cellwise_parse_csv_cells(text: str):
+    """fileio._parse_csv_cells as it was before rows were converted at once."""
+    rows = _csv_rows(text)
+    if not rows:
+        raise ParseError("matrix file is empty")
+    header = None
+    if _is_header(rows[0]):
+        header = rows[0]
+        rows = rows[1:]
+    if not rows:
+        raise ParseError("matrix file has a header but no rows")
+    width = len(rows[0])
+    data = np.zeros((len(rows), width))
+    for r, cells in enumerate(rows):
+        if len(cells) != width:
+            raise ParseError(f"matrix row {r + 1} has {len(cells)} cells, expected {width}")
+        for cidx, cell in enumerate(cells):
+            try:
+                data[r, cidx] = float(cell)
+            except ValueError:
+                raise ParseError(f"matrix cell ({r + 1}, {cidx + 1}): {cell!r} is not a number") from None
+            if not np.isfinite(data[r, cidx]):
+                raise ParseError(f"matrix cell ({r + 1}, {cidx + 1}): {cell!r} is not finite")
+    if data.shape[0] != data.shape[1]:
+        raise ParseError(f"matrix must be square, got {data.shape[0]} x {data.shape[1]}")
+    if header is not None and len(header) != data.shape[1]:
+        raise ParseError(f"header names {len(header)} columns, matrix has {data.shape[1]}")
+    return header, data

@@ -24,7 +24,7 @@ from spectral_abstraction.errors import (
 from spectral_abstraction.hierarchy import LevelSpec, build_hierarchy
 from spectral_abstraction.structfunc import FcModel, predict_fc
 
-from oracles import elementwise_dumps, elementwise_matrix_csv
+from oracles import cellwise_parse_csv_cells, elementwise_dumps, elementwise_matrix_csv
 
 
 class TestFormatFloat:
@@ -221,6 +221,55 @@ class TestMatrixCsvGraph:
     def test_non_finite_cell_named(self, cell):
         with pytest.raises(ParseError, match=r"\(1, 2\).*not finite"):
             fileio.parse_matrix_csv_graph(f"0,{cell}\n{cell},0\n")
+
+
+CSV_CELLS = st.one_of(
+    st.sampled_from(["0", "1.5", "-2", " 3e2 ", "1e999", "-1e999", "nan", "inf", "-Infinity", "x", "", "a b", "0x1"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+)
+CSV_LINES = st.one_of(
+    st.lists(CSV_CELLS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "  ", "# comment", "1,,2", "u,v", "a,b,c"]),
+)
+
+
+@st.composite
+def square_csvs(draw):
+    """Well-formed square matrices, sometimes with one cell or row spoiled."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.floats(-1e6, 1e6).map(repr)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows.insert(0, [f"v{i}" for i in range(n)])
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(rows) - 1))
+        spoil = draw(st.sampled_from(["cell", "short", "long"]))
+        if spoil == "cell":
+            rows[r][draw(st.integers(0, n - 1))] = draw(CSV_CELLS)
+        elif spoil == "short":
+            rows[r] = rows[r][:-1]
+        else:
+            rows[r] = rows[r] + ["0"]
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        header, data = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return header, data.shape, data.tobytes()
+
+
+@given(st.one_of(square_csvs(), st.lists(CSV_LINES, max_size=5).map("\n".join)))
+@example("0,nan,x\n1,2,3\n4,5,6\n")
+@example("0,x,inf\n1,2,3\n4,5,6\n")
+@example("0,1\n1,inf\n2\n")
+@example("0,1\n1\n2,x\n")
+@example("a,b\n0,1e999\n1,0\n")
+@settings(max_examples=300, deadline=None)
+def test_csv_cells_match_the_cellwise_oracle(text):
+    assert _parse_outcome(fileio._parse_csv_cells, text) == _parse_outcome(cellwise_parse_csv_cells, text)
 
 
 class TestReadDispatch:

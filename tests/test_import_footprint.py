@@ -27,3 +27,23 @@ def test_import_does_not_load_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy():
+    # scipy.sparse and its csgraph and linalg modules add about 30 MB; they
+    # load on the first connected_components or Lanczos call
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, spectral_abstraction, spectral_abstraction.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ import spectral_abstraction as sa
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
     DimensionOutOfRangeError,
+    InvalidArgumentError,
     NotSymmetricError,
     TooFewNodesError,
     ZeroVectorError,
@@ -265,7 +266,81 @@ def test_large_counted_spectrum_uses_lanczos_and_matches_closed_form(monkeypatch
     s = sa.graph_spectrum(g, count=4)
     k = np.arange(4)
     assert s.n_pairs == 4
+    assert g._spectra == {}  # Lanczos results are never stored
     assert np.abs(s.eigenvalues - (2.0 - 2.0 * np.cos(np.pi * k / n))).max() < 1e-12
     expected = np.cos(np.pi * np.outer(np.arange(n) + 0.5, k) / n)
     expected /= np.linalg.norm(expected, axis=0)
     assert np.abs(s.eigenvectors - expected).max() < 1e-9
+
+
+def test_lanczos_non_convergence_is_a_convergence_failure(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence (3 iterations)", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    g = random_connected_graph(np.random.default_rng(5), 12)
+    with pytest.raises(ConvergenceFailureError, match=r"^Lanczos solver failed: .*No convergence \(3 iterations\)"):
+        partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 3)
+
+
+def _twin(g):
+    """An equal graph with no stored spectra."""
+    return sa.graph_from_edges(g.labels, g.edges)
+
+
+def _same_bytes(a, b):
+    return a.eigenvalues.tobytes() == b.eigenvalues.tobytes() and a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+
+class TestStoredSpectra:
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    def test_a_full_spectrum_is_stored_and_equals_a_fresh_solve(self, kind):
+        g = random_connected_graph(np.random.default_rng(11), 30, p=0.2)
+        s = sa.graph_spectrum(g, kind)
+        assert g._spectra == {kind: s}
+        assert sa.graph_spectrum(g, kind) is s
+        assert _same_bytes(s, eigendecompose(sa.laplacian(_twin(g), kind)))
+
+    def test_kinds_are_stored_apart(self, dense_solves):
+        g = random_connected_graph(np.random.default_rng(12), 20)
+        for kind in list(sa.LaplacianKind) * 2:
+            sa.graph_spectrum(g, kind)
+        assert dense_solves == [20, 20]
+        assert set(g._spectra) == set(sa.LaplacianKind)
+
+    def test_a_counted_request_on_a_fresh_graph_stores_nothing(self, dense_solves):
+        g = random_connected_graph(np.random.default_rng(13), 20)
+        sa.graph_spectrum(g, count=2)
+        sa.graph_spectrum(g, count=2)
+        assert g._spectra == {}
+        assert dense_solves == [20, 20]
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 19, 20, 25])
+    def test_a_counted_request_is_served_from_the_stored_spectrum(self, dense_solves, count):
+        g = random_connected_graph(np.random.default_rng(14), 20)
+        full = sa.graph_spectrum(g)
+        truncated = sa.graph_spectrum(_twin(g), count=count)
+        part = sa.graph_spectrum(g, count=count)
+        assert dense_solves == [20, 20]
+        assert _same_bytes(part, truncated)
+        if count < g.n:
+            assert not np.shares_memory(part.eigenvectors, full.eigenvectors)
+        assert g._spectra == {sa.LaplacianKind.COMBINATORIAL: full}
+
+    @pytest.mark.parametrize("kind", ["combinatorial", None, ["normalized"]])
+    def test_an_unknown_kind_is_rejected_and_stores_nothing(self, triangle, kind):
+        with pytest.raises(InvalidArgumentError):
+            sa.graph_spectrum(triangle, kind)
+        assert triangle._spectra == {}
+
+    def test_equality_hash_and_repr_ignore_stored_spectra(self):
+        g = random_connected_graph(np.random.default_rng(15), 10)
+        twin = _twin(g)
+        before = (repr(g), hash(g))
+        for kind in sa.LaplacianKind:
+            sa.graph_spectrum(g, kind)
+        assert g == twin and twin == g
+        assert (repr(g), hash(g)) == before == (repr(twin), hash(twin))
+        assert "_spectra" not in repr(g)

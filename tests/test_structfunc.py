@@ -228,3 +228,14 @@ class TestSpectraSimilarity:
     def test_too_small_matrices_rejected(self):
         with pytest.raises(DimensionMismatchError):
             spectra_similarity(np.eye(2), np.eye(2))
+
+
+def test_fit_then_predict_solves_the_laplacian_once(dense_solves):
+    g = sa.sbm_generate(3, 8, 0.7, 0.1, seed=4)
+    twin = sa.graph_from_edges(g.labels, g.edges)
+    observed = predict_fc(twin, FcModel(beta=0.8, scale=1.5, offset=0.2))
+    dense_solves.clear()
+    model, _ = fit_fc(g, observed)
+    predicted = predict_fc(g, model)
+    assert dense_solves == [g.n]
+    assert predicted.tobytes() == predict_fc(sa.graph_from_edges(g.labels, g.edges), model).tobytes()
