@@ -57,6 +57,8 @@ from .spectral import (
 _SIGN_ZERO_REL_TOL = 1e-12
 # relative slack for the few roundings of the final divisions and products
 _SWEEP_REL_TOL = 1e-9
+# lambda_2 values this close (relative) tie for the weakest cluster
+_LAMBDA_TIE_REL_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 _KMEANS_RESTARTS = 20
 _KMEANS_MAX_ITER = 300
@@ -165,9 +167,12 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
     """Shared engine for recursive bipartitioning policies.
 
     Starts from the connected components (which count toward k),
-    repeatedly splits the cluster with the smallest internal lambda_2
-    (ties: larger cluster, then lower minimum node index), never splits
-    singletons, and finally relabels clusters by minimum node index.
+    repeatedly splits the cluster with the smallest internal lambda_2,
+    never splits singletons, and finally relabels clusters by minimum
+    node index. A cluster ties for weakest when its lambda_2 is within
+    1e-10 * max(1, |lambda_min|) of the smallest, so last-digit solver
+    noise cannot pick the target; among tied clusters the larger one,
+    then the one with the lower minimum node index, is split.
     Each cluster's induced subgraph and two smallest combinatorial
     eigenpairs are computed once; split_fn(sub, spectrum) receives both.
     """
@@ -195,7 +200,10 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
             raise NotEnoughSplittableClustersError(
                 f"only singleton clusters remain at {len(clusters)} < k={k}"
             )
-        target = min(candidates, key=lambda c: (solve(c)[0], -len(c), c[0]))
+        weakest = min(solve(c)[0] for c in candidates)
+        tol = _LAMBDA_TIE_REL_TOL * max(1.0, abs(weakest))
+        tied = [c for c in candidates if solve(c)[0] - weakest <= tol]
+        target = min(tied, key=lambda c: (-len(c), c[0]))
         try:
             left, right = _split_once(target, *solved.pop(tuple(target)), split_fn)
         except ConstantVectorError as exc:

@@ -236,6 +236,21 @@ class TestRecursiveBipartition:
                     seen.append(a)
             assert seen == sorted(seen)
 
+    @pytest.mark.parametrize("nudge", [-1e-13, 0.0, 1e-13])
+    def test_near_equal_lambda2_splits_the_larger_cluster(self, monkeypatch, nudge):
+        # two disjoint stars, of 4 and 6 nodes, both with lambda_2 = 1
+        edges = [(0, i, 1.0) for i in (1, 2, 3)] + [(4, i, 1.0) for i in range(5, 10)]
+        g = sa.graph_from_edges([f"n{i}" for i in range(10)], edges)
+        real = partition.algebraic_connectivity
+
+        def nudged(s):
+            return real(s) * (1.0 + nudge) if s.n == 4 else real(s)
+
+        monkeypatch.setattr(partition, "algebraic_connectivity", nudged)
+        a = sa.recursive_bipartition(g, 3).assignment
+        assert len(set(a[:4])) == 1
+        assert len(set(a[4:])) == 2
+
     def test_k_out_of_range(self, triangle):
         with pytest.raises(KOutOfRangeError):
             sa.recursive_bipartition(triangle, 4)
