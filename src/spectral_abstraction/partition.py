@@ -59,6 +59,8 @@ _SIGN_ZERO_REL_TOL = 1e-12
 _SWEEP_REL_TOL = 1e-9
 # lambda_2 values this close (relative) tie for the weakest cluster
 _LAMBDA_TIE_REL_TOL = 1e-10
+# sorted entries of a swept vector this close (relative to max |f|) are one level
+_LEVEL_REL_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 _KMEANS_RESTARTS = 20
 _KMEANS_MAX_ITER = 300
@@ -222,7 +224,7 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
 
 
 def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> Partition:
-    """Best split among the n - 1 sorted-entry thresholds of f.
+    """Best split of f's sorted entries at a gap between its level sets.
 
     Cluster 1 holds the t smallest entries of f (stable order) for the
     threshold t whose cut value under `selection` (cheeger, ratio or
@@ -230,16 +232,22 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     cluster whose entries hover around zero, which the sweep avoids by
     considering every split the ordering admits.
 
-    One sorted sweep scores all thresholds in O(m + n log n): cut
+    Only thresholds between consecutive sorted entries that differ by
+    more than 1e-10 * max|f| are scored, so nodes the vector cannot tell
+    apart (repeated entries, or entries that differ only by rounding
+    noise) always stay together, and the order noise gives them never
+    picks the cut. Raises ConstantVectorError when no such gap exists.
+
+    One sorted sweep scores the thresholds in O(m + n log n): cut
     weights from a difference array over ranks, volumes from prefix and
     suffix sums of degrees. The winner is exactly the one a scan scoring
-    every threshold with cut_metrics would keep, the smallest t among
-    equal minima, float rounding included. A zero cut scores exactly
-    zero, so the first zero-cut threshold wins outright. Otherwise the
-    thresholds whose swept value, widened by a bound on the rounding
-    difference between the two routes, can reach the swept minimum are
-    re-scored with cut_metrics (normally one or two), and the smallest t
-    among their exact minima wins.
+    each of those thresholds with cut_metrics would keep, the smallest t
+    among equal minima, float rounding included. A zero cut scores
+    exactly zero, so the first zero-cut threshold wins outright.
+    Otherwise the thresholds whose swept value, widened by a bound on
+    the rounding difference between the two routes, can reach the swept
+    minimum are re-scored with cut_metrics (normally one or two), and
+    the smallest t among their exact minima wins.
     """
     if selection not in SELECTIONS:
         raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
@@ -247,11 +255,15 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     if g.n < 2:
         raise PartitionMismatchError("need at least two nodes to threshold")
     order = np.argsort(f, kind="stable")
-    return _partition_from_labels(_threshold_labels(order, _sweep(g, order, selection)), 2)
+    levels = f[order]
+    gaps = np.flatnonzero(np.diff(levels) > _LEVEL_REL_TOL * float(np.abs(levels).max())) + 1
+    if not gaps.size:
+        raise ConstantVectorError("vector has no gap between its entries to cut at")
+    return _partition_from_labels(_threshold_labels(order, _sweep(g, order, gaps, selection)), 2)
 
 
-def _sweep(g: Graph, order: np.ndarray, selection: str) -> int:
-    """The threshold t a cut_metrics scan over t = 1..n-1 would keep."""
+def _sweep(g: Graph, order: np.ndarray, ts: np.ndarray, selection: str) -> int:
+    """The threshold among ts a cut_metrics scan over them would keep."""
     n = g.n
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -260,20 +272,19 @@ def _sweep(g: Graph, order: np.ndarray, selection: str) -> int:
     lo = np.minimum(rank[ei], rank[ej]) + 1
     hi = np.maximum(rank[ei], rank[ej]) + 1
     crossing = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
-    zero_cut = np.flatnonzero(crossing[1:n] == 0)
+    zero_cut = ts[crossing[ts] == 0]
     if zero_cut.size:
-        return int(zero_cut[0]) + 1
-    cut = np.cumsum(np.bincount(lo, w, n + 1) - np.bincount(hi, w, n + 1))[1:n]
+        return int(zero_cut[0])
+    cut = np.cumsum(np.bincount(lo, w, n + 1) - np.bincount(hi, w, n + 1))[ts]
     deg = degrees(g)[order]
     vol = np.cumsum(deg)
-    vol_in = vol[:-1]
-    vol_out = np.cumsum(deg[::-1])[::-1][1:]
+    vol_in = vol[ts - 1]
+    vol_out = np.cumsum(deg[::-1])[::-1][ts]
     smaller = np.minimum(vol_in, vol_out)
     if selection == "cheeger":
         per_cut = 1.0 / smaller
     elif selection == "ratio":
-        sizes = np.arange(1, n)
-        per_cut = 1.0 / sizes + 1.0 / (n - sizes)
+        per_cut = 1.0 / ts + 1.0 / (n - ts)
     else:
         per_cut = 1.0 / vol_in + 1.0 / vol_out
     value = cut * per_cut
@@ -290,7 +301,7 @@ def _sweep(g: Graph, order: np.ndarray, selection: str) -> int:
         np.abs(value) * (rel + _SWEEP_REL_TOL) + cut_err * per_cut * (1.0 + rel),
         np.inf,
     )
-    candidates = np.flatnonzero(value - bound <= np.min(value + bound)) + 1
+    candidates = ts[value - bound <= np.min(value + bound)]
     exact = [_selected_cut(g, _threshold_labels(order, int(t)), selection) for t in candidates]
     return int(candidates[int(np.argmin(exact))])
 

@@ -132,17 +132,24 @@ def direct_cut_metrics(n: int, edges, assignment) -> dict[str, float]:
 def scan_threshold_partition(g, f: np.ndarray, selection: str = "cheeger"):
     """The former O(n^3) threshold_partition: cut_metrics at every threshold.
 
-    Kept as the reference for the one-pass sweep: thresholds are scored
-    in order and a later one replaces the best only when strictly
-    smaller, so the smallest t wins ties.
+    Kept as the reference for the one-pass sweep. Only thresholds
+    between consecutive sorted entries that differ by more than
+    1e-10 * max|f| are scored, and a vector with no such gap raises
+    ConstantVectorError. Thresholds are scored in order and a later one
+    replaces the best only when strictly smaller, so the smallest t wins
+    ties.
     """
     import spectral_abstraction as sa
+    from spectral_abstraction.errors import ConstantVectorError
 
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     order = np.argsort(f, kind="stable")
+    tol = 1e-10 * float(np.abs(f).max())
     best_value = None
     best_labels = None
     for t in range(1, g.n):
+        if not f[order[t]] - f[order[t - 1]] > tol:
+            continue
         labels = np.zeros(g.n, dtype=np.int64)
         labels[order[:t]] = 1
         m = sa.cut_metrics(g, sa.Partition(assignment=tuple(int(a) for a in labels), k=2))
@@ -154,6 +161,8 @@ def scan_threshold_partition(g, f: np.ndarray, selection: str = "cheeger"):
         if best_value is None or value < best_value:
             best_value = value
             best_labels = labels
+    if best_labels is None:
+        raise ConstantVectorError("vector has no gap between its entries to cut at")
     return sa.Partition(assignment=tuple(int(a) for a in best_labels), k=2)
 
 

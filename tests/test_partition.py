@@ -130,6 +130,17 @@ class TestThresholdPartition:
         with pytest.raises(InvalidArgumentError):
             sa.threshold_partition(c4, np.array([0.1, bad, -1.0, 2.0]))
 
+    @pytest.mark.parametrize("f", [[1.0, 1.0, 1.0, 1.0], [0.0] * 4, [1.0, 1.0 + 1e-15, 1.0, 1.0 - 1e-15]])
+    def test_a_vector_without_level_gaps_is_rejected(self, c4, f):
+        with pytest.raises(ConstantVectorError):
+            sa.threshold_partition(c4, np.array(f))
+
+    def test_entries_within_rounding_noise_stay_together(self, c4):
+        # {0, 1} would be the best cut (Cheeger 0.5), but only noise separates 1 from 2
+        for noise in (-1e-16, 0.0, 1e-16):
+            p = sa.threshold_partition(c4, np.array([-1.0, 0.5 + noise, 0.5, 2.0]))
+            assert p.assignment[1] == p.assignment[2]
+
 
 @st.composite
 def sweep_inputs(draw):
@@ -161,12 +172,27 @@ def sweep_inputs(draw):
     return sa.graph_from_edges([f"n{i}" for i in range(n)], edges), np.array(f, dtype=np.float64)
 
 
-@given(case=sweep_inputs(), selection=st.sampled_from(sa.SELECTIONS))
+def _threshold_outcome(threshold, g, f, selection):
+    try:
+        return threshold(g, f, selection).assignment
+    except ConstantVectorError:
+        return "constant"
+
+
+@given(
+    case=sweep_inputs(),
+    selection=st.sampled_from(sa.SELECTIONS),
+    ulps=st.lists(st.integers(-4, 4), min_size=14, max_size=14),
+)
 @settings(max_examples=300, deadline=None)
-def test_sweep_picks_the_same_threshold_as_the_scan(case, selection):
+def test_sweep_picks_the_same_threshold_as_the_scan(case, selection, ulps):
     g, f = case
-    fast = sa.threshold_partition(g, f, selection)
-    assert fast.assignment == scan_threshold_partition(g, f, selection).assignment
+    fast = _threshold_outcome(sa.threshold_partition, g, f, selection)
+    assert fast == _threshold_outcome(scan_threshold_partition, g, f, selection)
+    if len(set(f.tolist())) < f.size and np.abs(f).max() > 0:
+        # tied entries moved apart by a few ulps of the vector's scale
+        nudged = f + np.array(ulps[: f.size]) * np.spacing(np.abs(f).max())
+        assert _threshold_outcome(sa.threshold_partition, g, nudged, selection) == fast
 
 
 class TestRecursiveSpectra:
