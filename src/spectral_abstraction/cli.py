@@ -135,7 +135,7 @@ def _cluster(args) -> dict[str, str]:
     if args.dims is None:
         part = recursive_bipartition(g, args.k)
     else:
-        s = graph_spectrum(g, LaplacianKind(args.laplacian))
+        s = graph_spectrum(g, LaplacianKind(args.laplacian), count=args.dims + 1)
         emb = spectral_embedding(s, args.dims)
         part = kway_embedding_cluster(emb, args.k, metric=args.metric, q=args.q, seed=args.seed)
     return _partition_report(args.output, g, part)

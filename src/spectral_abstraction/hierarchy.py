@@ -78,7 +78,7 @@ def _cluster_level(g: Graph, spec: LevelSpec) -> tuple[Partition, int]:
     if spec.method == "recursive-p":
         params = spec.p_params if spec.p_params is not None else PLaplacianParams(p=1.2)
         return p_recursive_bipartition(g, spec.k, params), 1
-    s = graph_spectrum(g, LaplacianKind.COMBINATORIAL)
+    s = graph_spectrum(g, LaplacianKind.COMBINATORIAL, count=spec.dim + 1)
     emb = spectral_embedding(s, spec.dim)
     part = kway_embedding_cluster(emb, spec.k, metric=spec.metric, q=spec.q, seed=spec.seed)
     return part, spec.dim

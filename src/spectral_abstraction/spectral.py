@@ -26,15 +26,25 @@ so Rayleigh quotients of combinatorial Laplacians are nonnegative and
 vanish exactly on vectors that are constant on every connected
 component.
 
-Dense symmetric solvers are exact enough up to a couple thousand nodes;
-beyond DENSE_SOLVER_MAX_N a shift-invert Lanczos solver extracts the
-few smallest pairs instead. scipy is imported only inside that solver.
+Which solver answers a request (graph_spectrum picks):
+
+* a full spectrum comes from the dense symmetric solver (LAPACK's
+  divide and conquer, through numpy);
+* the smallest few pairs, up to DENSE_SOLVER_MAX_N nodes, come from
+  LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
+  2006), widened until the last kept eigenspace is whole;
+* the smallest few pairs beyond DENSE_SOLVER_MAX_N come from
+  shift-invert Lanczos.
+
+Every route passes the same canonicalization and checks. scipy is
+imported only inside the two count-limited solvers.
 
 A full spectrum is a pure function of the graph and the Laplacian kind,
-so graph_spectrum stores each full dense spectrum on its graph, and one
-eigendecomposition per graph and kind serves every later dense request.
-Count-limited and Lanczos results are never stored; stored spectra are
-freed with their graph and shared read-only.
+so graph_spectrum stores each one on its graph, and one
+eigendecomposition per graph and kind serves every later full request.
+Count-limited results are never stored, and never served from a stored
+spectrum; stored spectra are freed with their graph and shared
+read-only.
 """
 
 from __future__ import annotations
@@ -276,6 +286,39 @@ def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
     return _solve(L, lanczos, "Lanczos solver")
 
 
+def _subset_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
+    """Smallest `count` eigenpairs from LAPACK's MRRR subset driver, 1 <= count < n.
+
+    Asks for one pair past `count` and doubles the request, up to n,
+    until a gap closes the eigenvalue group that holds pair count - 1.
+    The pairs up to that group's end are whole eigenspaces, so they get
+    the canonicalization and every check of eigendecompose, and agree
+    with its leading pairs; the result is then cut to `count`.
+    """
+    n = L.n
+
+    def subset(M: np.ndarray):
+        import scipy.linalg
+
+        m = count + 1
+        while True:
+            vals, vecs = scipy.linalg.eigh(
+                M, subset_by_index=[0, m - 1], driver="evr", check_finite=False
+            )
+            end = next(hi for _, hi in _degenerate_groups(vals) if hi >= count)
+            if end < m or m == n:
+                return vals[:end], vecs[:, :end]
+            m = min(2 * m, n)
+
+    s = _solve(L, subset, "dense subset eigensolver")
+    if s.n_pairs == count:
+        return s
+    return Spectrum(
+        eigenvalues=s.eigenvalues[:count].copy(),
+        eigenvectors=np.ascontiguousarray(s.eigenvectors[:, :count]),
+    )
+
+
 def graph_spectrum(
     g: Graph,
     kind: LaplacianKind = LaplacianKind.COMBINATORIAL,
@@ -283,29 +326,28 @@ def graph_spectrum(
 ) -> Spectrum:
     """Spectrum of a graph Laplacian; the one place that picks the solver.
 
-    With count=None the decomposition is always full (dense). With a
-    count, only the smallest `count` pairs are returned; graphs above
-    DENSE_SOLVER_MAX_N nodes get them from Lanczos unless count >= n - 1.
+    A full request (count=None, or count >= n) gets every pair from the
+    dense solver. It is stored on `g` by kind, freed with the graph and
+    shared read-only, and serves every later full request.
 
-    A full spectrum (count=None) is stored on `g` by kind, freed with
-    the graph and shared read-only. It serves every later dense request,
-    a count-limited one as copies of its leading pairs, byte-equal to a
-    fresh truncated solve. Count-limited and Lanczos results are never
-    stored.
+    A counted request (count < n) gets only the smallest `count` pairs:
+    from shift-invert Lanczos on graphs above DENSE_SOLVER_MAX_N nodes
+    (unless count = n - 1), otherwise from the dense subset driver. It
+    never reads or writes the store, so its result never depends on
+    call history.
     """
-    if count is not None and g.n > DENSE_SOLVER_MAX_N and count < g.n - 1:
-        return partial_eigendecompose(laplacian(g, kind), count)
+    if count is not None and count < 1:
+        raise DimensionOutOfRangeError(f"eigenpair count must be at least 1, got {count}")
+    if count is not None and count < g.n:
+        L = laplacian(g, kind)
+        if g.n > DENSE_SOLVER_MAX_N and count < g.n - 1:
+            return partial_eigendecompose(L, count)
+        return _subset_eigendecompose(L, count)
     # an unknown kind, hashable or not, is left for laplacian to reject
     s = g._spectra.get(kind) if isinstance(kind, LaplacianKind) else None
     if s is None:
         s = eigendecompose(laplacian(g, kind))
-        if count is None:
-            g._spectra[kind] = s
-    if count is not None and count < s.n_pairs:
-        return Spectrum(
-            eigenvalues=s.eigenvalues[:count].copy(),
-            eigenvectors=s.eigenvectors[:, :count].copy(),
-        )
+        g._spectra[kind] = s
     return s
 
 

@@ -25,18 +25,27 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 
 @pytest.fixture
-def dense_solves(monkeypatch) -> list[int]:
-    """Node counts of the dense eigensolves the test runs, in call order."""
+def dense_solves(monkeypatch) -> list[tuple[str, int]]:
+    """(route, node count) of each dense eigensolve the test runs, in call order.
+
+    The route is "full" for eigendecompose and "subset" for the
+    count-limited solver.
+    """
     from spectral_abstraction import spectral
 
-    calls: list[int] = []
-    solve = spectral.eigendecompose
+    calls: list[tuple[str, int]] = []
+    full, subset = spectral.eigendecompose, spectral._subset_eigendecompose
 
-    def counted(L):
-        calls.append(L.n)
-        return solve(L)
+    def counted_full(L):
+        calls.append(("full", L.n))
+        return full(L)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    def counted_subset(L, count):
+        calls.append(("subset", L.n))
+        return subset(L, count)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted_full)
+    monkeypatch.setattr(spectral, "_subset_eigendecompose", counted_subset)
     return calls
 
 

@@ -211,8 +211,8 @@ class TestPartialAndCount:
         full = spectrum_of(bridged_triangles)
         part = spectrum_of(bridged_triangles, count=3)
         assert part.n_pairs == 3
-        assert np.array_equal(part.eigenvalues, full.eigenvalues[:3])
-        assert np.array_equal(part.eigenvectors, full.eigenvectors[:, :3])
+        assert np.abs(part.eigenvalues - full.eigenvalues[:3]).max() < 1e-12
+        assert np.abs(part.eigenvectors - full.eigenvectors[:, :3]).max() < 1e-10
 
     def test_partial_solver_agrees_with_dense(self):
         rng = np.random.default_rng(3)
@@ -230,6 +230,119 @@ class TestPartialAndCount:
         L = sa.laplacian(triangle, sa.LaplacianKind.COMBINATORIAL)
         with pytest.raises(DimensionOutOfRangeError):
             partial_eigendecompose(L, 0)
+
+
+def _complete(n):
+    return sa.graph_from_edges([f"v{i}" for i in range(n)], [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+
+
+def _star(n):
+    return sa.graph_from_edges([f"v{i}" for i in range(n)], [(0, i, 1.0) for i in range(1, n)])
+
+
+def _copies(g, times):
+    n = g.n
+    edges = [(i + c * n, j + c * n, w) for c in range(times) for i, j, w in g.edges]
+    return sa.graph_from_edges([f"v{i}" for i in range(n * times)], edges)
+
+
+def _assert_subset_matches_full(g, kind, count):
+    """The counted spectrum of a fresh graph against a truncated full solve.
+
+    Eigenvalues within 1e-12; for every eigenvalue group of the full
+    spectrum, the projector onto its kept columns within 1e-10. A group
+    that straddles count keeps its leading canonical vectors, which match
+    only if the subset solve canonicalized the whole group.
+    """
+    full = eigendecompose(sa.laplacian(g, kind))
+    sub = sa.graph_spectrum(_twin(g), kind, count=count)
+    assert sub.n_pairs == count
+    assert np.abs(sub.eigenvalues - full.eigenvalues[:count]).max() < 1e-12
+    for lo, hi in spectral._degenerate_groups(full.eigenvalues):
+        if lo >= count:
+            break
+        a = sub.eigenvectors[:, lo : min(hi, count)]
+        b = full.eigenvectors[:, lo : min(hi, count)]
+        assert np.abs(a @ a.T - b @ b.T).max() < 1e-10, (lo, hi)
+
+
+class TestSubsetSolves:
+    @pytest.mark.parametrize(
+        "g,count",
+        [
+            pytest.param(_complete(12), 2, id="K12"),
+            pytest.param(_complete(12), 11, id="K12-all-but-one"),
+            pytest.param(_star(9), 2, id="star"),
+            pytest.param(_copies(random_connected_graph(np.random.default_rng(7), 7), 3), 2, id="copies-2"),
+            pytest.param(_copies(random_connected_graph(np.random.default_rng(7), 7), 3), 4, id="copies-4"),
+            pytest.param(_copies(_complete(4), 2), 3, id="two-K4"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    def test_groups_that_straddle_count(self, g, count, kind):
+        _assert_subset_matches_full(g, kind, count)
+
+    def test_complete_graph_widens_to_every_pair(self, monkeypatch):
+        import scipy.linalg
+
+        asked = []
+        real = scipy.linalg.eigh
+
+        def recording(*args, **kwargs):
+            asked.append(kwargs["subset_by_index"][1] + 1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        sa.graph_spectrum(_complete(12), count=2)
+        assert asked == [3, 6, 12]
+
+    def test_a_closed_group_stops_the_widening(self, monkeypatch):
+        import scipy.linalg
+
+        asked = []
+        real = scipy.linalg.eigh
+
+        def recording(*args, **kwargs):
+            asked.append(kwargs["subset_by_index"][1] + 1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        sa.graph_spectrum(random_connected_graph(np.random.default_rng(8), 30, p=0.2), count=2)
+        assert asked == [3]
+
+    def test_a_wrong_vector_from_the_subset_driver_fails_the_checks(self, monkeypatch):
+        import scipy.linalg
+
+        real = scipy.linalg.eigh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            vecs = vecs.copy()
+            vecs[0, 1] += 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        g = random_connected_graph(np.random.default_rng(9), 12)
+        with pytest.raises(ConvergenceFailureError):
+            sa.graph_spectrum(g, count=2)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_a_count_below_one_is_rejected(self, triangle, count):
+        with pytest.raises(DimensionOutOfRangeError):
+            sa.graph_spectrum(triangle, count=count)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 24),
+    frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(list(sa.LaplacianKind)),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_subset_spectra_match_the_full_solve(seed, n, frac, kind):
+    g = random_connected_graph(np.random.default_rng(seed), n, p=0.3)
+    count = 1 + int(frac * (n - 2))
+    _assert_subset_matches_full(g, kind, count)
 
 
 class TestEmbedding:
@@ -307,7 +420,7 @@ class TestStoredSpectra:
         g = random_connected_graph(np.random.default_rng(12), 20)
         for kind in list(sa.LaplacianKind) * 2:
             sa.graph_spectrum(g, kind)
-        assert dense_solves == [20, 20]
+        assert dense_solves == [("full", 20), ("full", 20)]
         assert set(g._spectra) == set(sa.LaplacianKind)
 
     def test_a_counted_request_on_a_fresh_graph_stores_nothing(self, dense_solves):
@@ -315,19 +428,25 @@ class TestStoredSpectra:
         sa.graph_spectrum(g, count=2)
         sa.graph_spectrum(g, count=2)
         assert g._spectra == {}
-        assert dense_solves == [20, 20]
+        assert dense_solves == [("subset", 20), ("subset", 20)]
 
-    @pytest.mark.parametrize("count", [1, 2, 5, 19, 20, 25])
-    def test_a_counted_request_is_served_from_the_stored_spectrum(self, dense_solves, count):
+    @pytest.mark.parametrize("count", [1, 2, 5, 19])
+    def test_a_counted_request_ignores_the_stored_spectrum(self, dense_solves, count):
         g = random_connected_graph(np.random.default_rng(14), 20)
         full = sa.graph_spectrum(g)
-        truncated = sa.graph_spectrum(_twin(g), count=count)
         part = sa.graph_spectrum(g, count=count)
-        assert dense_solves == [20, 20]
-        assert _same_bytes(part, truncated)
-        if count < g.n:
-            assert not np.shares_memory(part.eigenvectors, full.eigenvectors)
+        fresh = sa.graph_spectrum(_twin(g), count=count)
+        assert dense_solves == [("full", 20), ("subset", 20), ("subset", 20)]
+        assert _same_bytes(part, fresh)
         assert g._spectra == {sa.LaplacianKind.COMBINATORIAL: full}
+
+    @pytest.mark.parametrize("count", [20, 25])
+    def test_a_count_of_n_or_more_is_a_full_request(self, dense_solves, count):
+        g = random_connected_graph(np.random.default_rng(14), 20)
+        s = sa.graph_spectrum(g, count=count)
+        assert g._spectra == {sa.LaplacianKind.COMBINATORIAL: s}
+        assert sa.graph_spectrum(g) is s
+        assert dense_solves == [("full", 20)]
 
     @pytest.mark.parametrize("kind", ["combinatorial", None, ["normalized"]])
     def test_an_unknown_kind_is_rejected_and_stores_nothing(self, triangle, kind):

@@ -237,5 +237,5 @@ def test_fit_then_predict_solves_the_laplacian_once(dense_solves):
     dense_solves.clear()
     model, _ = fit_fc(g, observed)
     predicted = predict_fc(g, model)
-    assert dense_solves == [g.n]
+    assert dense_solves == [("full", g.n)]
     assert predicted.tobytes() == predict_fc(sa.graph_from_edges(g.labels, g.edges), model).tobytes()
