@@ -120,7 +120,7 @@ class ConnectivityProfile:
 
 
 def _partition_from_labels(labels: np.ndarray, k: int) -> Partition:
-    return Partition(assignment=tuple(int(a) for a in labels), k=k)
+    return Partition(assignment=tuple(labels.tolist()), k=k)
 
 
 def _node_vector(g: Graph, v: np.ndarray) -> np.ndarray:
@@ -230,7 +230,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     threshold t whose cut value under `selection` (cheeger, ratio or
     normalized) is minimal. A plain sign cut can slice through a
     cluster whose entries hover around zero, which the sweep avoids by
-    considering every split the ordering admits.
+    considering every split between the vector's level sets.
 
     Only thresholds between consecutive sorted entries that differ by
     more than 1e-10 * max|f| are scored, so nodes the vector cannot tell
@@ -256,10 +256,11 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
         raise PartitionMismatchError("need at least two nodes to threshold")
     order = np.argsort(f, kind="stable")
     levels = f[order]
-    gaps = np.flatnonzero(np.diff(levels) > _LEVEL_REL_TOL * float(np.abs(levels).max())) + 1
-    if not gaps.size:
+    # max |f| is at one end of the sorted entries
+    ts = np.flatnonzero(np.diff(levels) > _LEVEL_REL_TOL * max(-levels[0], levels[-1])) + 1
+    if not ts.size:
         raise ConstantVectorError("vector has no gap between its entries to cut at")
-    return _partition_from_labels(_threshold_labels(order, _sweep(g, order, gaps, selection)), 2)
+    return _partition_from_labels(_threshold_labels(order, _sweep(g, order, ts, selection)), 2)
 
 
 def _sweep(g: Graph, order: np.ndarray, ts: np.ndarray, selection: str) -> int:

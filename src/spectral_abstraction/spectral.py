@@ -311,10 +311,8 @@ def _subset_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
             m = min(2 * m, n)
 
     s = _solve(L, subset, "dense subset eigensolver")
-    if s.n_pairs == count:
-        return s
     return Spectrum(
-        eigenvalues=s.eigenvalues[:count].copy(),
+        eigenvalues=s.eigenvalues[:count],
         eigenvectors=np.ascontiguousarray(s.eigenvectors[:, :count]),
     )
 
