@@ -334,9 +334,9 @@ def graph_spectrum(
     never reads or writes the store, so its result never depends on
     call history.
     """
-    if count is not None and count < 1:
-        raise DimensionOutOfRangeError(f"eigenpair count must be at least 1, got {count}")
     if count is not None and count < g.n:
+        if count < 1:
+            raise DimensionOutOfRangeError(f"eigenpair count must be at least 1, got {count}")
         L = laplacian(g, kind)
         if g.n > DENSE_SOLVER_MAX_N and count < g.n - 1:
             return partial_eigendecompose(L, count)

@@ -282,33 +282,26 @@ class TestSubsetSolves:
     def test_groups_that_straddle_count(self, g, count, kind):
         _assert_subset_matches_full(g, kind, count)
 
-    def test_complete_graph_widens_to_every_pair(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "g,asked",
+        [
+            pytest.param(_complete(12), [3, 6, 12], id="K12-widens-to-every-pair"),
+            pytest.param(random_connected_graph(np.random.default_rng(8), 30, p=0.2), [3], id="gap-after-count"),
+        ],
+    )
+    def test_the_request_widens_until_a_gap_closes_the_kept_group(self, monkeypatch, g, asked):
         import scipy.linalg
 
-        asked = []
+        calls = []
         real = scipy.linalg.eigh
 
         def recording(*args, **kwargs):
-            asked.append(kwargs["subset_by_index"][1] + 1)
+            calls.append(kwargs["subset_by_index"][1] + 1)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", recording)
-        sa.graph_spectrum(_complete(12), count=2)
-        assert asked == [3, 6, 12]
-
-    def test_a_closed_group_stops_the_widening(self, monkeypatch):
-        import scipy.linalg
-
-        asked = []
-        real = scipy.linalg.eigh
-
-        def recording(*args, **kwargs):
-            asked.append(kwargs["subset_by_index"][1] + 1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", recording)
-        sa.graph_spectrum(random_connected_graph(np.random.default_rng(8), 30, p=0.2), count=2)
-        assert asked == [3]
+        sa.graph_spectrum(g, count=2)
+        assert calls == asked
 
     def test_a_wrong_vector_from_the_subset_driver_fails_the_checks(self, monkeypatch):
         import scipy.linalg
