@@ -10,13 +10,15 @@ deterministic convention:
 * the first entry of each eigenvector whose magnitude exceeds 1e-12 is
   made positive.
 
-The canonical basis for a degenerate group is produced by projecting a
-fixed sequence of probe vectors (scaled Vandermonde columns, then
-standard basis vectors as a fallback) onto the eigenspace and running
-Gram-Schmidt in probe order. Any orthonormal basis spans the same
-space, so this choice is free, and it makes repeated runs, permuted
-inputs and different LAPACK builds agree about which vector is "the"
-Fiedler vector when lambda_2 is repeated.
+The canonical basis for a degenerate group of dimension d is the Q of a
+QR, with R's diagonal made positive, of the group's projector applied to
+d fixed probes: the ramp (i + 1)/n, then splitmix64 columns (Steele, Lea
+& Flood, OOPSLA 2014), the same in every numpy version. The ramp is left
+out for an eigenspace orthogonal to it, as symmetries of node order make
+some on grids. That QR is unique, so the basis depends on the eigenspace
+alone, and runs and LAPACK builds agree about which vector is "the"
+Fiedler vector when lambda_2 is repeated. Projected probes too close to
+rank deficient raise ConvergenceFailureError.
 
 For the key quadratic form identity: with L = D - A,
 
@@ -72,12 +74,9 @@ _DEGENERACY_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _PSD_TOL = 1e-10
-_PROBE_POWERS = 12
-# standard-basis fallback probes guarantee a residual of at least
-# sqrt((d - j) / n) >= 1/sqrt(n) inside the unspanned remainder, so this
-# acceptance floor is always reachable and caps the rounding amplification
-# of the Gram-Schmidt normalization near 1e-13
-_PROBE_ACCEPT_TOL = 1e-3
+# a projected probe shorter than this, relative to the longest probe, is
+# rounding noise; the basis error grows like eps over the smallest QR pivot
+_PROBE_RANK_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,77 +119,48 @@ class Embedding:
         return self.coordinates.shape[0]
 
 
-def _probe_vectors(n: int):
-    """Deterministic dense probe sequence used to canonicalize eigenspaces.
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 output for each uint64 state; arrays wrap without a warning."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Scaled Vandermonde columns ((i+1)/n)^t are dense and generic, which
-    keeps the canonical basis from aligning with sparse coordinate
-    patterns; standard basis vectors follow as a completeness fallback.
-    """
-    base = (np.arange(1, n + 1)) / n
-    for t in range(1, _PROBE_POWERS + 1):
-        x = base**t
-        yield x / np.linalg.norm(x)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        yield e
+
+def _probe_matrix(n: int, d: int) -> np.ndarray:
+    """n x d probes: the ramp (i + 1)/n, then splitmix64(i * 2^32 + j)'s top 53 bits in [-1/2, 1/2)."""
+    state = (np.arange(n, dtype=np.uint64)[:, None] << np.uint64(32)) + np.arange(1, d, dtype=np.uint64)
+    noise = (_splitmix64(state) >> np.uint64(11)) * 2.0**-53 - 0.5
+    return np.column_stack([np.arange(1, n + 1) / n, noise])
 
 
 def _canonical_subspace_basis(V: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(V) that depends only on the subspace."""
     n, d = V.shape
-    basis: list[np.ndarray] = []
-    for probe in _probe_vectors(n):
-        cand = V @ (V.T @ probe)
-        # classical Gram-Schmidt, run twice for numerical orthogonality
-        for _ in range(2):
-            for b in basis:
-                cand = cand - (b @ cand) * b
-        nrm = np.linalg.norm(cand)
-        if nrm > _PROBE_ACCEPT_TOL:
-            basis.append(cand / nrm)
-            if len(basis) == d:
-                return _polish_basis(V, np.column_stack(basis))
-    # pathological: probes failed to span the space; keep the solver basis
-    return V
-
-
-def _polish_basis(V: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Strip the rounding noise the probe loop accumulates outside span(V).
-
-    Normalizing residuals whose norm sits near the acceptance floor
-    amplifies out-of-subspace rounding, and later Gram-Schmidt steps
-    re-inject it; one re-projection followed by a re-orthonormalization
-    at norms near one removes it without changing the chosen directions.
-    """
-    B = V @ (V.T @ B)
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        for _ in range(2):
-            for i in range(j):
-                col = col - (B[:, i] @ col) * B[:, i]
-        B[:, j] = col / np.linalg.norm(col)
-    return B
+    P = _probe_matrix(n, d + 1)
+    scale = np.linalg.norm(P, axis=0)
+    B = V @ (V.T @ P)
+    # the ramp gives way to the next probe where span(V) is orthogonal to it
+    B = B[:, 1:] if np.linalg.norm(B[:, 0]) < _PROBE_RANK_FLOOR * scale[0] else B[:, :d]
+    q, r = np.linalg.qr(B)
+    pivots = np.diag(r)
+    rank = np.abs(pivots).min() / scale.max()
+    if not rank >= _PROBE_RANK_FLOOR:
+        raise ConvergenceFailureError(f"probes fail to span a {d}-dimensional eigenspace ({rank:.2e})")
+    return q * np.sign(pivots)
 
 
 def _degenerate_groups(vals: np.ndarray) -> list[tuple[int, int]]:
-    groups: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, vals.shape[0]):
-        if vals[i] - vals[i - 1] > _DEGENERACY_TOL * max(1.0, abs(vals[i])):
-            groups.append((start, i))
-            start = i
-    groups.append((start, vals.shape[0]))
-    return groups
+    gaps = np.diff(vals) > _DEGENERACY_TOL * np.maximum(1.0, np.abs(vals[1:]))
+    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), vals.shape[0]]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _apply_sign_convention(vecs: np.ndarray) -> np.ndarray:
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        significant = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if significant.size and col[significant[0]] < 0:
-            vecs[:, k] = -col
+    if vecs.size:
+        # a column with no entry above _SIGN_TOL reads its first entry, which never flips
+        lead = vecs[np.argmax(np.abs(vecs) > _SIGN_TOL, axis=0), np.arange(vecs.shape[1])]
+        vecs *= np.where(lead < -_SIGN_TOL, -1.0, 1.0)
     return vecs
 
 

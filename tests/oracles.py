@@ -6,8 +6,9 @@ characteristic polynomial instead of a symmetric eigensolver, cut
 metrics by direct edge loops instead of vectorized incidence sums, the
 matrix exponential by a scaled power series instead of an eigen-sum,
 JSON and CSV text by formatting one float at a time instead of a row at
-once, and CSV cells by parsing and checking one cell at a time instead of
-a row at once.
+once, CSV cells by parsing and checking one cell at a time instead of
+a row at once, and degenerate eigenspace bases by probe-by-probe
+Gram-Schmidt instead of one QR.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
@@ -526,3 +527,67 @@ def cellwise_parse_csv_cells(text: str):
     if header is not None and len(header) != data.shape[1]:
         raise ParseError(f"header names {len(header)} columns, matrix has {data.shape[1]}")
     return header, data
+
+
+# The former spectral canonicalization, kept as references: eigenvalue
+# groups and the sign convention by a loop over columns, and degenerate
+# eigenspace bases by Gram-Schmidt over a probe sequence.
+
+def loop_degenerate_groups(vals: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int]]:
+    """[lo, hi) runs of eigenvalues with no gap above tol * max(1, |lambda_i|)."""
+    groups = []
+    start = 0
+    for i in range(1, vals.shape[0]):
+        if vals[i] - vals[i - 1] > tol * max(1.0, abs(vals[i])):
+            groups.append((start, i))
+            start = i
+    groups.append((start, vals.shape[0]))
+    return groups
+
+
+def loop_sign_convention(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Each column negated where its first entry above tol in magnitude is negative."""
+    vecs = np.array(vecs)
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        significant = np.nonzero(np.abs(col) > tol)[0]
+        if significant.size and col[significant[0]] < 0:
+            vecs[:, k] = -col
+    return vecs
+
+
+def probe_gram_schmidt_basis(V: np.ndarray, powers: int = 12, accept: float = 1e-3) -> np.ndarray:
+    """Orthonormal basis of span(V) from projected probes, accepted in order.
+
+    The probes are the normalized powers ((i + 1)/n)^t for t = 1..powers,
+    then the standard basis vectors. Each projected probe is
+    orthogonalized against the accepted ones by two passes of classical
+    Gram-Schmidt and accepted when its norm exceeds `accept`; the
+    accepted vectors are then projected once more and re-orthonormalized.
+    Returns V itself when the probes fail to span it.
+    """
+    n, d = V.shape
+    ramp = np.arange(1, n + 1) / n
+    probes = [ramp**t / np.linalg.norm(ramp**t) for t in range(1, powers + 1)]
+    probes += list(np.eye(n))
+    basis: list[np.ndarray] = []
+    for probe in probes:
+        cand = V @ (V.T @ probe)
+        for _ in range(2):
+            for b in basis:
+                cand = cand - (b @ cand) * b
+        nrm = np.linalg.norm(cand)
+        if nrm > accept:
+            basis.append(cand / nrm)
+            if len(basis) == d:
+                break
+    else:
+        return V
+    B = V @ (V.T @ np.column_stack(basis))
+    for j in range(d):
+        col = B[:, j]
+        for _ in range(2):
+            for i in range(j):
+                col = col - (B[:, i] @ col) * B[:, i]
+        B[:, j] = col / np.linalg.norm(col)
+    return B

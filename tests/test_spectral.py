@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
@@ -24,7 +24,14 @@ from spectral_abstraction.spectral import (
 )
 
 from conftest import random_connected_graph
-from oracles import charpoly_eigenvalues, power_iteration_lambda2, union_find_components
+from oracles import (
+    charpoly_eigenvalues,
+    loop_degenerate_groups,
+    loop_sign_convention,
+    power_iteration_lambda2,
+    probe_gram_schmidt_basis,
+    union_find_components,
+)
 
 
 def spectrum_of(g, kind=sa.LaplacianKind.COMBINATORIAL, count=None):
@@ -116,6 +123,51 @@ class TestDegenerateCanonicalization:
         res = L @ V - 2.0 * V
         assert np.abs(res).max() < 1e-8
 
+    @pytest.mark.parametrize(
+        "graph, kind, lo",
+        [
+            ("c4", sa.LaplacianKind.COMBINATORIAL, 1),
+            ("triangle", sa.LaplacianKind.NORMALIZED, 1),
+            ("two_k3", sa.LaplacianKind.COMBINATORIAL, 0),
+        ],
+    )
+    def test_pairs_match_the_probe_gram_schmidt_routine(self, request, graph, kind, lo):
+        g = request.getfixturevalue(graph)
+        M = np.asarray(sa.laplacian(g, kind).matrix)
+        vals, vecs = np.linalg.eigh(M)
+        assert (lo, lo + 2) in spectral._degenerate_groups(vals)
+        expected = loop_sign_convention(probe_gram_schmidt_basis(vecs[:, lo : lo + 2]))
+        ours = spectrum_of(g, kind).eigenvectors[:, lo : lo + 2]
+        assert np.abs(ours - expected).max() < 1e-12
+
+    def test_splitmix64_known_answer(self):
+        out = spectral._splitmix64(np.zeros(1, dtype=np.uint64))
+        assert int(out[0]) == 0xE220A8397B1DCDAF
+        P = spectral._probe_matrix(3, 2)
+        assert P[0, 1] == (int(spectral._splitmix64(np.ones(1, dtype=np.uint64))[0]) >> 11) * 2.0**-53 - 0.5
+        assert np.array_equal(P[:, 0], np.array([1.0, 2.0, 3.0]) / 3)
+
+    @pytest.mark.parametrize("n, d", [(6, 2), (40, 5)])
+    def test_probes_that_miss_the_eigenspace_fail(self, n, d):
+        # the ramp and the next d probes, so no choice of probes reaches span(V)
+        P = spectral._probe_matrix(n, d + 1)
+        Q, _ = np.linalg.qr(P, mode="complete")
+        V = Q[:, d + 1 : 2 * d + 1]
+        assert np.abs(V.T @ P).max() < 1e-12
+        with pytest.raises(ConvergenceFailureError, match="probes fail to span"):
+            spectral._canonical_subspace_basis(V)
+
+    def test_eigenspaces_orthogonal_to_the_ramp_use_the_next_probes(self):
+        # the 4x4 grid's lambda = 2 eigenspace is symmetric under reversing
+        # node order, and the ramp is constant plus antisymmetric
+        s = spectrum_of(_grid(4))
+        lo, hi = next(g for g in spectral._degenerate_groups(s.eigenvalues) if s.eigenvalues[g[0]] > 1.5)
+        V = s.eigenvectors[:, lo:hi]
+        assert hi - lo == 2 and abs(s.eigenvalues[lo] - 2.0) < 1e-12
+        assert np.abs(V.T @ spectral._probe_matrix(16, 1)).max() < 1e-12
+        q, r = np.linalg.qr(V @ (V.T @ spectral._probe_matrix(16, 3)[:, 1:]))
+        assert np.abs(V - loop_sign_convention(q * np.sign(np.diag(r)))).max() < 1e-12
+
     def test_disconnected_blocks_embed_as_coincident_points(self, two_k3):
         s = spectrum_of(two_k3)
         e = sa.spectral_embedding(s, 1)
@@ -136,6 +188,14 @@ def test_random_spectra_are_orthonormal_and_psd(seed, n):
     assert np.abs(V.T @ V - np.eye(n)).max() < 1e-9
     assert s.eigenvalues[0] > -1e-10
     assert abs(s.eigenvalues[0]) < 1e-9
+    # the vectorized group and sign rules against their loops, on ties
+    # made by rounding and on columns of random sign
+    for vals in (s.eigenvalues, np.round(s.eigenvalues, 1)):
+        assert spectral._degenerate_groups(vals) == loop_degenerate_groups(vals)
+    flipped = V * rng.choice([-1.0, 1.0], size=n)
+    flipped[: n // 2, ::2] *= 1e-13
+    expected = loop_sign_convention(flipped)
+    assert np.array_equal(spectral._apply_sign_convention(flipped), expected)
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(4, 20))
@@ -244,6 +304,46 @@ def _copies(g, times):
     n = g.n
     edges = [(i + c * n, j + c * n, w) for c in range(times) for i, j, w in g.edges]
     return sa.graph_from_edges([f"v{i}" for i in range(n * times)], edges)
+
+
+def _grid(a):
+    """The a x a grid, nodes numbered row by row."""
+    edges = [(r * a + c, r * a + c + 1, 1.0) for r in range(a) for c in range(a - 1)]
+    edges += [(r * a + c, (r + 1) * a + c, 1.0) for r in range(a - 1) for c in range(a)]
+    return sa.graph_from_edges([f"v{i}" for i in range(a * a)], edges)
+
+
+@given(
+    family=st.sampled_from(["complete", "star", "complete-copies", "star-copies", "grid"]),
+    size=st.integers(3, 210),
+    times=st.integers(2, 6),
+    kind=st.sampled_from(list(sa.LaplacianKind)),
+    seed=st.integers(0, 10**6),
+)
+@example(family="complete", size=201, times=2, kind=sa.LaplacianKind.COMBINATORIAL, seed=0)
+@example(family="star", size=202, times=2, kind=sa.LaplacianKind.NORMALIZED, seed=1)
+@example(family="complete-copies", size=70, times=3, kind=sa.LaplacianKind.COMBINATORIAL, seed=2)
+@example(family="star-copies", size=6, times=40, kind=sa.LaplacianKind.COMBINATORIAL, seed=3)
+@settings(max_examples=25, deadline=None)
+def test_rotated_eigenspace_bases_give_the_same_canonical_basis(family, size, times, kind, seed):
+    g = {
+        "complete": lambda: _complete(size),
+        "star": lambda: _star(size),
+        "complete-copies": lambda: _copies(_complete(size // times + 2), times),
+        "star-copies": lambda: _copies(_star(size // times + 2), times),
+        "grid": lambda: _grid(size // 15 + 3),
+    }[family]()
+    vals, vecs = np.linalg.eigh(np.asarray(sa.laplacian(g, kind).matrix))
+    rng = np.random.default_rng(seed)
+    for lo, hi in spectral._degenerate_groups(vals):
+        if hi - lo < 2:
+            continue
+        V = vecs[:, lo:hi]
+        Q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+        ours = spectral._canonical_subspace_basis(V)
+        assert np.abs(ours - spectral._canonical_subspace_basis(V @ Q)).max() < 1e-10
+        assert np.abs(ours.T @ ours - np.eye(hi - lo)).max() < 1e-12
+        assert np.abs(V @ (V.T @ ours) - ours).max() < 1e-12
 
 
 def _assert_subset_matches_full(g, kind, count):
