@@ -314,7 +314,7 @@ def _threshold_labels(order: np.ndarray, t: int) -> np.ndarray:
 
 
 def _selected_cut(g: Graph, labels: np.ndarray, selection: str) -> float:
-    m = cut_metrics(g, _partition_from_labels(labels, 2))
+    m = _cut_metrics(g, labels, 2)
     return {"cheeger": m.cheeger, "ratio": m.ratio_cut, "normalized": m.normalized_cut}[selection]
 
 
@@ -432,18 +432,6 @@ def kway_embedding_cluster(
     return _partition_from_labels(relabeled, k)
 
 
-def _per_cluster_cut(g: Graph, p: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cluster crossing weight, volume and size."""
-    assign = p.as_array()
-    crossing = assign[g.ei] != assign[g.ej]
-    cut = np.zeros(p.k)
-    np.add.at(cut, assign[g.ei[crossing]], g.w[crossing])
-    np.add.at(cut, assign[g.ej[crossing]], g.w[crossing])
-    vol = np.bincount(assign, weights=degrees(g), minlength=p.k)
-    size = np.bincount(assign, minlength=p.k).astype(np.float64)
-    return cut, vol, size
-
-
 def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
     """Cut weight, ratio cut, normalized cut and Cheeger constant of p on g.
 
@@ -452,10 +440,20 @@ def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
     """
     if p.n != g.n:
         raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
-    cut, vol, size = _per_cluster_cut(g, p)
+    return _cut_metrics(g, p.as_array(), p.k)
+
+
+def _cut_metrics(g: Graph, assign: np.ndarray, k: int) -> CutMetrics:
+    """cut_metrics of cluster ids 0..k-1, one per node of g, all of them used."""
+    crossing = assign[g.ei] != assign[g.ej]
+    cut = np.zeros(k)
+    np.add.at(cut, assign[g.ei[crossing]], g.w[crossing])
+    np.add.at(cut, assign[g.ej[crossing]], g.w[crossing])
+    vol = np.bincount(assign, weights=degrees(g), minlength=k)
+    size = np.bincount(assign, minlength=k).astype(np.float64)
     total_cut = float(cut.sum()) / 2.0
     # the complement's own volume: the total less vol(C) can round to 0
-    complement = [float(np.delete(vol, a).sum()) for a in range(p.k)]
+    complement = [float(np.delete(vol, a).sum()) for a in range(k)]
 
     def safe(num: float, den: float) -> float:
         return 0.0 if num == 0.0 else num / den
