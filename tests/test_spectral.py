@@ -189,7 +189,8 @@ def test_random_spectra_are_orthonormal_and_psd(seed, n):
     assert s.eigenvalues[0] > -1e-10
     assert abs(s.eigenvalues[0]) < 1e-9
     # the vectorized group and sign rules against their loops, on ties
-    # made by rounding and on columns of random sign
+    # made by rounding, and on columns of random sign whose leading
+    # entries fall below the sign tolerance in every other column
     for vals in (s.eigenvalues, np.round(s.eigenvalues, 1)):
         assert spectral._degenerate_groups(vals) == loop_degenerate_groups(vals)
     flipped = V * rng.choice([-1.0, 1.0], size=n)
@@ -316,7 +317,7 @@ def _grid(a):
 @given(
     family=st.sampled_from(["complete", "star", "complete-copies", "star-copies", "grid"]),
     size=st.integers(3, 210),
-    times=st.integers(2, 6),
+    times=st.integers(2, 40),
     kind=st.sampled_from(list(sa.LaplacianKind)),
     seed=st.integers(0, 10**6),
 )
@@ -329,8 +330,8 @@ def test_rotated_eigenspace_bases_give_the_same_canonical_basis(family, size, ti
     g = {
         "complete": lambda: _complete(size),
         "star": lambda: _star(size),
-        "complete-copies": lambda: _copies(_complete(size // times + 2), times),
-        "star-copies": lambda: _copies(_star(size // times + 2), times),
+        "complete-copies": lambda: _copies(_complete(min(size, 300 // times)), times),
+        "star-copies": lambda: _copies(_star(min(size, 300 // times)), times),
         "grid": lambda: _grid(size // 15 + 3),
     }[family]()
     vals, vecs = np.linalg.eigh(np.asarray(sa.laplacian(g, kind).matrix))
