@@ -144,9 +144,9 @@ def _canonical_subspace_basis(V: np.ndarray) -> np.ndarray:
     B = B[:, 1:] if np.linalg.norm(B[:, 0]) < _PROBE_RANK_FLOOR * scale[0] else B[:, :d]
     q, r = np.linalg.qr(B)
     pivots = np.diag(r)
-    rank = np.abs(pivots).min() / scale.max()
-    if not rank >= _PROBE_RANK_FLOOR:
-        raise ConvergenceFailureError(f"probes fail to span a {d}-dimensional eigenspace ({rank:.2e})")
+    ratio = np.abs(pivots).min() / scale.max()
+    if not ratio >= _PROBE_RANK_FLOOR:
+        raise ConvergenceFailureError(f"probes fail to span a {d}-dimensional eigenspace ({ratio:.2e})")
     return q * np.sign(pivots)
 
 
