@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import fileio
 from .errors import ToolkitError
 from .graphs import LaplacianKind
@@ -32,7 +34,7 @@ from .partition import (
     sign_bipartition,
 )
 from .spectral import fiedler_vector, graph_spectrum, spectral_embedding
-from .structfunc import FcModel, fit_fc, predict_fc, spectra_similarity
+from .structfunc import FcModel, _eigenvalue_correlation, _model_eigenvalues, fit_fc, predict_fc
 
 
 class _UsageError(Exception):
@@ -167,13 +169,15 @@ def _fit_fc(args) -> dict[str, str]:
     observed = fileio.read_fc_matrix(args.observed)
     kind = LaplacianKind(args.laplacian)
     model, error = fit_fc(g, observed, kind)
-    predicted = predict_fc(g, model, kind)
+    similarity = _eigenvalue_correlation(
+        np.linalg.eigvalsh(observed), _model_eigenvalues(g, model, kind)
+    )
     report = {
         "beta": model.beta,
         "scale": model.scale,
         "offset": model.offset,
         "frobenius_error": error,
-        "spectra_similarity": spectra_similarity(observed, predicted),
+        "spectra_similarity": similarity,
     }
     return _json_report(args.output, report)
 

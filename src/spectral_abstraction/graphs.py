@@ -186,8 +186,9 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    """Weighted degree vector, defined as the row sums of the adjacency."""
-    return adjacency_matrix(g).sum(axis=1)
+    """Weighted degree vector (the adjacency's row sums), in O(m) from the edge arrays."""
+    d = np.bincount(g.ei, g.w, g.n) + np.bincount(g.ej, g.w, g.n)
+    return d.astype(np.float64, copy=False)  # bincount over no edges is integer
 
 
 def degree_matrix(g: Graph) -> np.ndarray:
@@ -204,13 +205,12 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> La
     isolated nodes (zero degree) set to zero, diagonal included.
     """
     if kind is LaplacianKind.COMBINATORIAL:
-        A = adjacency_matrix(g)
-        M = np.diag(A.sum(axis=1))
-        M -= A
+        M = np.diag(degrees(g))
+        M -= adjacency_matrix(g)
         return LaplacianMatrix(matrix=M)
     if kind is LaplacianKind.NORMALIZED:
         A = adjacency_matrix(g)
-        d = A.sum(axis=1)
+        d = degrees(g)
         connected = d > 0
         inv_sqrt = np.zeros_like(d)
         inv_sqrt[connected] = 1.0 / np.sqrt(d[connected])

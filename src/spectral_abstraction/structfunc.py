@@ -20,16 +20,19 @@ model matrices round-trip to numerical precision.
 
 The search never forms an n x n model. The model is diagonal in the
 eigenbasis U, and the Frobenius norm is invariant under rotation, so
-with O~ = U^T O U, o_k = O~_kk and w_k = exp(-beta * lambda_k):
+with o_k = (U^T O U)_kk and w_k = exp(-beta * lambda_k):
 
-    ||F - O||_F^2 = sum_k (scale * w_k + offset - o_k)^2 + sum_{k != l} O~_kl^2
+    ||F - O||_F^2 = sum_k (scale * w_k + offset - o_k)^2 + (off-diagonal energy of U^T O U)
 
-O~ is formed once per fit, after which each beta costs O(n). The
-residual is summed mode by mode rather than expanded into
-||F||^2 - 2<F, O> + ||O||^2, which cancels catastrophically when O is
-an exact model matrix. The two final candidates (the grid minimum and
-the refined beta) are scored by a dense reconstruction, so the
-returned error is a direct Frobenius norm of the returned model.
+The off-diagonal energy is the same at every beta, so the search drops
+it and ranks each beta by the per-mode residual alone. Only the
+diagonal o is needed, which one product O U gives without a rotated
+n x n copy; each beta then costs O(n). The residual is summed mode by
+mode rather than expanded into ||F||^2 - 2<F, O> + ||O||^2, which
+cancels catastrophically when O is an exact model matrix. The two final
+candidates (the grid minimum and the refined beta) are compared on the
+same residual, and only the winner is reconstructed densely, once, so
+the returned error is a direct Frobenius norm of the returned model.
 
 Model quality between two symmetric matrices is summarized by
 spectra_similarity, the Pearson correlation of their ascending
@@ -86,68 +89,62 @@ def _check_fc_matrix(m: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 def _decay_matrix(s: Spectrum, beta: float) -> np.ndarray:
-    weights = np.exp(-beta * s.eigenvalues)
-    E = (s.eigenvectors * weights) @ s.eigenvectors.T
-    return (E + E.T) / 2.0
+    """U diag(w) U^T with w = exp(-beta * lambda), as X X^T for X = U sqrt(w).
+
+    numpy runs a product with its own transpose as a symmetric rank-k
+    update, at half the cost of a general product, and the result is
+    exactly symmetric.
+    """
+    X = s.eigenvectors * np.exp(-0.5 * beta * s.eigenvalues)
+    return X @ X.T
+
+
+def _model_matrix(s: Spectrum, m: FcModel) -> np.ndarray:
+    F = _decay_matrix(s, m.beta)
+    F *= m.scale
+    F[np.diag_indices_from(F)] += m.offset
+    return F
 
 
 def predict_fc(g: Graph, m: FcModel, kind: LaplacianKind = LaplacianKind.NORMALIZED) -> np.ndarray:
     """Model functional connectivity for a structural graph.
 
-    Computed in the eigenbasis (one spectrum, then a weighted outer-
-    product sum), symmetrized against rounding. For scale > 0 and
-    offset >= 0 the result is positive definite, since every eigenvalue
-    is scale * exp(-beta * lambda_k) + offset > 0.
+    Computed in the eigenbasis (one spectrum, then one symmetric
+    product), so the result is exactly symmetric. For scale > 0 and
+    offset >= 0 it is positive definite, since every eigenvalue is
+    scale * exp(-beta * lambda_k) + offset > 0.
     """
+    return _model_matrix(graph_spectrum(g, kind), m)
+
+
+def _model_eigenvalues(g: Graph, m: FcModel, kind: LaplacianKind) -> np.ndarray:
+    """Ascending eigenvalues of predict_fc(g, m, kind), in closed form from the spectrum."""
     s = graph_spectrum(g, kind)
-    F = m.scale * _decay_matrix(s, m.beta)
-    F[np.diag_indices_from(F)] += m.offset
-    return F
+    return np.sort(m.scale * np.exp(-m.beta * s.eigenvalues) + m.offset)
 
 
-def _fit_at_beta(s: Spectrum, observed: np.ndarray, beta: float) -> tuple[float, float, float]:
-    """Least-squares scale and offset at fixed beta; returns (error, scale, offset)."""
-    n = s.n
-    E = _decay_matrix(s, beta)
-    gram = np.array(
-        [
-            [float((E * E).sum()), float(np.trace(E))],
-            [float(np.trace(E)), float(n)],
-        ]
-    )
-    rhs = np.array([float((E * observed).sum()), float(np.trace(observed))])
-    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    scale, offset = float(coeffs[0]), float(coeffs[1])
-    model = scale * E
-    model[np.diag_indices(n)] += offset
-    error = float(np.linalg.norm(model - observed))
-    return error, scale, offset
+def _mode_fit(s: Spectrum, observed: np.ndarray) -> Callable[[float], tuple[float, float, float]]:
+    """The least-squares fit at each beta, mode by mode: (residual, scale, offset).
 
-
-def _eigenbasis_error(s: Spectrum, observed: np.ndarray) -> Callable[[float], float]:
-    """The fit error at each beta, as a function summed over eigenmodes.
-
-    Scale and offset solve the same 2 x 2 normal equations as
-    _fit_at_beta, built from sums over the decay weights w.
+    The residual is sum_k (scale * w_k + offset - o_k)^2, the squared
+    Frobenius error less the off-diagonal energy that no beta changes;
+    scale and offset solve its 2 x 2 normal equations.
     """
-    rotated = s.eigenvectors.T @ observed @ s.eigenvectors
-    o = rotated.diagonal().copy()
-    rotated[np.diag_indices(s.n)] = 0.0
-    off_diagonal = float(np.vdot(rotated, rotated))
-    del rotated
+    U = s.eigenvectors
+    o = np.einsum("ij,ij->j", U, observed @ U)
     trace = float(np.trace(observed))
     n = float(s.n)
 
-    def error(beta: float) -> float:
+    def fit(beta: float) -> tuple[float, float, float]:
         w = np.exp(-beta * s.eigenvalues)
         sum_w = float(w.sum())
         gram = np.array([[float(w @ w), sum_w], [sum_w, n]])
         rhs = np.array([float(w @ o), trace])
         (scale, offset), *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         residual = scale * w + offset - o
-        return float(np.sqrt(residual @ residual + off_diagonal))
+        return float(residual @ residual), float(scale), float(offset)
 
-    return error
+    return fit
 
 
 def fit_fc(
@@ -159,16 +156,20 @@ def fit_fc(
 
     Grid search on beta (0 to 10, step 0.1, closed-form scale and
     offset at each point, first minimum wins ties) plus golden-section
-    refinement inside the bracketing grid cell. The search scores each
-    beta in the Laplacian eigenbasis at O(n) cost after one rotation of
-    the observed matrix; the grid minimum and the refined beta are then
-    scored by dense reconstruction and the better one (the smaller beta
-    on a tie) is returned with its Frobenius-norm error against the
+    refinement inside the bracketing grid cell. Each beta is scored in
+    the Laplacian eigenbasis at O(n) cost, after a diagonal-only
+    rotation of the observed matrix (one n x n product). The grid
+    minimum and the refined beta are compared on the same score (the
+    smaller beta wins a tie), and only the winner is reconstructed
+    densely, once, to return its Frobenius-norm error against the
     observed matrix.
     """
     observed = _check_fc_matrix(observed, g.n)
     s = graph_spectrum(g, kind)
-    error_at = _eigenbasis_error(s, observed)
+    fit_at = _mode_fit(s, observed)
+
+    def error_at(beta: float) -> float:
+        return fit_at(beta)[0]
 
     betas = np.linspace(0.0, _BETA_GRID_MAX, _BETA_GRID_POINTS)
     errors = [error_at(float(b)) for b in betas]
@@ -191,10 +192,25 @@ def fit_fc(
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = error_at(d)
-    candidates = sorted({float(betas[best]), (a + b) / 2.0})
-    evaluated = [(_fit_at_beta(s, observed, beta), beta) for beta in candidates]
-    (error, scale, offset), beta = min(evaluated, key=lambda item: (item[0][0], item[1]))
-    return FcModel(beta=beta, scale=scale, offset=offset), error
+    # ascending candidates: min keeps the first, so a tie goes to the smaller beta
+    beta = min(sorted({float(betas[best]), (a + b) / 2.0}), key=error_at)
+    _, scale, offset = fit_at(beta)
+    model = FcModel(beta=beta, scale=scale, offset=offset)
+    F = _model_matrix(s, model)
+    F -= observed
+    return model, float(np.linalg.norm(F))
+
+
+def _eigenvalue_correlation(ev_a: np.ndarray, ev_b: np.ndarray) -> float:
+    """Pearson correlation of two ascending eigenvalue vectors of one length n >= 3."""
+    if ev_a.size < 3:
+        raise DimensionMismatchError("spectra comparison needs at least 3 nodes")
+    sd_a = float(ev_a.std())
+    sd_b = float(ev_b.std())
+    if sd_a == 0.0 or sd_b == 0.0:
+        raise DegenerateVarianceError("an eigenvalue spectrum with zero variance cannot be correlated")
+    r = float(((ev_a - ev_a.mean()) * (ev_b - ev_b.mean())).mean() / (sd_a * sd_b))
+    return max(-1.0, min(1.0, r))
 
 
 def spectra_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,13 +224,4 @@ def spectra_similarity(a: np.ndarray, b: np.ndarray) -> float:
     b = _check_fc_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"matrix shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[0] < 3:
-        raise DimensionMismatchError("spectra comparison needs at least 3 nodes")
-    ev_a = np.linalg.eigvalsh(a)
-    ev_b = np.linalg.eigvalsh(b)
-    sd_a = float(ev_a.std())
-    sd_b = float(ev_b.std())
-    if sd_a == 0.0 or sd_b == 0.0:
-        raise DegenerateVarianceError("an eigenvalue spectrum with zero variance cannot be correlated")
-    r = float(((ev_a - ev_a.mean()) * (ev_b - ev_b.mean())).mean() / (sd_a * sd_b))
-    return max(-1.0, min(1.0, r))
+    return _eigenvalue_correlation(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))

@@ -7,10 +7,19 @@ planted ground truth for recovery tests.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-import spectral_abstraction as sa
+# One BLAS thread unless the caller chose otherwise: on a small machine,
+# spinning pool threads make small solves many times slower whenever
+# another process is busy. BLAS reads these only before numpy loads.
+_THREADS = os.environ.setdefault("SPECTRAL_ABSTRACTION_THREADS", "1")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, _THREADS)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import spectral_abstraction as sa  # noqa: E402
 
 # pass/fail lines collected by the acceptance checks, replayed after the
 # run so they stay visible despite output capture

@@ -359,7 +359,8 @@ def bisection_shift(f: np.ndarray, p: float) -> float:
 # The former fit_fc, which scores every beta by a dense n x n
 # reconstruction, kept as the reference for the eigenbasis search.
 
-def _dense_decay_matrix(s, beta: float) -> np.ndarray:
+def dense_decay_matrix(s, beta: float) -> np.ndarray:
+    """U diag(exp(-beta * lambda)) U^T by a general product, symmetrized after."""
     weights = np.exp(-beta * s.eigenvalues)
     E = (s.eigenvectors * weights) @ s.eigenvectors.T
     return (E + E.T) / 2.0
@@ -367,7 +368,7 @@ def _dense_decay_matrix(s, beta: float) -> np.ndarray:
 
 def _dense_fit_at_beta(s, observed: np.ndarray, beta: float) -> tuple[float, float, float]:
     n = s.n
-    E = _dense_decay_matrix(s, beta)
+    E = dense_decay_matrix(s, beta)
     gram = np.array(
         [
             [float((E * E).sum()), float(np.trace(E))],

@@ -87,6 +87,22 @@ class TestMatrices:
         assert np.array_equal(np.diag(D), A.sum(axis=1))
         assert np.array_equal(D, np.diag(np.diag(D)))
 
+    @pytest.mark.parametrize("weights", ["unit", "dyadic"])
+    def test_degrees_are_the_dense_row_sums(self, weights):
+        # unit and dyadic weights sum exactly in any order
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 40, 193):
+            edges = [
+                (i, j, 1.0 if weights == "unit" else float(rng.integers(1, 64)) / 16.0)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.3
+            ]
+            g = sa.graph_from_edges([f"v{i}" for i in range(n)], edges)
+            d = sa.degrees(g)
+            assert d.dtype == np.float64
+            assert np.array_equal(d, sa.adjacency_matrix(g).sum(axis=1))
+
     def test_p3_combinatorial_laplacian(self, p3):
         L = sa.laplacian(p3, sa.LaplacianKind.COMBINATORIAL)
         expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)

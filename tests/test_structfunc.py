@@ -12,10 +12,11 @@ from spectral_abstraction.errors import (
     InvalidArgumentError,
     NotSymmetricError,
 )
+from spectral_abstraction import structfunc
 from spectral_abstraction.structfunc import FcModel, fit_fc, predict_fc, spectra_similarity
 
 from conftest import random_connected_graph
-from oracles import dense_fit_fc, series_expm
+from oracles import dense_decay_matrix, dense_fit_fc, series_expm
 
 
 def disconnected_graph(rng: np.random.Generator) -> sa.Graph:
@@ -84,6 +85,31 @@ class TestPredictFc:
             p3, FcModel(beta=1.0, scale=1.0, offset=0.0), kind=sa.LaplacianKind.COMBINATORIAL
         )
         assert np.abs(F - series_expm(-L)).max() < 1e-9
+
+    @pytest.mark.parametrize("graph", sorted(FIT_GRAPHS))
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    def test_symmetric_product_matches_the_symmetrized_general_product(self, graph, kind):
+        rng = np.random.default_rng(17)
+        s = sa.graph_spectrum(FIT_GRAPHS[graph](rng), kind)
+        for beta in (0.0, 0.3, 1.3, 4.2, 10.0):
+            E = structfunc._decay_matrix(s, beta)
+            ref = dense_decay_matrix(s, beta)
+            assert np.array_equal(E, E.T)
+            assert np.abs(E - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    def test_closed_form_eigenvalues_match_the_predicted_matrix(self, kind):
+        rng = np.random.default_rng(23)
+        for graph in sorted(FIT_GRAPHS):
+            g = FIT_GRAPHS[graph](rng)
+            for m in (
+                FcModel(beta=0.77, scale=2.0, offset=0.1),
+                FcModel(beta=4.2, scale=-1.5, offset=0.3),
+                FcModel(beta=0.0, scale=0.5, offset=0.0),
+            ):
+                closed = structfunc._model_eigenvalues(g, m, kind)
+                dense = np.linalg.eigvalsh(predict_fc(g, m, kind))
+                assert np.abs(closed - dense).max() <= 1e-12 * abs(m.scale)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +182,22 @@ class TestFitFcMatchesDenseSearch:
             assert abs(model.beta - ref.beta) <= 1e-6
             assert abs(model.scale - ref.scale) <= 1e-6
             assert abs(model.offset - ref.offset) <= 1e-6
+
+    def test_one_dense_reconstruction_per_fit(self, monkeypatch):
+        g = sa.sbm_generate(3, 6, 0.8, 0.1, seed=5)
+        rng = np.random.default_rng(2)
+        z = rng.normal(scale=0.01, size=(g.n, g.n))
+        observed = predict_fc(g, FcModel(beta=1.3, scale=2.0, offset=0.1)) + (z + z.T) / 2.0
+        betas = []
+        decay = structfunc._decay_matrix
+
+        def counted(s, beta):
+            betas.append(beta)
+            return decay(s, beta)
+
+        monkeypatch.setattr(structfunc, "_decay_matrix", counted)
+        model, _ = fit_fc(g, observed)
+        assert betas == [model.beta]
 
     def test_disconnected_graph_has_a_repeated_zero_eigenvalue(self):
         g = disconnected_graph(np.random.default_rng(31))
