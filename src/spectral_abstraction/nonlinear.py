@@ -125,22 +125,26 @@ def _p_laplacian_edges(ei, ej, w, f: np.ndarray, p: float) -> np.ndarray:
     """Edge-sum form of Delta_p f over the edge arrays of a graph."""
     d = f[ei] - f[ej]
     t = w * np.abs(d) ** (p - 1.0) * np.sign(d)
-    out = np.zeros_like(f)
-    np.add.at(out, ei, t)
-    np.add.at(out, ej, -t)
-    return out
+    n = f.shape[0]
+    return np.bincount(ei, t, n) - np.bincount(ej, t, n)
 
 
 def _optimal_shift(f: np.ndarray, p: float) -> float:
     """The c minimizing sum_i |f_i - c|^p; unique since p > 1.
 
     The minimizer is the root of the increasing slope
-    sum_i sign(c - f_i) |c - f_i|^(p-1), bracketed by min f and max f.
-    Ridders' method keeps the root bracketed and at least halves the
-    bracket at each step; once its estimate settles, one probe just
-    past it closes the bracket, so the result is always within the
-    bracket tolerance of a sign change of the slope, also where the
-    slope is nearly flat (p close to 1) or steep (near an entry of f).
+    s(c) = sum_i (c - f_i) |c - f_i|^(p-2) in [min f, max f], whose
+    derivative is (p - 1) sum_i |c - f_i|^(p-2). Newton from 0 keeps the
+    root bracketed and bisects instead where its point leaves the
+    bracket, where c is an entry of f (infinite derivative), and where
+    its step exceeds half the last one (Numerical Recipes' rtsafe test,
+    against the last step rather than the one before, so that Newton
+    neither cycles nor trails bisection near an entry of f). A Newton
+    step within the bracket tolerance goes half a tolerance further, so
+    the bracket closes on it, or else the next step bisects. So the
+    result is always within the bracket tolerance of a sign change of
+    the slope, also where the slope is nearly flat (p close to 1) or
+    steep (near an entry of f).
     """
     lo, hi = float(f.min()), float(f.max())
     if hi <= lo:
@@ -148,38 +152,41 @@ def _optimal_shift(f: np.ndarray, p: float) -> float:
     if p == 2.0:
         return float(f.mean())
 
-    def slope(c: float) -> float:
+    def slope(c: float) -> tuple[float, float]:
         d = c - f
-        return float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum())
+        with np.errstate(divide="ignore"):
+            r = np.abs(d) ** (p - 2.0)
+        ds = (p - 1.0) * float(r.sum())
+        if math.isinf(ds):
+            # c is on an entry of f, where d @ r would take 0 * inf
+            return float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum()), ds
+        return float(d @ r), ds
 
-    # f has an entry above lo and one below hi, so f_lo < 0 < f_hi, and
-    # the bracket updates below keep it so
-    f_lo, f_hi = slope(lo), slope(hi)
     xtol = _SHIFT_RTOL * max(abs(lo), abs(hi))
-    x = float("nan")
+    c = min(max(0.0, lo), hi)
+    step = hi - lo
+    probed = False
     for _ in range(_SHIFT_MAX_STEPS):
-        # Ridders' estimate lies between mid and the root
-        mid = 0.5 * (lo + hi)
-        f_mid = slope(mid)
-        estimate = mid - (mid - lo) * f_mid / math.sqrt(f_mid * f_mid - f_lo * f_hi)
-        settled = abs(estimate - x) <= xtol
-        x = estimate
-        f_x = slope(x)
-        points = [(mid, f_mid), (x, f_x)]
-        if settled:
-            # step just past a settled estimate so the bracket can close on it
-            probe = x + xtol if f_x < 0.0 else x - xtol
-            points.append((probe, slope(probe)))
-        for c, f_c in points:
-            if f_c == 0.0:
-                return c
-            if f_c < 0.0 and c > lo:
-                lo, f_lo = c, f_c
-            elif f_c > 0.0 and c < hi:
-                hi, f_hi = c, f_c
+        s, ds = slope(c)
+        if s == 0.0:
+            return c
+        if s < 0.0:
+            lo = c
+        else:
+            hi = c
         if hi - lo <= xtol:
             break
-    return x
+        newton = -s / ds
+        probe = abs(newton) <= xtol
+        if probe:
+            newton += math.copysign(0.5 * xtol, newton)
+        if not probed and math.isfinite(ds) and lo < c + newton < hi and abs(newton) <= 0.5 * abs(step):
+            step, probed = newton, probe
+            c += newton
+        else:
+            step, probed = 0.5 * (hi - lo), False
+            c = lo + step
+    return c
 
 
 def _p_rayleigh(ei, ej, w, f: np.ndarray, p: float) -> tuple[float, float]:

@@ -194,7 +194,8 @@ def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetr
     """Raise `error` unless M is square with max |M - M^T| at most `tol`."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise error(f"expected a square matrix, got shape {M.shape}")
-    asym = np.abs(M - M.T).max() if M.size else 0.0
+    d = M - M.T
+    asym = np.abs(d, out=d).max() if M.size else 0.0
     if not asym <= tol:
         raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
 

@@ -3,12 +3,12 @@
 Everything here is deliberately written by a different route than the
 library code: connectivity by union-find instead of BFS, eigenvalues by
 characteristic polynomial instead of a symmetric eigensolver, cut
-metrics by direct edge loops instead of vectorized incidence sums, the
-matrix exponential by a scaled power series instead of an eigen-sum,
-JSON and CSV text by formatting one float at a time instead of a row at
-once, CSV cells by parsing and checking one cell at a time instead of
-a row at once, and degenerate eigenspace bases by probe-by-probe
-Gram-Schmidt instead of one QR.
+metrics and the p-Laplacian by direct edge loops instead of vectorized
+incidence sums, the matrix exponential by a scaled power series instead
+of an eigen-sum, JSON and CSV text by formatting one float at a time
+instead of a row at once, CSV cells by parsing and checking one cell at
+a time instead of a row at once, and degenerate eigenspace bases by
+probe-by-probe Gram-Schmidt instead of one QR.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
@@ -217,7 +217,6 @@ def power_iteration_lambda2(L: np.ndarray, iterations: int = 20000) -> float:
     x = np.cos(np.arange(1, n + 1))
     x = x - (ones @ x) * ones
     x /= np.linalg.norm(x)
-    value = 0.0
     for _ in range(iterations):
         y = c * x - L @ x
         y = y - (ones @ y) * ones
@@ -225,8 +224,7 @@ def power_iteration_lambda2(L: np.ndarray, iterations: int = 20000) -> float:
         if nrm == 0.0:
             break
         x = y / nrm
-        value = float(x @ (c * x - L @ x))
-    return c - value
+    return c - float(x @ (c * x - L @ x))
 
 
 def kmeans_objective(points: np.ndarray, assignment, k: int, metric: str, q: float = 0.5) -> float:
@@ -336,6 +334,17 @@ def set_induced_subgraph(g, nodes):
     members = set(wanted)
     kept = [(remap[i], remap[j], w) for i, j, w in g.edges if i in members and j in members]
     return sa.graph_from_edges([g.labels[i] for i in wanted], kept)
+
+
+def p_laplacian_loop(edges, f: np.ndarray, p: float) -> np.ndarray:
+    """Delta_p f by one loop over the edges, each adding to both ends."""
+    out = [0.0] * len(f)
+    for i, j, w in edges:
+        d = float(f[i] - f[j])
+        t = w * abs(d) ** (p - 1.0) * (1.0 if d > 0 else -1.0 if d < 0 else 0.0)
+        out[i] += t
+        out[j] -= t
+    return np.array(out)
 
 
 def bisection_shift(f: np.ndarray, p: float) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
@@ -25,7 +25,7 @@ from spectral_abstraction.nonlinear import (
 )
 
 from conftest import random_connected_graph
-from oracles import best_bipartition, bisection_shift, exact_shift_p_rayleigh
+from oracles import best_bipartition, bisection_shift, exact_shift_p_rayleigh, p_laplacian_loop
 
 
 class TestPLaplacianApply:
@@ -46,6 +46,16 @@ class TestPLaplacianApply:
             f = rng.normal(size=n)
             L = np.asarray(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL).matrix)
             assert np.abs(p_laplacian_apply(g, f, 2.0) - L @ f).max() < 1e-10
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 16), p=st.floats(1.001, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_edge_loop(self, seed, n, p):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n)
+        f = rng.normal(size=n)
+        out = p_laplacian_apply(g, f, p)
+        loop = p_laplacian_loop(g.edges, f, p)
+        assert np.abs(out - loop).max() <= 1e-12 * np.abs(out).max()
 
     def test_exponent_bounds(self, triangle):
         f = np.array([1.0, 0.0, -1.0])
@@ -170,6 +180,10 @@ class TestOptimalShift:
         p=st.one_of(st.sampled_from([1.01, 1.2, 1.5, 2.0]), st.floats(1.001, 2.0)),
     )
     @settings(max_examples=300, deadline=None)
+    # the start is an entry of f, where the slope's derivative is infinite
+    @example(seed=0, n=2, kind="three-valued", p=1.01)
+    # the root is an entry of f, where Newton overshoots it by a fixed ratio
+    @example(seed=17, n=3, kind="repeated", p=1.34)
     def test_matches_the_bisection(self, seed, n, kind, p):
         f = shift_test_vector(seed, n, kind)
         ours = nonlinear._optimal_shift(f, p)
@@ -183,6 +197,8 @@ class TestOptimalShift:
         p=st.floats(1.0001, 2.0),
     )
     @settings(max_examples=300, deadline=None)
+    # Newton without the step-halving test cycles between two points
+    @example(seed=3, n=3, kind="normal", p=1.35546875)
     def test_a_recentred_vector_needs_no_shift(self, seed, n, kind, p):
         f = shift_test_vector(seed, n, kind)
         assume(f.max() > f.min())
@@ -199,6 +215,8 @@ class TestOptimalShift:
         # degenerate problem whose cut can move with the last digits
         graphs = [sa.sbm_generate(2, 8, 0.9, 0.05, seed=seed) for seed in range(4)]
         graphs.append(random_connected_graph(np.random.default_rng(5), 10))
+        # the size and density of the benchmark's p-cluster inputs
+        graphs += [sa.sbm_generate(2, 32, 0.9, 0.05, seed=seed) for seed in range(2)]
         ours = [p_recursive_bipartition(g, 2, params).assignment for g in graphs]
         monkeypatch.setattr(nonlinear, "_optimal_shift", bisection_shift)
         assert [p_recursive_bipartition(g, 2, params).assignment for g in graphs] == ours
