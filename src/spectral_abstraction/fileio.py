@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graphs import Graph, graph_from_edges
+from .graphs import Graph, _graph, _node_labels
 from .hierarchy import Hierarchy
 from .nonlinear import CouplingSystem
 from .partition import ConnectivityProfile, CutMetrics, Partition
@@ -144,14 +144,16 @@ def parse_edge_list_tsv(text: str) -> Graph:
 
     Lines hold src, dst and weight; blank lines and lines starting with
     # are skipped. Labels are indexed by first appearance. Errors name
-    the offending line.
+    the offending line. Each line is checked once, here; the graph is
+    then built from the sorted edge arrays.
     """
     labels: list[str] = []
     index: dict[str, int] = {}
-    edges: list[tuple[int, int, float]] = []
+    ei: list[int] = []
+    ej: list[int] = []
+    ws: list[float] = []
     seen_pairs: set[tuple[int, int]] = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -173,14 +175,17 @@ def parse_edge_list_tsv(text: str) -> Graph:
                 index[label] = len(labels)
                 labels.append(label)
         i, j = index[src], index[dst]
-        pair = (min(i, j), max(i, j))
+        pair = (i, j) if i < j else (j, i)
         if pair in seen_pairs:
             raise DuplicateEdgeError(f"line {ln}: edge {src!r} to {dst!r} appears twice")
         seen_pairs.add(pair)
-        edges.append((i, j, weight))
+        ei.append(pair[0])
+        ej.append(pair[1])
+        ws.append(weight)
     if not labels:
         raise ParseError("edge list contains no edges")
-    return graph_from_edges(labels, edges)
+    order = np.lexsort((ej, ei))
+    return _graph(labels, np.array(ei)[order], np.array(ej)[order], np.array(ws)[order])
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -260,9 +265,10 @@ def parse_matrix_csv_graph(text: str) -> Graph:
     negatives = data.min()
     if negatives < 0:
         raise NonpositiveWeightError(f"adjacency contains a negative weight {negatives}")
-    labels = header if header is not None else [f"n{i}" for i in range(n)]
+    labels = _node_labels(header if header is not None else [f"n{i}" for i in range(n)])
+    # row-major nonzeros of the upper triangle are canonical: i < j, sorted by (i, j)
     ei, ej = np.nonzero(np.triu(data > 0, k=1))
-    return graph_from_edges(labels, zip(ei.tolist(), ej.tolist(), data[ei, ej].tolist()))
+    return _graph(labels, ei, ej, data[ei, ej])
 
 
 def read_graph(path: str) -> Graph:

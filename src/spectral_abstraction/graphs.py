@@ -117,11 +117,7 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
     edge, and InvalidArgumentError for structural problems with the labels
     or for weights whose doubled sum (the total volume) overflows.
     """
-    labels = tuple(str(x) for x in labels)
-    if not labels:
-        raise InvalidArgumentError("a graph needs at least one node")
-    if len(set(labels)) != len(labels):
-        raise InvalidArgumentError("node labels must be distinct")
+    labels = _node_labels(labels)
     n = len(labels)
 
     canonical: list[Edge] = []
@@ -150,6 +146,16 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
 
     canonical.sort(key=lambda e: (e[0], e[1]))
     return _graph(labels, *np.array(canonical, dtype=np.float64).reshape(-1, 3).T)
+
+
+def _node_labels(labels: Sequence[str]) -> tuple[str, ...]:
+    """Labels as a tuple of strings; InvalidArgumentError unless nonempty and distinct."""
+    labels = tuple(str(x) for x in labels)
+    if not labels:
+        raise InvalidArgumentError("a graph needs at least one node")
+    if len(set(labels)) != len(labels):
+        raise InvalidArgumentError("node labels must be distinct")
+    return labels
 
 
 def _graph(labels: Sequence[str], ei, ej, w) -> Graph:

@@ -10,7 +10,9 @@ Three clustering routes share the Partition output type:
   on spectral coordinates, with euclidean, manhattan or fractional
   distances. The non-euclidean metrics keep coordinate-wise medians as
   centers, which is the natural companion of L1-family distances in low
-  dimensional embeddings.
+  dimensional embeddings. Each Lloyd step works on whole arrays: all
+  point-to-center distances as n x k sums over the coordinates, and all
+  means as one scatter-add.
 
 Cut quality for a partition C_1..C_k of graph g uses
 
@@ -335,12 +337,26 @@ def recursive_bipartition(g: Graph, k: int) -> Partition:
 
 
 def _pairwise_distances(P: np.ndarray, C: np.ndarray, metric: str, q: float) -> np.ndarray:
-    D = np.abs(P[:, None, :] - C[None, :, :])
+    """n x k distances from the rows of P to the rows of C.
+
+    The per-coordinate terms are added over n x k arrays, one coordinate
+    at a time from left to right. numpy sums a length-d last axis in that
+    order for d <= 7, so up to there these are the distances of an
+    n x k x d reduction, bit for bit.
+    """
+    total = np.zeros((P.shape[0], C.shape[0]))
+    for j in range(P.shape[1]):
+        t = np.subtract.outer(P[:, j], C[:, j])
+        if metric == "euclidean":
+            t *= t  # a square needs no abs
+        else:
+            np.abs(t, out=t)
+            if metric == "fractional":
+                t **= q
+        total += t
     if metric == "euclidean":
-        return np.sqrt((D * D).sum(axis=-1))
-    if metric == "manhattan":
-        return D.sum(axis=-1)
-    return (D**q).sum(axis=-1) ** (1.0 / q)
+        return np.sqrt(total, out=total)
+    return total if metric == "manhattan" else total ** (1.0 / q)
 
 
 def _kmeanspp_init(pts: np.ndarray, k: int, metric: str, q: float, rng) -> np.ndarray:
@@ -358,7 +374,32 @@ def _kmeanspp_init(pts: np.ndarray, k: int, metric: str, q: float, rng) -> np.nd
     return np.vstack(centers)
 
 
+def _centers(pts: np.ndarray, assign: np.ndarray, counts: np.ndarray, metric: str) -> np.ndarray:
+    """Each cluster's mean (euclidean) or coordinate-wise median, one row per cluster.
+
+    The means come from one scatter-add per coordinate, which adds each
+    cluster's rows in point order; numpy's mean(axis=0) adds them in the
+    same order for d >= 2, but pairwise at d = 1.
+    """
+    k = counts.shape[0]
+    if metric == "euclidean":
+        sums = np.empty((k, pts.shape[1]))
+        for j in range(pts.shape[1]):
+            sums[:, j] = np.bincount(assign, pts[:, j], k)
+        return sums / counts[:, None]
+    return np.array([np.median(pts[assign == cid], axis=0) for cid in range(k)])
+
+
 def _lloyd(pts: np.ndarray, k: int, metric: str, q: float, centers: np.ndarray):
+    """Lloyd iterations from `centers`: the final assignment and its objective.
+
+    Each step assigns every point to its nearest center, gives an empty
+    cluster the farthest point of a cluster with two or more, and moves
+    the centers (see _centers). The loop ends when an assignment repeats,
+    whose objective, the sum of each point's distance to its center,
+    comes from that step's distances, or after _KMEANS_MAX_ITER steps.
+    """
+    n = pts.shape[0]
     assign: np.ndarray | None = None
     for _ in range(_KMEANS_MAX_ITER):
         D = _pairwise_distances(pts, centers, metric, q)
@@ -373,15 +414,10 @@ def _lloyd(pts: np.ndarray, k: int, metric: str, q: float, centers: np.ndarray):
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for cid in range(k):
-            members = pts[assign == cid]
-            if metric == "euclidean":
-                centers[cid] = members.mean(axis=0)
-            else:
-                centers[cid] = np.median(members, axis=0)
-    D = _pairwise_distances(pts, centers, metric, q)
-    objective = float(D[np.arange(pts.shape[0]), assign].sum())
-    return assign, objective
+        centers = _centers(pts, assign, counts, metric)
+    else:
+        D = _pairwise_distances(pts, centers, metric, q)
+    return assign, float(D[np.arange(n), assign].sum())
 
 
 def kway_embedding_cluster(
@@ -399,7 +435,8 @@ def kway_embedding_cluster(
     clusters in order of first appearance. metric is one of euclidean
     (mean centers), manhattan or fractional (coordinate-wise median
     centers); fractional uses d(x, y) = (sum |x_i - y_i|^q)^(1/q) and
-    requires 0 < q < 1. The seed must be nonnegative.
+    requires 0 < q < 1. The seed must be nonnegative and the coordinates
+    finite (InvalidArgumentError otherwise).
     """
     if metric not in METRICS:
         raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -408,6 +445,8 @@ def kway_embedding_cluster(
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     pts = np.asarray(e.coordinates, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("embedding coordinates must be finite")
     n = pts.shape[0]
     distinct = np.unique(pts, axis=0).shape[0]
     if not 1 <= k <= n:

@@ -147,7 +147,9 @@ def _canonical_subspace_basis(V: np.ndarray) -> np.ndarray:
     ratio = np.abs(pivots).min() / scale.max()
     if not ratio >= _PROBE_RANK_FLOOR:
         raise ConvergenceFailureError(f"probes fail to span a {d}-dimensional eigenspace ({ratio:.2e})")
-    return q * np.sign(pivots)
+    # the QR's rounding leaks out of span(V) as d grows; one more projection pulls it back
+    q, r = np.linalg.qr(V @ (V.T @ (q * np.sign(pivots))))
+    return q * np.sign(np.diag(r))
 
 
 def _degenerate_groups(vals: np.ndarray) -> list[tuple[int, int]]:

@@ -7,8 +7,11 @@ metrics and the p-Laplacian by direct edge loops instead of vectorized
 incidence sums, the matrix exponential by a scaled power series instead
 of an eigen-sum, JSON and CSV text by formatting one float at a time
 instead of a row at once, CSV cells by parsing and checking one cell at
-a time instead of a row at once, and degenerate eigenspace bases by
-probe-by-probe Gram-Schmidt instead of one QR.
+a time instead of a row at once, degenerate eigenspace bases by
+probe-by-probe Gram-Schmidt instead of one QR, k-means distances over an
+n x k x d array and centers cluster by cluster instead of coordinate by
+coordinate, and edge lists through graph_from_edges instead of sorted
+edge arrays.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
@@ -20,7 +23,12 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from spectral_abstraction.errors import ParseError
+from spectral_abstraction.errors import (
+    DuplicateEdgeError,
+    NonpositiveWeightError,
+    ParseError,
+    SelfLoopError,
+)
 from spectral_abstraction.fileio import _csv_rows, _is_header, format_float
 
 
@@ -601,3 +609,108 @@ def probe_gram_schmidt_basis(V: np.ndarray, powers: int = 12, accept: float = 1e
                 col = col - (B[:, i] @ col) * B[:, i]
         B[:, j] = col / np.linalg.norm(col)
     return B
+
+
+# The former k-means loop, kept as the reference for the coordinate-wise
+# distances and the scatter-add centers.
+
+def loop_pairwise_distances(P: np.ndarray, C: np.ndarray, metric: str, q: float) -> np.ndarray:
+    """n x k distances by one reduction over an n x k x d array of differences."""
+    D = np.abs(P[:, None, :] - C[None, :, :])
+    if metric == "euclidean":
+        return np.sqrt((D * D).sum(axis=-1))
+    if metric == "manhattan":
+        return D.sum(axis=-1)
+    return (D**q).sum(axis=-1) ** (1.0 / q)
+
+
+def loop_centers(pts: np.ndarray, assign: np.ndarray, k: int, metric: str) -> np.ndarray:
+    """Each cluster's mean or coordinate-wise median, cluster by cluster."""
+    centers = np.empty((k, pts.shape[1]))
+    for cid in range(k):
+        members = pts[assign == cid]
+        centers[cid] = members.mean(axis=0) if metric == "euclidean" else np.median(members, axis=0)
+    return centers
+
+
+def loop_lloyd(pts: np.ndarray, k: int, metric: str, q: float, centers: np.ndarray):
+    """Lloyd iterations; the objective is recomputed from the final centers."""
+    assign = None
+    for _ in range(300):
+        D = loop_pairwise_distances(pts, centers, metric, q)
+        new_assign = D.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for cid in np.where(counts == 0)[0]:
+            eligible = np.where(counts[new_assign] >= 2)[0]
+            far = eligible[np.argmax(D[eligible, new_assign[eligible]])]
+            counts[new_assign[far]] -= 1
+            new_assign[far] = cid
+            counts[cid] += 1
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centers = loop_centers(pts, assign, k, metric)
+    D = loop_pairwise_distances(pts, centers, metric, q)
+    return assign, float(D[np.arange(pts.shape[0]), assign].sum())
+
+
+def loop_kway_embedding_cluster(pts: np.ndarray, k: int, metric: str = "euclidean",
+                                q: float = 0.5, seed: int = 0) -> tuple[int, ...]:
+    """kway_embedding_cluster's assignment: 20 seeded k-means++ restarts of loop_lloyd."""
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(20):
+        first = int(rng.integers(n))
+        centers = [pts[first].copy()]
+        dmin = loop_pairwise_distances(pts, pts[first][None, :], metric, q)[:, 0]
+        for _ in range(k - 1):
+            weights = dmin**2
+            idx = int(rng.choice(n, p=weights / weights.sum()))
+            centers.append(pts[idx].copy())
+            dmin = np.minimum(dmin, loop_pairwise_distances(pts, pts[idx][None, :], metric, q)[:, 0])
+        assign, objective = loop_lloyd(pts, k, metric, q, np.vstack(centers))
+        if best is None or objective < best[0]:
+            best = (objective, assign)
+    return tuple(_canonical_labels(best[1].tolist()))
+
+
+def loop_parse_edge_list_tsv(text: str):
+    """fileio.parse_edge_list_tsv as it was: line checks, then graph_from_edges."""
+    import spectral_abstraction as sa
+
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    edges = []
+    seen_pairs: set[tuple[int, int]] = set()
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"line {ln}: expected 3 tab-separated fields, got {len(fields)}")
+        src, dst, weight_text = (f.strip() for f in fields)
+        if not src or not dst:
+            raise ParseError(f"line {ln}: empty node label")
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise ParseError(f"line {ln}: weight {weight_text!r} is not a number") from None
+        if src == dst:
+            raise SelfLoopError(f"line {ln}: self loop on {src!r}")
+        if not np.isfinite(weight) or weight <= 0:
+            raise NonpositiveWeightError(f"line {ln}: weight must be positive and finite")
+        for label in (src, dst):
+            if label not in index:
+                index[label] = len(labels)
+                labels.append(label)
+        i, j = index[src], index[dst]
+        pair = (min(i, j), max(i, j))
+        if pair in seen_pairs:
+            raise DuplicateEdgeError(f"line {ln}: edge {src!r} to {dst!r} appears twice")
+        seen_pairs.add(pair)
+        edges.append((i, j, weight))
+    if not labels:
+        raise ParseError("edge list contains no edges")
+    return sa.graph_from_edges(labels, edges)

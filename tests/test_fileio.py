@@ -20,11 +20,17 @@ from spectral_abstraction.errors import (
     NonpositiveWeightError,
     ParseError,
     SelfLoopError,
+    ToolkitError,
 )
 from spectral_abstraction.hierarchy import LevelSpec, build_hierarchy
 from spectral_abstraction.structfunc import FcModel, predict_fc
 
-from oracles import cellwise_parse_csv_cells, elementwise_dumps, elementwise_matrix_csv
+from oracles import (
+    cellwise_parse_csv_cells,
+    elementwise_dumps,
+    elementwise_matrix_csv,
+    loop_parse_edge_list_tsv,
+)
 
 
 class TestFormatFloat:
@@ -179,6 +185,65 @@ class TestEdgeListTsv:
             fileio.parse_edge_list_tsv("# nothing\n")
 
 
+# (text of one faulty line, given the labels of two distinct nodes), one per error class
+_BAD_TSV_LINES = {
+    "fields": lambda a, b: f"{a}\t{b}",
+    "extra-field": lambda a, b: f"{a}\t{b}\t1\t2",
+    "empty-label": lambda a, b: f"{a}\t \t1",
+    "not-a-number": lambda a, b: f"{a}\t{b}\tfast",
+    "self-loop": lambda a, b: f"{a}\t{a}\t1",
+    "negative": lambda a, b: f"{a}\t{b}\t-2",
+    "zero": lambda a, b: f"{a}\t{b}\t0",
+    "nan": lambda a, b: f"{a}\t{b}\tnan",
+    "inf": lambda a, b: f"{a}\t{b}\tinf",
+    "duplicate": lambda a, b: f"{b}\t{a}\t3",
+    "overflow": lambda a, b: "x\ty\t1e308\ny\tz\t1e308",
+}
+
+
+@pytest.mark.parametrize("bad", [None, *_BAD_TSV_LINES])
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 30), density=st.floats(0.05, 1.0))
+@example(seed=0, n=2, density=1.0)
+@settings(max_examples=15, deadline=None)
+def test_tsv_parse_matches_graph_from_edges(bad, seed, n, density):
+    """Shuffled lines, reversed endpoints, comments and blank lines; one faulty line or none."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in rng.permutation(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    lines = []
+    for i, j in pairs:
+        a, b = (names[j], names[i]) if rng.random() < 0.5 else (names[i], names[j])
+        weight = float(rng.choice([1.0, 0.1, rng.uniform(1e-9, 1e9), rng.uniform(0.5, 2.0)]))
+        lines.append(f" {a}\t{b} \t{weight!r}")
+    rng.shuffle(lines)
+    for filler in ("# comment\twith\ttabs", "", "   ", "  # indented comment"):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), filler)
+    if bad is not None:
+        a, b = (names[0], names[1]) if not pairs else (names[pairs[0][0]], names[pairs[0][1]])
+        lines.insert(int(rng.integers(0, len(lines) + 1)), _BAD_TSV_LINES[bad](a, b))
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = loop_parse_edge_list_tsv(text)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)) as caught:
+            fileio.parse_edge_list_tsv(text)
+        assert str(caught.value) == str(exc)
+        return
+    g = fileio.parse_edge_list_tsv(text)
+    assert g == expected
+    assert g.labels == expected.labels
+    for ours, theirs in ((g.ei, expected.ei), (g.ej, expected.ej), (g.w, expected.w)):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    # the same graph built from the edges as the lines give them
+    index = {label: i for i, label in enumerate(g.labels)}
+    edges = []
+    for line in text.splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            a, b, w = (f.strip() for f in line.split("\t"))
+            edges.append((index[a], index[b], float(w)))
+    assert sa.graph_from_edges(g.labels, edges) == g
+
+
 class TestMatrixCsvGraph:
     def test_headerless_matrix_gets_generated_labels(self):
         g = fileio.parse_matrix_csv_graph("0,1.5\n1.5,0\n")
@@ -198,6 +263,34 @@ class TestMatrixCsvGraph:
     def test_asymmetry_rejected(self):
         with pytest.raises(AsymmetricMatrixError):
             fileio.parse_matrix_csv_graph("0,1\n2,0\n")
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 12), header=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_graph_from_edges(self, seed, n, header):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.uniform(1e-9, 1e9, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+        data = upper + upper.T
+        labels = [f"u{i}" for i in rng.permutation(n)] if header else [f"n{i}" for i in range(n)]
+        text = fileio.matrix_csv(data, tuple(labels) if header else None)
+        edges = [(i, j, data[i, j]) for i in range(n) for j in range(i + 1, n) if data[i, j] > 0]
+        g = fileio.parse_matrix_csv_graph(text)
+        assert g == sa.graph_from_edges(labels, edges)
+        assert g.ei.dtype == np.int64 and g.ej.dtype == np.int64 and g.w.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "text, labels, edges",
+        [
+            ("a,a\n0,1\n1,0\n", ["a", "a"], [(0, 1, 1.0)]),
+            ("0,1e308,0\n1e308,0,1e308\n0,1e308,0\n", ["n0", "n1", "n2"], [(0, 1, 1e308), (1, 2, 1e308)]),
+        ],
+        ids=["repeated-label", "overflow"],
+    )
+    def test_errors_match_graph_from_edges(self, text, labels, edges):
+        with pytest.raises(ToolkitError) as expected:
+            sa.graph_from_edges(labels, edges)
+        with pytest.raises(type(expected.value)) as caught:
+            fileio.parse_matrix_csv_graph(text)
+        assert str(caught.value) == str(expected.value)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(SelfLoopError):

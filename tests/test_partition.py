@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
@@ -20,7 +20,16 @@ from spectral_abstraction.errors import (
 from spectral_abstraction.spectral import Embedding
 
 from conftest import random_connected_graph
-from oracles import best_assignment, direct_cut_metrics, kmeans_objective, scan_threshold_partition
+from oracles import (
+    best_assignment,
+    direct_cut_metrics,
+    kmeans_objective,
+    loop_centers,
+    loop_kway_embedding_cluster,
+    loop_lloyd,
+    loop_pairwise_distances,
+    scan_threshold_partition,
+)
 
 
 def embed(g, dim):
@@ -375,6 +384,65 @@ class TestKwayCluster:
         e = Embedding(coordinates=coords, dim=1)
         with pytest.raises(TooFewDistinctPointsError):
             sa.kway_embedding_cluster(e, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        coords = np.array([[0.0], [1.0], [bad], [2.0], [5.0], [bad]])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            sa.kway_embedding_cluster(Embedding(coordinates=coords, dim=1), 2)
+
+
+def _embedding_points(seed: int, n: int, d: int, repeats: int, rounded: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    if rounded:
+        pts = np.round(pts, 1)
+    pts[rng.integers(0, n, repeats)] = pts[rng.integers(0, n, repeats)]
+    return pts
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 40),
+    d=st.integers(1, 12),
+    k=st.integers(1, 6),
+    metric=st.sampled_from(sa.METRICS),
+    repeats=st.integers(0, 12),
+    rounded=st.booleans(),
+)
+@example(seed=0, n=40, d=1, k=5, metric="euclidean", repeats=0, rounded=False)
+@example(seed=1, n=40, d=9, k=4, metric="euclidean", repeats=6, rounded=False)
+@example(seed=2, n=30, d=12, k=3, metric="fractional", repeats=12, rounded=True)
+@settings(max_examples=80, deadline=None)
+def test_kmeans_matches_the_array_loop(seed, n, d, k, metric, repeats, rounded):
+    """Same assignments as the n x k x d loop; same bits wherever numpy sums in the same order.
+
+    numpy sums a length-d last axis from left to right only for d <= 7,
+    and mean(axis=0) adds rows one at a time only for d >= 2, so the
+    distances must match bit for bit up to d = 7 and the euclidean
+    centers from d = 2 on. Centers are compared by value: a zero may
+    differ in sign, which no distance sees.
+    """
+    pts = _embedding_points(seed, n, d, repeats, rounded)
+    k = min(k, np.unique(pts, axis=0).shape[0])
+    rng = np.random.default_rng(seed + 1)
+    centers = pts[rng.choice(n, k, replace=False)]
+    D = partition._pairwise_distances(pts, centers, metric, 0.5)
+    if d <= 7:
+        assert D.tobytes() == loop_pairwise_distances(pts, centers, metric, 0.5).tobytes()
+    assign = D.argmin(axis=1)
+    counts = np.bincount(assign, minlength=k)
+    if (counts > 0).all() and (d >= 2 or metric != "euclidean"):
+        assert np.array_equal(partition._centers(pts, assign, counts, metric), loop_centers(pts, assign, k, metric))
+    ours, objective = partition._lloyd(pts, k, metric, 0.5, centers.copy())
+    theirs, loop_objective = loop_lloyd(pts, k, metric, 0.5, centers.copy())
+    assert np.array_equal(ours, theirs)
+    if d <= 7 and (d >= 2 or metric != "euclidean"):
+        assert objective == loop_objective
+    e = Embedding(coordinates=pts, dim=d)
+    assert sa.kway_embedding_cluster(e, k, metric, 0.5, seed).assignment == loop_kway_embedding_cluster(
+        pts, k, metric, 0.5, seed
+    )
 
 
 class TestCutMetrics:

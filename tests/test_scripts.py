@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -33,3 +35,24 @@ def test_script_prints_csv_rows(script, args, header):
     assert header in lines
     # at least one data row follows the header, so the clustering calls ran
     assert lines[lines.index(header) + 1 :]
+
+
+def test_bench_record_writes_every_run_with_versions(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "bench_record.py"), "--out", str(out),
+         "--workload", "p-cluster", "--seconds", "0.2", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"nproc", "numpy", "scipy", "seed", "seconds", "runs"}
+    assert record["numpy"] == np.__version__ and record["nproc"] == os.cpu_count()
+    assert [(r["workload"], r["trace"]) for r in record["runs"]] == [("p-cluster", 0), ("p-cluster", 1)]
+    for r in record["runs"]:
+        assert set(r["result"]) == {"correct", "attempted", "failed", "metrics"}
+        assert r["result"]["correct"] and r["result"]["attempted"] > 0
+    assert "items_per_s" in record["runs"][0]["result"]["metrics"]
+    assert "nonlinear.self_s" in record["runs"][1]["result"]["metrics"]

@@ -325,6 +325,7 @@ def _grid(a):
 @example(family="star", size=202, times=2, kind=sa.LaplacianKind.NORMALIZED, seed=1)
 @example(family="complete-copies", size=70, times=3, kind=sa.LaplacianKind.COMBINATORIAL, seed=2)
 @example(family="star-copies", size=6, times=40, kind=sa.LaplacianKind.COMBINATORIAL, seed=3)
+@example(family="star-copies", size=8, times=34, kind=sa.LaplacianKind.COMBINATORIAL, seed=0)
 @settings(max_examples=25, deadline=None)
 def test_rotated_eigenspace_bases_give_the_same_canonical_basis(family, size, times, kind, seed):
     g = {
