@@ -112,12 +112,14 @@ class CouplingSystem:
 
 
 def p_laplacian_apply(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
-    """Apply the graph p-Laplacian to a vector; equals L @ f at p = 2."""
+    """Apply the graph p-Laplacian to a finite vector; equals L @ f at p = 2."""
     if not 1.0 < p <= 2.0:
         raise ExponentOutOfRangeError(f"p must lie in (1, 2], got {p}")
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.shape[0] != g.n:
         raise DimensionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
+    if not np.isfinite(f).all():
+        raise InvalidArgumentError("vector entries must be finite")
     return _p_laplacian_edges(g.ei, g.ej, g.w, f, p)
 
 

@@ -200,10 +200,6 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
 
     while len(clusters) < k:
         candidates = [c for c in clusters if len(c) >= 2]
-        if not candidates:
-            raise NotEnoughSplittableClustersError(
-                f"only singleton clusters remain at {len(clusters)} < k={k}"
-            )
         weakest = min(solve(c)[0] for c in candidates)
         tol = _LAMBDA_TIE_REL_TOL * max(1.0, abs(weakest))
         tied = [c for c in candidates if solve(c)[0] - weakest <= tol]
@@ -340,9 +336,8 @@ def _pairwise_distances(P: np.ndarray, C: np.ndarray, metric: str, q: float) -> 
     """n x k distances from the rows of P to the rows of C.
 
     The per-coordinate terms are added over n x k arrays, one coordinate
-    at a time from left to right. numpy sums a length-d last axis in that
-    order for d <= 7, so up to there these are the distances of an
-    n x k x d reduction, bit for bit.
+    at a time from left to right (numpy's sum over a length-d axis may
+    add pairwise instead, from d = 8 on).
     """
     total = np.zeros((P.shape[0], C.shape[0]))
     for j in range(P.shape[1]):
@@ -378,8 +373,7 @@ def _centers(pts: np.ndarray, assign: np.ndarray, counts: np.ndarray, metric: st
     """Each cluster's mean (euclidean) or coordinate-wise median, one row per cluster.
 
     The means come from one scatter-add per coordinate, which adds each
-    cluster's rows in point order; numpy's mean(axis=0) adds them in the
-    same order for d >= 2, but pairwise at d = 1.
+    cluster's rows in point order.
     """
     k = counts.shape[0]
     if metric == "euclidean":
@@ -435,8 +429,8 @@ def kway_embedding_cluster(
     clusters in order of first appearance. metric is one of euclidean
     (mean centers), manhattan or fractional (coordinate-wise median
     centers); fractional uses d(x, y) = (sum |x_i - y_i|^q)^(1/q) and
-    requires 0 < q < 1. The seed must be nonnegative and the coordinates
-    finite (InvalidArgumentError otherwise).
+    requires 0 < q < 1. The seed must be nonnegative (InvalidArgumentError
+    otherwise); Embedding has already checked the coordinates.
     """
     if metric not in METRICS:
         raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -444,9 +438,7 @@ def kway_embedding_cluster(
         raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
-    pts = np.asarray(e.coordinates, dtype=np.float64)
-    if not np.isfinite(pts).all():
-        raise InvalidArgumentError("embedding coordinates must be finite")
+    pts = e.coordinates
     n = pts.shape[0]
     distinct = np.unique(pts, axis=0).shape[0]
     if not 1 <= k <= n:

@@ -34,12 +34,14 @@ Which solver answers a request (graph_spectrum picks):
   divide and conquer, through numpy);
 * the smallest few pairs, up to DENSE_SOLVER_MAX_N nodes, come from
   LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
-  2006), widened until the last kept eigenspace is whole;
+  2006);
 * the smallest few pairs beyond DENSE_SOLVER_MAX_N come from
   shift-invert Lanczos.
 
-Every route passes the same canonicalization and checks. scipy is
-imported only inside the two count-limited solvers.
+Every route widens a counted request until its last eigenspace is whole
+and passes the same canonicalization and checks, so a counted spectrum
+is a full one's leading pairs whichever solver ran. scipy is imported
+only inside the two count-limited solvers.
 
 A full spectrum is a pure function of the graph and the Laplacian kind,
 so graph_spectrum stores each one on its graph, and one
@@ -57,8 +59,10 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailureError,
+    DimensionMismatchError,
     DimensionOutOfRangeError,
     DisconnectedGraphError,
+    InvalidArgumentError,
     NotSymmetricError,
     TooFewNodesError,
     ZeroVectorError,
@@ -112,7 +116,13 @@ class Embedding:
     dim: int
 
     def __post_init__(self) -> None:
-        self.coordinates.flags.writeable = False
+        coords = np.array(self.coordinates, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise DimensionMismatchError(f"coordinates of shape {coords.shape} do not have {self.dim} columns")
+        if not np.isfinite(coords).all():
+            raise InvalidArgumentError("embedding coordinates must be finite")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coordinates", coords)
 
     @property
     def n(self) -> int:
@@ -202,24 +212,59 @@ def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetr
         raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
 
 
-def _solve(L: LaplacianMatrix, solver, name: str) -> Spectrum:
-    """Check L, run solver on its matrix, then sort, canonicalize and verify the pairs.
+def _mrrr(M: np.ndarray, m: int):
+    import scipy.linalg
 
-    The solver's own arrays live only in this frame, so they are freed
-    once sorted and never sit in memory beside the copies being checked.
+    return scipy.linalg.eigh(M, subset_by_index=[0, m - 1], driver="evr", check_finite=False)
+
+
+def _lanczos(M: np.ndarray, m: int):
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    v0 = np.linspace(1.0, 2.0, M.shape[0])
+    try:
+        return scipy.sparse.linalg.eigsh(
+            scipy.sparse.csc_matrix(M), k=m, sigma=-1e-2, which="LM", v0=v0, tol=0
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise np.linalg.LinAlgError(str(exc)) from exc
+
+
+def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> Spectrum:
+    """Check L, solve it, then sort, canonicalize, verify and cut the pairs to `count`.
+
+    A full request (count=None) takes every pair from solver(M). A
+    counted one, 1 <= count < n, takes the smallest m = count + 1 pairs
+    from solver(M, m) and doubles m, up to n, until a gap closes the
+    group that holds pair count - 1, so only whole eigenspaces are
+    canonicalized; requests past the first doubling go to the MRRR
+    driver, whose cost does not grow with m. The solver's own arrays are
+    freed once sorted and never sit beside the checked copies.
     """
     M = np.asarray(L.matrix, dtype=np.float64)
     _check_symmetric(M)
-    try:
-        vals, vecs = solver(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
-    order = np.argsort(vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
-    vecs = _canonicalize(vals, vecs)
+    n = M.shape[0]
+    if count is not None and not 1 <= count < n:
+        raise DimensionOutOfRangeError(f"eigenpair count {count} outside 1..{n - 1}")
+    m = first = n if count is None else count + 1
+    while True:
+        route = solver if m <= 2 * first and m < n else _mrrr
+        try:
+            vals, vecs = solver(M) if count is None else route(M, m)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
+        vecs = np.ascontiguousarray(vecs[:, order])
+        end = m if count is None else next(hi for _, hi in _degenerate_groups(vals) if hi >= count)
+        if end < m or m == n:
+            break
+        m = min(2 * m, n)
+    vals = np.ascontiguousarray(vals[:end])
+    vecs = _canonicalize(vals, np.ascontiguousarray(vecs[:, :end]))
     _validate_spectrum(M, vals, vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals[:count], eigenvectors=np.ascontiguousarray(vecs[:, :count]))
 
 
 def eigendecompose(L: LaplacianMatrix) -> Spectrum:
@@ -235,59 +280,20 @@ def eigendecompose(L: LaplacianMatrix) -> Spectrum:
 def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
     """Smallest `count` eigenpairs via shift-invert Lanczos, 1 <= count < n.
 
-    Always runs Lanczos; graph_spectrum decides when that beats the
-    dense solver. The Lanczos start vector is fixed, so results are
-    reproducible, and they pass the same canonicalization and checks as
-    eigendecompose.
+    Always starts with Lanczos; graph_spectrum decides when that beats
+    the dense solver. The Lanczos start vector is fixed, so results are
+    reproducible, and they widen to whole eigenspaces and pass the same
+    canonicalization and checks as eigendecompose (see _solve).
     """
-    n = L.n
-    if not 1 <= count < n:
-        raise DimensionOutOfRangeError(f"count {count} outside 1..{n - 1}")
-
-    def lanczos(A: np.ndarray):
-        import scipy.sparse
-        import scipy.sparse.linalg
-
-        v0 = np.linspace(1.0, 2.0, n)
-        try:
-            return scipy.sparse.linalg.eigsh(
-                scipy.sparse.csc_matrix(A), k=count, sigma=-1e-2, which="LM", v0=v0, tol=0
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-
-    return _solve(L, lanczos, "Lanczos solver")
+    return _solve(L, _lanczos, "Lanczos solver", count)
 
 
 def _subset_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
     """Smallest `count` eigenpairs from LAPACK's MRRR subset driver, 1 <= count < n.
 
-    Asks for one pair past `count` and doubles the request, up to n,
-    until a gap closes the eigenvalue group that holds pair count - 1.
-    The pairs up to that group's end are whole eigenspaces, so they get
-    the canonicalization and every check of eigendecompose, and agree
-    with its leading pairs; the result is then cut to `count`.
+    Widened to whole eigenspaces, canonicalized and checked as in _solve.
     """
-    n = L.n
-
-    def subset(M: np.ndarray):
-        import scipy.linalg
-
-        m = count + 1
-        while True:
-            vals, vecs = scipy.linalg.eigh(
-                M, subset_by_index=[0, m - 1], driver="evr", check_finite=False
-            )
-            end = next(hi for _, hi in _degenerate_groups(vals) if hi >= count)
-            if end < m or m == n:
-                return vals[:end], vecs[:, :end]
-            m = min(2 * m, n)
-
-    s = _solve(L, subset, "dense subset eigensolver")
-    return Spectrum(
-        eigenvalues=s.eigenvalues[:count],
-        eigenvectors=np.ascontiguousarray(s.eigenvectors[:, :count]),
-    )
+    return _solve(L, _mrrr, "dense subset eigensolver", count)
 
 
 def graph_spectrum(
@@ -302,18 +308,14 @@ def graph_spectrum(
     shared read-only, and serves every later full request.
 
     A counted request (count < n) gets only the smallest `count` pairs:
-    from shift-invert Lanczos on graphs above DENSE_SOLVER_MAX_N nodes
-    (unless count = n - 1), otherwise from the dense subset driver. It
-    never reads or writes the store, so its result never depends on
-    call history.
+    from shift-invert Lanczos on graphs above DENSE_SOLVER_MAX_N nodes,
+    otherwise from the dense subset driver, each widened to whole
+    eigenspaces (see _solve). It never reads or writes the store, so its
+    result never depends on call history.
     """
     if count is not None and count < g.n:
-        if count < 1:
-            raise DimensionOutOfRangeError(f"eigenpair count must be at least 1, got {count}")
-        L = laplacian(g, kind)
-        if g.n > DENSE_SOLVER_MAX_N and count < g.n - 1:
-            return partial_eigendecompose(L, count)
-        return _subset_eigendecompose(L, count)
+        solve = partial_eigendecompose if g.n > DENSE_SOLVER_MAX_N else _subset_eigendecompose
+        return solve(laplacian(g, kind), count)
     # an unknown kind, hashable or not, is left for laplacian to reject
     s = g._spectra.get(kind) if isinstance(kind, LaplacianKind) else None
     if s is None:
@@ -323,7 +325,7 @@ def graph_spectrum(
 
 
 def rayleigh_quotient(L: LaplacianMatrix, x: np.ndarray) -> float:
-    """(x^T L x) / (x^T x) for a nonzero vector x.
+    """(x^T L x) / (x^T x) for a nonzero vector x with finite entries.
 
     For combinatorial Laplacians this equals the edge sum
     sum w_ij (x_i - x_j)^2 divided by x^T x.
@@ -333,6 +335,8 @@ def rayleigh_quotient(L: LaplacianMatrix, x: np.ndarray) -> float:
         raise DimensionOutOfRangeError(
             f"vector has length {x.shape[0]}, matrix is {L.n} x {L.n}"
         )
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("vector entries must be finite")
     denom = float(x @ x)
     if denom == 0.0:
         raise ZeroVectorError("Rayleigh quotient of the zero vector is undefined")
@@ -373,4 +377,4 @@ def spectral_embedding(s: Spectrum, k: int) -> Embedding:
         raise DimensionOutOfRangeError(
             f"spectrum holds {s.n_pairs} pairs, embedding dimension {k} needs {k + 1}"
         )
-    return Embedding(coordinates=np.array(s.eigenvectors[:, 1 : k + 1]), dim=k)
+    return Embedding(coordinates=s.eigenvectors[:, 1 : k + 1], dim=k)

@@ -212,12 +212,15 @@ def label_agreement(a, b, k: int) -> float:
     return best / len(a)
 
 
-def power_iteration_lambda2(L: np.ndarray, iterations: int = 20000) -> float:
+def power_iteration_lambda2(L: np.ndarray, tol: float = 1e-9, max_iterations: int = 10**6) -> float:
     """Second-smallest eigenvalue of a PSD matrix without a symmetric solver.
 
     Power iteration on (c I - L) restricted to the complement of the
     constant vector, where c bounds the spectrum from above via
-    Gershgorin discs. Converges to c - lambda_2 for connected graphs.
+    Gershgorin discs. Converges to c - lambda_2 for connected graphs, at
+    the rate (c - lambda_3) / (c - lambda_2) per step, so it runs until
+    the residual |(c I - L) x - mu x| falls to tol * c rather than for a
+    fixed count: a close lambda_3 can need tens of thousands of steps.
     """
     n = L.shape[0]
     c = float(np.max(np.abs(L).sum(axis=1))) + 1.0
@@ -225,11 +228,12 @@ def power_iteration_lambda2(L: np.ndarray, iterations: int = 20000) -> float:
     x = np.cos(np.arange(1, n + 1))
     x = x - (ones @ x) * ones
     x /= np.linalg.norm(x)
-    for _ in range(iterations):
+    for _ in range(max_iterations):
         y = c * x - L @ x
         y = y - (ones @ y) * ones
+        mu = float(x @ y)
         nrm = np.linalg.norm(y)
-        if nrm == 0.0:
+        if nrm == 0.0 or np.linalg.norm(y - mu * x) <= tol * c:
             break
         x = y / nrm
     return c - float(x @ (c * x - L @ x))
@@ -614,14 +618,19 @@ def probe_gram_schmidt_basis(V: np.ndarray, powers: int = 12, accept: float = 1e
 # The former k-means loop, kept as the reference for the coordinate-wise
 # distances and the scatter-add centers.
 
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along `axis` strictly from first to last; numpy's sum may add pairwise."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
 def loop_pairwise_distances(P: np.ndarray, C: np.ndarray, metric: str, q: float) -> np.ndarray:
     """n x k distances by one reduction over an n x k x d array of differences."""
     D = np.abs(P[:, None, :] - C[None, :, :])
     if metric == "euclidean":
-        return np.sqrt((D * D).sum(axis=-1))
+        return np.sqrt(_ordered_sum(D * D, -1))
     if metric == "manhattan":
-        return D.sum(axis=-1)
-    return (D**q).sum(axis=-1) ** (1.0 / q)
+        return _ordered_sum(D, -1)
+    return _ordered_sum(D**q, -1) ** (1.0 / q)
 
 
 def loop_centers(pts: np.ndarray, assign: np.ndarray, k: int, metric: str) -> np.ndarray:
@@ -629,7 +638,10 @@ def loop_centers(pts: np.ndarray, assign: np.ndarray, k: int, metric: str) -> np
     centers = np.empty((k, pts.shape[1]))
     for cid in range(k):
         members = pts[assign == cid]
-        centers[cid] = members.mean(axis=0) if metric == "euclidean" else np.median(members, axis=0)
+        if metric == "euclidean":
+            centers[cid] = _ordered_sum(members, 0) / members.shape[0]
+        else:
+            centers[cid] = np.median(members, axis=0)
     return centers
 
 

@@ -68,6 +68,11 @@ class TestPLaplacianApply:
         with pytest.raises(DimensionMismatchError):
             p_laplacian_apply(triangle, np.ones(4), 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, triangle, bad):
+        with pytest.raises(InvalidArgumentError, match="^vector entries must be finite$"):
+            p_laplacian_apply(triangle, np.array([0.0, bad, 1.0]), 1.5)
+
 
 class TestParams:
     def test_exponent_validation(self):
@@ -133,6 +138,10 @@ class TestPSpectralBipartition:
     def test_disconnected_graph_rejected(self, two_k3):
         with pytest.raises(DisconnectedGraphError):
             p_spectral_bipartition(two_k3, PLaplacianParams(p=1.5))
+
+    def test_one_node_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            p_spectral_bipartition(sa.graph_from_edges(["a"], []), PLaplacianParams(p=1.5))
 
 
 class TestPRecursive:

@@ -134,6 +134,10 @@ class TestThresholdPartition:
         with pytest.raises(PartitionMismatchError):
             sa.threshold_partition(c4, np.arange(3, dtype=np.float64))
 
+    def test_one_node_rejected(self):
+        with pytest.raises(PartitionMismatchError):
+            sa.threshold_partition(sa.graph_from_edges(["a"], []), np.zeros(1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, c4, bad):
         with pytest.raises(InvalidArgumentError):
@@ -413,32 +417,31 @@ def _embedding_points(seed: int, n: int, d: int, repeats: int, rounded: bool) ->
 @example(seed=0, n=40, d=1, k=5, metric="euclidean", repeats=0, rounded=False)
 @example(seed=1, n=40, d=9, k=4, metric="euclidean", repeats=6, rounded=False)
 @example(seed=2, n=30, d=12, k=3, metric="fractional", repeats=12, rounded=True)
+@example(seed=736922, n=13, d=8, k=2, metric="manhattan", repeats=0, rounded=True)
+@example(seed=736923, n=14, d=8, k=2, metric="manhattan", repeats=0, rounded=True)
 @settings(max_examples=80, deadline=None)
 def test_kmeans_matches_the_array_loop(seed, n, d, k, metric, repeats, rounded):
-    """Same assignments as the n x k x d loop; same bits wherever numpy sums in the same order.
+    """Same assignments, distances and objectives as the n x k x d loop, bit for bit.
 
-    numpy sums a length-d last axis from left to right only for d <= 7,
-    and mean(axis=0) adds rows one at a time only for d >= 2, so the
-    distances must match bit for bit up to d = 7 and the euclidean
-    centers from d = 2 on. Centers are compared by value: a zero may
-    differ in sign, which no distance sees.
+    The loop adds each distance's coordinates, and each cluster's rows,
+    strictly in order, as the array code does; numpy's own sums may add
+    pairwise, and at d = 8 that moved a tied rounded point. Centers are
+    compared by value: a zero may differ in sign, which no distance sees.
     """
     pts = _embedding_points(seed, n, d, repeats, rounded)
     k = min(k, np.unique(pts, axis=0).shape[0])
     rng = np.random.default_rng(seed + 1)
     centers = pts[rng.choice(n, k, replace=False)]
     D = partition._pairwise_distances(pts, centers, metric, 0.5)
-    if d <= 7:
-        assert D.tobytes() == loop_pairwise_distances(pts, centers, metric, 0.5).tobytes()
+    assert D.tobytes() == loop_pairwise_distances(pts, centers, metric, 0.5).tobytes()
     assign = D.argmin(axis=1)
     counts = np.bincount(assign, minlength=k)
-    if (counts > 0).all() and (d >= 2 or metric != "euclidean"):
+    if (counts > 0).all():
         assert np.array_equal(partition._centers(pts, assign, counts, metric), loop_centers(pts, assign, k, metric))
     ours, objective = partition._lloyd(pts, k, metric, 0.5, centers.copy())
     theirs, loop_objective = loop_lloyd(pts, k, metric, 0.5, centers.copy())
     assert np.array_equal(ours, theirs)
-    if d <= 7 and (d >= 2 or metric != "euclidean"):
-        assert objective == loop_objective
+    assert objective == loop_objective
     e = Embedding(coordinates=pts, dim=d)
     assert sa.kway_embedding_cluster(e, k, metric, 0.5, seed).assignment == loop_kway_embedding_cluster(
         pts, k, metric, 0.5, seed

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import spectral_abstraction as sa
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
+    DimensionMismatchError,
     DimensionOutOfRangeError,
+    DisconnectedGraphError,
     InvalidArgumentError,
     NotSymmetricError,
     TooFewNodesError,
@@ -200,6 +202,7 @@ def test_random_spectra_are_orthonormal_and_psd(seed, n):
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(4, 20))
+@example(seed=142544, n=19)  # lambda_3 is 1.0035 lambda_2: the oracle needs about 4 * 10^4 steps
 @settings(max_examples=25, deadline=None)
 def test_lambda2_matches_power_iteration(seed, n):
     rng = np.random.default_rng(seed)
@@ -235,6 +238,10 @@ class TestFiedler:
         v = sa.fiedler_vector(spectrum_of(g))
         assert v[0] * v[1] < 0
 
+    def test_disconnected_graph_rejected(self, two_k3):
+        with pytest.raises(DisconnectedGraphError):
+            sa.fiedler_vector(spectrum_of(two_k3))
+
 
 class TestRayleigh:
     def test_at_eigenvector_returns_eigenvalue(self, bridged_triangles):
@@ -253,6 +260,12 @@ class TestRayleigh:
         L = sa.laplacian(triangle, sa.LaplacianKind.COMBINATORIAL)
         with pytest.raises(DimensionOutOfRangeError):
             sa.rayleigh_quotient(L, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, triangle, bad):
+        L = sa.laplacian(triangle, sa.LaplacianKind.COMBINATORIAL)
+        with pytest.raises(InvalidArgumentError, match="^vector entries must be finite$"):
+            sa.rayleigh_quotient(L, np.array([0.0, bad, 1.0]))
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(3, 16))
@@ -440,6 +453,84 @@ def test_random_subset_spectra_match_the_full_solve(seed, n, frac, kind):
     _assert_subset_matches_full(g, kind, count)
 
 
+def _cycle(n):
+    return sa.graph_from_edges([f"v{i}" for i in range(n)], [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def _hypercube(d):
+    n = 2**d
+    edges = [(i, i ^ (1 << b), 1.0) for i in range(n) for b in range(d) if i < i ^ (1 << b)]
+    return sa.graph_from_edges([f"v{i}" for i in range(n)], edges)
+
+
+class TestLanczosRoute:
+    """Counted solves sent through shift-invert Lanczos by a dense limit of 0."""
+
+    @pytest.mark.parametrize(
+        "g,count",
+        [
+            pytest.param(_complete(12), 2, id="K12"),
+            pytest.param(_star(9), 2, id="star"),
+            pytest.param(_copies(_complete(4), 2), 3, id="two-K4"),
+            pytest.param(_grid(5), 2, id="grid"),
+            pytest.param(_hypercube(4), 3, id="Q4"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    def test_groups_that_straddle_count(self, monkeypatch, g, count, kind):
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
+        _assert_subset_matches_full(g, kind, count)
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_lanczos_equals_the_subset_driver_on_a_cycle(self, count):
+        # C20's nonzero eigenvalues come in pairs, so counts 2 and 4 cut a group
+        L = sa.laplacian(_cycle(20), sa.LaplacianKind.COMBINATORIAL)
+        lanczos = partial_eigendecompose(L, count)
+        subset = spectral._subset_eigendecompose(L, count)
+        assert np.abs(lanczos.eigenvalues - subset.eigenvalues).max() < 1e-10
+        assert np.abs(lanczos.eigenvectors - subset.eigenvectors).max() < 1e-10
+
+    def test_widening_past_the_first_doubling_goes_to_the_subset_driver(self, monkeypatch):
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        calls = []
+        real_eigsh, real_eigh = scipy.sparse.linalg.eigsh, scipy.linalg.eigh
+
+        def eigsh(*args, **kwargs):
+            calls.append(("lanczos", kwargs["k"]))
+            return real_eigsh(*args, **kwargs)
+
+        def eigh(*args, **kwargs):
+            calls.append(("subset", kwargs["subset_by_index"][1] + 1))
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        partial_eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
+        assert calls == [("lanczos", 3), ("lanczos", 6), ("subset", 12), ("subset", 24)]
+        calls.clear()
+        s = partial_eigendecompose(sa.laplacian(_cycle(6), sa.LaplacianKind.COMBINATORIAL), 5)
+        assert calls == [("subset", 6)] and s.n_pairs == 5
+
+
+_CROSS_ROUTE_GRAPHS = (
+    [pytest.param(_cycle(n), id=f"C{n}") for n in range(5, 31, 5)]
+    + [pytest.param(_grid(a), id=f"grid{a}") for a in range(3, 8)]
+    + [pytest.param(_complete(n), id=f"K{n}") for n in (6, 10, 16)]
+    + [pytest.param(_star(n), id=f"star{n}") for n in (6, 11)]
+    + [pytest.param(_hypercube(d), id=f"Q{d}") for d in (3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("g", _CROSS_ROUTE_GRAPHS)
+def test_recursive_bipartition_does_not_depend_on_the_counted_route(monkeypatch, g):
+    """Every counted solve through Lanczos gives the subset driver's partitions."""
+    subset = [sa.recursive_bipartition(g, k).assignment for k in (2, 3, 4)]
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
+    assert [sa.recursive_bipartition(g, k).assignment for k in (2, 3, 4)] == subset
+
+
 class TestEmbedding:
     def test_columns_skip_the_constant_eigenvector(self, bridged_triangles):
         s = spectrum_of(bridged_triangles)
@@ -459,6 +550,23 @@ class TestEmbedding:
         s = spectrum_of(g)
         with pytest.raises(TooFewNodesError):
             sa.fiedler_vector(s)
+
+    def test_too_few_pairs_rejected(self, bridged_triangles):
+        s = spectrum_of(bridged_triangles, count=2)
+        sa.spectral_embedding(s, 1)
+        with pytest.raises(DimensionOutOfRangeError, match="holds 2 pairs"):
+            sa.spectral_embedding(s, 2)
+
+    def test_list_coordinates_become_a_read_only_float_array(self):
+        e = sa.Embedding(coordinates=[[0, 1], [2, 3], [4, 5]], dim=2)
+        assert e.coordinates.dtype == np.float64 and e.coordinates.shape == (3, 2)
+        assert not e.coordinates.flags.writeable
+        assert e.n == 3
+
+    @pytest.mark.parametrize("coords", [np.zeros((3, 1)), np.zeros(3), np.zeros((3, 5, 1))])
+    def test_coordinates_must_have_dim_columns(self, coords):
+        with pytest.raises(DimensionMismatchError):
+            sa.Embedding(coordinates=coords, dim=5 if coords.ndim == 2 else 3)
 
 
 def test_large_counted_spectrum_uses_lanczos_and_matches_closed_form(monkeypatch):

@@ -154,6 +154,8 @@ class TestFitFc:
     def test_shape_and_symmetry_validation(self, triangle):
         with pytest.raises(DimensionMismatchError):
             fit_fc(triangle, np.eye(4))
+        with pytest.raises(DimensionMismatchError, match="square"):
+            fit_fc(triangle, np.zeros((3, 4)))
         bad = np.eye(3)
         bad[0, 1] = 1e-3
         with pytest.raises(NotSymmetricError):
