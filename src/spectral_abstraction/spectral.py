@@ -261,7 +261,7 @@ def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> S
         if end < m or m == n:
             break
         m = min(2 * m, n)
-    vals = np.ascontiguousarray(vals[:end])
+    vals = vals[:end]
     vecs = _canonicalize(vals, np.ascontiguousarray(vecs[:, :end]))
     _validate_spectrum(M, vals, vecs)
     return Spectrum(eigenvalues=vals[:count], eigenvectors=np.ascontiguousarray(vecs[:, :count]))
