@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the outputs that a speed-only change must leave byte-identical.
+
+The digest covers, in this order:
+
+* each cluster-linear benchmark input of the run seed: its k = 8
+  recursive_bipartition, then its count-2 and count-5 spectra;
+* each p-cluster benchmark input: its p = 1.5 k = 2 partition;
+* the connected criterion-5 graphs sbm_generate(2, 8, 0.9, 0.05, s)
+  for s in 0..49: recursive_bipartition and p_recursive_bipartition
+  (p = 1.5) at k = 3 and k = 4;
+* the cli-io benchmark's files: spectrum (JSON and scree CSV) and
+  hierarchy with --dot, on the TSV the benchmark writes.
+
+Inputs are built as perfbench/workloads.py builds them. The digest
+depends on the BLAS build, so compare it only between two checkouts run
+on one machine, with this same script. BLAS runs on one thread.
+
+Usage:
+    python3 scripts/output_digest.py              # seed 9201, benchmark sizes
+    python3 scripts/output_digest.py --toy        # a few small inputs of each kind
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import copy  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import spectral_abstraction as sa  # noqa: E402
+import spectral_abstraction.cli  # noqa: E402, F401
+from workloads import HIERARCHY_LEVELS, SIZES, subseed  # noqa: E402
+
+# --toy: inputs per benchmark family, criterion-5 seeds, and the cli-io graph
+TOY = {"graphs": 3, "criterion_seeds": 6, "cli-io": {"blocks": 4, "per_block": 12, "p_in": 0.5, "p_out": 0.02}}
+
+
+def sbm(size: dict, seed: int, index: int):
+    return sa.sbm_generate(size["blocks"], size["per_block"], size["p_in"], size["p_out"], subseed(seed, index))
+
+
+def add_partition(h, p) -> None:
+    h.update(np.int64(p.k).tobytes())
+    h.update(p.as_array().tobytes())
+
+
+def add_spectrum(h, s) -> None:
+    h.update(np.ascontiguousarray(s.eigenvalues).tobytes())
+    h.update(np.ascontiguousarray(s.eigenvectors).tobytes())
+
+
+def add_cli_files(h, g, workdir: str) -> None:
+    """Run the cli-io workload's two CLI calls and hash the files they write."""
+    tsv = os.path.join(workdir, "graph.tsv")
+    with open(tsv, "w") as f:
+        f.writelines(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in g.edges)
+    out = {name: os.path.join(workdir, name)
+           for name in ("spectrum.json", "spectrum.scree.csv", "hierarchy.json", "hierarchy.dot")}
+    calls = [
+        ["spectrum", "--input", tsv, "--output", out["spectrum.json"]],
+        ["hierarchy", "--input", tsv, "--output", out["hierarchy.json"], "--dot"]
+        + [arg for level in HIERARCHY_LEVELS for arg in ("--level", level)],
+    ]
+    for argv in calls:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = sa.cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"{argv[0]} exited {code}: {err.getvalue().strip()}")
+    for path in out.values():
+        with open(path, "rb") as f:
+            h.update(f.read())
+
+
+def digest(seed: int, toy: bool) -> str:
+    sizes = copy.deepcopy(SIZES)
+    criterion_seeds = 50
+    if toy:
+        for name in ("cluster-linear", "p-cluster"):
+            sizes[name]["graphs"] = TOY["graphs"]
+        sizes["cli-io"] = TOY["cli-io"]
+        criterion_seeds = TOY["criterion_seeds"]
+    h = hashlib.sha256()
+
+    linear = sizes["cluster-linear"]
+    for i in range(linear["graphs"]):
+        g = sbm(linear, seed, i)
+        add_partition(h, sa.recursive_bipartition(g, linear["blocks"]))
+        for count in (2, 5):
+            add_spectrum(h, sa.graph_spectrum(g, count=count))
+
+    pc = sizes["p-cluster"]
+    params = sa.PLaplacianParams(p=pc["p"])
+    for i in range(pc["graphs"]):
+        add_partition(h, sa.p_recursive_bipartition(sbm(pc, seed, i), pc["blocks"], params))
+
+    params = sa.PLaplacianParams(p=1.5)
+    for s in range(criterion_seeds):
+        g = sa.sbm_generate(2, 8, 0.9, 0.05, seed=s)
+        if len(sa.connected_components(g)) > 1:
+            continue
+        for k in (3, 4):
+            add_partition(h, sa.recursive_bipartition(g, k))
+            add_partition(h, sa.p_recursive_bipartition(g, k, params))
+
+    with tempfile.TemporaryDirectory() as workdir:
+        add_cli_files(h, sbm(sizes["cli-io"], seed, 0), workdir)
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=9201, help="benchmark run seed of the inputs")
+    parser.add_argument("--toy", action="store_true", help="a few small inputs of each kind")
+    args = parser.parse_args()
+    print(digest(args.seed, args.toy))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

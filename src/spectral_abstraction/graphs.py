@@ -166,9 +166,10 @@ def _graph(labels: Sequence[str], ei, ej, w) -> Graph:
     """
     ei, ej = np.ascontiguousarray(ei, np.int64), np.ascontiguousarray(ej, np.int64)
     w = np.ascontiguousarray(w, np.float64)
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
-    if bad.size:
-        i, j, x = int(ei[bad[0]]), int(ej[bad[0]]), float(w[bad[0]])
+    ok = (w > 0.0) & (w < np.inf)  # NaN fails both
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        i, j, x = int(ei[bad]), int(ej[bad]), float(w[bad])
         raise NonpositiveWeightError(f"edge ({i}, {j}, {x}): weight must be positive and finite")
     with np.errstate(over="ignore"):  # total volume bounds every degree, cut, eigenvalue
         if not np.isfinite(2.0 * w.sum()):
@@ -211,8 +212,11 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> La
     isolated nodes (zero degree) set to zero, diagonal included.
     """
     if kind is LaplacianKind.COMBINATORIAL:
+        # D - A written in place: -w off the diagonal, +0.0 where A is zero
         M = np.diag(degrees(g))
-        M -= adjacency_matrix(g)
+        neg = -g.w
+        M[g.ei, g.ej] = neg
+        M[g.ej, g.ei] = neg
         return LaplacianMatrix(matrix=M)
     if kind is LaplacianKind.NORMALIZED:
         A = adjacency_matrix(g)
@@ -234,16 +238,23 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     graph. Raises EmptySubsetError for an empty selection and
     IndexOutOfRangeError for indices outside the graph.
     """
-    wanted = sorted({operator.index(i) for i in nodes})
-    if not wanted:
+    if isinstance(nodes, np.ndarray) and nodes.ndim == 1 and nodes.dtype.kind in "iu":
+        wanted = np.sort(nodes)  # repeats are harmless below
+    else:
+        wanted = sorted({operator.index(i) for i in nodes})
+    if not len(wanted):
         raise EmptySubsetError("node subset must be nonempty")
     if wanted[0] < 0 or wanted[-1] >= g.n:
         raise IndexOutOfRangeError(f"subset contains indices outside 0..{g.n - 1}")
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[wanted] = np.arange(len(wanted))
-    # remap is increasing on the kept nodes, so kept edges stay canonical
-    keep = (remap[g.ei] >= 0) & (remap[g.ej] >= 0)
-    return _graph([g.labels[i] for i in wanted], remap[g.ei[keep]], remap[g.ej[keep]], g.w[keep])
+    inside = np.zeros(g.n, dtype=bool)
+    inside[wanted] = True
+    # the new index of each kept node: increasing, so kept edges stay canonical
+    remap = inside.cumsum() - 1
+    keep = inside[g.ei] & inside[g.ej]
+    labels = g.labels
+    return _graph(
+        [labels[i] for i in inside.nonzero()[0].tolist()], remap[g.ei[keep]], remap[g.ej[keep]], g.w[keep]
+    )
 
 
 def quotient_graph(g: Graph, partition: "Partition") -> Graph:
@@ -271,11 +282,14 @@ def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted index lists, ordered by minimum index."""
     import scipy.sparse.csgraph  # loaded on first use: the package import stays numpy-only
 
-    A = scipy.sparse.coo_matrix((g.w, (g.ei, g.ej)), shape=(g.n, g.n))
+    # the edges are sorted by (ei, ej), so ej in that order is the CSR column array
+    indptr = np.concatenate([[0], np.bincount(g.ei, minlength=g.n).cumsum()])
+    A = scipy.sparse.csr_array((g.w, g.ej, indptr), shape=(g.n, g.n))
     _, comp = scipy.sparse.csgraph.connected_components(A, directed=False)
-    order = np.argsort(comp, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
-    return sorted((group.tolist() for group in groups), key=lambda c: c[0])
+    order = np.argsort(comp, kind="stable").tolist()
+    ends = np.bincount(comp).cumsum().tolist()
+    groups = [order[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+    return sorted(groups, key=lambda c: c[0])
 
 
 def sbm_generate(

@@ -83,9 +83,14 @@ class Partition:
             raise KOutOfRangeError(f"k must be at least 1, got {self.k}")
         if not self.assignment:
             raise PartitionMismatchError("assignment must cover at least one node")
-        if not all(isinstance(a, (int, np.integer)) and 0 <= a < self.k for a in self.assignment):
-            raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
-        if set(int(a) for a in self.assignment) != set(range(self.k)):
+        counts = _id_counts(self.assignment, self.k)
+        if counts is None:  # the per-entry check, which also rejects what _id_counts turned down
+            if not all(isinstance(a, (int, np.integer)) and 0 <= a < self.k for a in self.assignment):
+                raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
+            used = set(int(a) for a in self.assignment) == set(range(self.k))
+        else:
+            used = counts.all()
+        if not used:
             raise PartitionMismatchError(
                 f"every cluster id in 0..{self.k - 1} must occur at least once"
             )
@@ -96,6 +101,18 @@ class Partition:
 
     def as_array(self) -> np.ndarray:
         return np.fromiter(self.assignment, dtype=np.int64, count=self.n)
+
+
+def _id_counts(assignment: tuple, k) -> np.ndarray | None:
+    """Entries per id 0..k-1 by one bincount; None unless every entry is a Python
+    int (or bool) in 0..k-1 and k is a Python int no larger than the entry count."""
+    if type(k) is not int or k > len(assignment) or not set(map(type, assignment)) <= {int, bool}:
+        return None
+    try:
+        ids = np.array(assignment, dtype=np.int64)
+    except OverflowError:  # beyond int64, so beyond k
+        return None
+    return np.bincount(ids, minlength=k) if 0 <= ids.min() and ids.max() < k else None
 
 
 @dataclass(frozen=True)
@@ -153,18 +170,16 @@ def sign_bipartition(g: Graph, v: np.ndarray) -> Partition:
 
 
 def _split_once(
-    nodes: list[int], lam2: float, sub: Graph, s: Spectrum, split_fn
-) -> tuple[list[int], list[int]]:
-    """Split one cluster of a host graph, given its subgraph and spectrum."""
+    nodes: np.ndarray, lam2: float, sub: Graph, s: Spectrum, split_fn
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split one cluster of a host graph (its ascending node ids), given its subgraph and spectrum."""
     if lam2 <= CONNECTIVITY_TOL:
         # internally disconnected: peel off the component with the lowest index
-        side_local = set(connected_components(sub)[0])
+        side = np.zeros(nodes.shape[0], dtype=bool)
+        side[connected_components(sub)[0]] = True
     else:
-        part = split_fn(sub, s)
-        side_local = {i for i, a in enumerate(part.assignment) if a == 0}
-    left = sorted(nodes[i] for i in side_local)
-    right = sorted(nodes[i] for i in range(len(nodes)) if i not in side_local)
-    return left, right
+        side = split_fn(sub, s).as_array() == 0
+    return nodes[side], nodes[~side]
 
 
 def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
@@ -182,42 +197,41 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
     """
     if not 1 <= k <= g.n:
         raise KOutOfRangeError(f"k={k} outside 1..{g.n}")
-    clusters = [sorted(c) for c in connected_components(g)]
+    # each cluster's ascending node ids, keyed by its lowest: clusters are disjoint
+    clusters = {c[0]: np.array(c) for c in connected_components(g)}
     if len(clusters) > k:
         raise KOutOfRangeError(
             f"graph has {len(clusters)} connected components, cannot form k={k} clusters"
         )
     # entries live until their cluster is split
-    solved: dict[tuple[int, ...], tuple[float, Graph, Spectrum]] = {}
+    solved: dict[int, tuple[float, Graph, Spectrum]] = {}
 
-    def solve(nodes: list[int]) -> tuple[float, Graph, Spectrum]:
-        key = tuple(nodes)
-        if key not in solved:
-            sub = induced_subgraph(g, nodes)
+    def lam2(first: int) -> float:
+        if first not in solved:
+            sub = induced_subgraph(g, clusters[first])
             s = graph_spectrum(sub, LaplacianKind.COMBINATORIAL, count=2)
-            solved[key] = algebraic_connectivity(s), sub, s
-        return solved[key]
+            solved[first] = algebraic_connectivity(s), sub, s
+        return solved[first][0]
 
     while len(clusters) < k:
-        candidates = [c for c in clusters if len(c) >= 2]
-        weakest = min(solve(c)[0] for c in candidates)
+        candidates = [first for first, c in clusters.items() if c.shape[0] >= 2]
+        weakest = min(lam2(first) for first in candidates)
         tol = _LAMBDA_TIE_REL_TOL * max(1.0, abs(weakest))
-        tied = [c for c in candidates if solve(c)[0] - weakest <= tol]
-        target = min(tied, key=lambda c: (-len(c), c[0]))
+        tied = [first for first in candidates if lam2(first) - weakest <= tol]
+        target = min(tied, key=lambda first: (-clusters[first].shape[0], first))
+        nodes = clusters.pop(target)
         try:
-            left, right = _split_once(target, *solved.pop(tuple(target)), split_fn)
+            left, right = _split_once(nodes, *solved.pop(target), split_fn)
         except ConstantVectorError as exc:
             raise NotEnoughSplittableClustersError(
-                f"cluster {target} admits no further spectral split"
+                f"cluster {nodes.tolist()} admits no further spectral split"
             ) from exc
-        clusters.remove(target)
-        clusters.append(left)
-        clusters.append(right)
+        for part in (left, right):
+            clusters[int(part[0])] = part
 
-    clusters.sort(key=lambda c: c[0])
     labels = np.zeros(g.n, dtype=np.int64)
-    for cid, members in enumerate(clusters):
-        labels[members] = cid
+    for cid, first in enumerate(sorted(clusters)):
+        labels[clusters[first]] = cid
     return _partition_from_labels(labels, len(clusters))
 
 
@@ -244,8 +258,9 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     exactly zero, so the first zero-cut threshold wins outright.
     Otherwise the thresholds whose swept value, widened by a bound on
     the rounding difference between the two routes, can reach the swept
-    minimum are re-scored with cut_metrics (normally one or two), and
-    the smallest t among their exact minima wins.
+    minimum are candidates. A lone candidate is the scan's winner; two
+    or more are re-scored with cut_metrics, and the smallest t among
+    their exact minima wins.
     """
     if selection not in SELECTIONS:
         raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
@@ -255,7 +270,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     order = np.argsort(f, kind="stable")
     levels = f[order]
     # max |f| is at one end of the sorted entries
-    ts = np.flatnonzero(np.diff(levels) > _LEVEL_REL_TOL * max(-levels[0], levels[-1])) + 1
+    ts = (levels[1:] - levels[:-1] > _LEVEL_REL_TOL * max(-levels[0], levels[-1])).nonzero()[0] + 1
     if not ts.size:
         raise ConstantVectorError("vector has no gap between its entries to cut at")
     return _partition_from_labels(_threshold_labels(order, _sweep(g, order, ts, selection)), 2)
@@ -266,19 +281,20 @@ def _sweep(g: Graph, order: np.ndarray, ts: np.ndarray, selection: str) -> int:
     n = g.n
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    ei, ej, w = g.ei, g.ej, g.w
-    # an edge crosses threshold t exactly when lo <= t < hi
-    lo = np.minimum(rank[ei], rank[ej]) + 1
-    hi = np.maximum(rank[ei], rank[ej]) + 1
-    crossing = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
-    zero_cut = ts[crossing[ts] == 0]
+    ri, rj, w = rank[g.ei], rank[g.ej], g.w
+    # an edge crosses threshold t exactly when lo < t <= hi, so the
+    # running sums below read the crossings of t at index t - 1
+    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    last = ts - 1
+    crossing = (np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n)).cumsum()
+    zero_cut = ts[crossing[last] == 0]
     if zero_cut.size:
         return int(zero_cut[0])
-    cut = np.cumsum(np.bincount(lo, w, n + 1) - np.bincount(hi, w, n + 1))[ts]
+    cut = (np.bincount(lo, w, n) - np.bincount(hi, w, n)).cumsum()[last]
     deg = degrees(g)[order]
-    vol = np.cumsum(deg)
-    vol_in = vol[ts - 1]
-    vol_out = np.cumsum(deg[::-1])[::-1][ts]
+    vol = deg.cumsum()
+    vol_in = vol[last]
+    vol_out = deg[::-1].cumsum()[::-1][ts]
     smaller = np.minimum(vol_in, vol_out)
     if selection == "cheeger":
         per_cut = 1.0 / smaller
@@ -290,7 +306,7 @@ def _sweep(g: Graph, order: np.ndarray, ts: np.ndarray, selection: str) -> int:
     # Bound |value - cut_metrics' value| by the rounding of the two
     # routes: each sums a cut weight to within cut_err and a volume to
     # within vol_err of the exact sum. A threshold whose smaller volume
-    # is within vol_err of zero has no bound and is always re-scored.
+    # is within vol_err of zero has no bound and is always a candidate.
     cut_err = 2.0 * (w.size + n) * _EPS * float(w.sum())
     vol_err = 16.0 * (n + 1) * _EPS * float(vol[-1])
     margin = smaller - vol_err
@@ -301,6 +317,8 @@ def _sweep(g: Graph, order: np.ndarray, ts: np.ndarray, selection: str) -> int:
         np.inf,
     )
     candidates = ts[value - bound <= np.min(value + bound)]
+    if candidates.size == 1:  # every other threshold scores above it exactly
+        return int(candidates[0])
     exact = [_selected_cut(g, _threshold_labels(order, int(t)), selection) for t in candidates]
     return int(candidates[int(np.argmin(exact))])
 
@@ -476,24 +494,26 @@ def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
 
 def _cut_metrics(g: Graph, assign: np.ndarray, k: int) -> CutMetrics:
     """cut_metrics of cluster ids 0..k-1, one per node of g, all of them used."""
-    crossing = assign[g.ei] != assign[g.ej]
-    cut = np.zeros(k)
-    np.add.at(cut, assign[g.ei[crossing]], g.w[crossing])
-    np.add.at(cut, assign[g.ej[crossing]], g.w[crossing])
+    ai, aj = assign[g.ei], assign[g.ej]
+    crossing = ai != aj
+    w = g.w[crossing]
+    # each cluster adds its crossing weights in edge order, first ends before second ends
+    cut = np.bincount(np.concatenate([ai[crossing], aj[crossing]]), np.concatenate([w, w]), k)
     vol = np.bincount(assign, weights=degrees(g), minlength=k)
     size = np.bincount(assign, minlength=k).astype(np.float64)
     total_cut = float(cut.sum()) / 2.0
-    # the complement's own volume: the total less vol(C) can round to 0
-    complement = [float(np.delete(vol, a).sum()) for a in range(k)]
+    # the complement's own volume, row a of the other clusters' volumes in
+    # cluster order: the total less vol(C) can round to 0
+    complement = np.broadcast_to(vol, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1).sum(axis=1)
 
-    def safe(num: float, den: float) -> float:
-        return 0.0 if num == 0.0 else num / den
+    def safe(den: np.ndarray) -> np.ndarray:
+        # a zero cut scores zero, whatever den is
+        return np.divide(cut, den, out=np.zeros(k), where=cut != 0.0)
 
-    ratio = float(sum(safe(c, s) for c, s in zip(cut, size)))
-    normalized = float(sum(safe(c, v) for c, v in zip(cut, vol)))
-    cheeger = float(
-        max((safe(c, min(v, r)) for c, v, r in zip(cut, vol, complement)), default=0.0)
-    )
+    # clusters add in order, as a running sum would
+    ratio = float(safe(size).cumsum()[-1])
+    normalized = float(safe(vol).cumsum()[-1])
+    cheeger = float(safe(np.minimum(vol, complement)).max())
     return CutMetrics(
         cut_weight=total_cut,
         ratio_cut=ratio,
@@ -513,12 +533,12 @@ def connectivity_profile(g: Graph, p: Partition) -> ConnectivityProfile:
     if p.n != g.n:
         raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
     assign = p.as_array()
-    internal = np.zeros(p.k)
-    external = np.zeros(p.k)
-    same = assign[g.ei] == assign[g.ej]
-    np.add.at(internal, assign[g.ei[same]], g.w[same])
-    np.add.at(external, assign[g.ei[~same]], g.w[~same])
-    np.add.at(external, assign[g.ej[~same]], g.w[~same])
+    ai, aj = assign[g.ei], assign[g.ej]
+    same = ai == aj
+    w = g.w[~same]
+    # each cluster adds its weights in edge order, crossing first ends before second ends
+    internal = np.bincount(ai[same], g.w[same], p.k)
+    external = np.bincount(np.concatenate([ai[~same], aj[~same]]), np.concatenate([w, w]), p.k)
     size = np.bincount(assign, minlength=p.k).astype(np.float64)
     n = float(g.n)
     records = []

@@ -34,14 +34,15 @@ Which solver answers a request (graph_spectrum picks):
   divide and conquer, through numpy);
 * the smallest few pairs, up to DENSE_SOLVER_MAX_N nodes, come from
   LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
-  2006);
+  2006), called through scipy.linalg.lapack with the workspace sizes
+  scipy.linalg.eigh would query, which are kept per matrix size;
 * the smallest few pairs beyond DENSE_SOLVER_MAX_N come from
   shift-invert Lanczos.
 
 Every route widens a counted request until its last eigenspace is whole
 and passes the same canonicalization and checks, so a counted spectrum
 is a full one's leading pairs whichever solver ran. scipy is imported
-only inside the two count-limited solvers.
+only inside the two count-limited solvers and the MRRR workspace query.
 
 A full spectrum is a pure function of the graph and the Laplacian kind,
 so graph_spectrum stores each one on its graph, and one
@@ -53,6 +54,7 @@ read-only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +165,8 @@ def _canonical_subspace_basis(V: np.ndarray) -> np.ndarray:
 
 
 def _degenerate_groups(vals: np.ndarray) -> list[tuple[int, int]]:
-    gaps = np.diff(vals) > _DEGENERACY_TOL * np.maximum(1.0, np.abs(vals[1:]))
-    bounds = [0, *(np.flatnonzero(gaps) + 1).tolist(), vals.shape[0]]
+    gaps = vals[1:] - vals[:-1] > _DEGENERACY_TOL * np.maximum(1.0, np.abs(vals[1:]))
+    bounds = [0, *(gaps.nonzero()[0] + 1).tolist(), vals.shape[0]]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -176,8 +178,8 @@ def _apply_sign_convention(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _canonicalize(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    for lo, hi in _degenerate_groups(vals):
+def _canonicalize(groups: list[tuple[int, int]], vecs: np.ndarray) -> np.ndarray:
+    for lo, hi in groups:
         if hi - lo > 1:
             vecs[:, lo:hi] = _canonical_subspace_basis(vecs[:, lo:hi])
     return _apply_sign_convention(vecs)
@@ -189,10 +191,18 @@ def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Non
             f"spectrum violates positive semidefiniteness: lambda_1 = {vals[0]}"
         )
     gram = vecs.T @ vecs
-    gram_err = np.abs(gram - np.eye(vals.shape[0])).max() if vals.size else 0.0
+    gram.flat[:: vals.shape[0] + 1] -= 1.0
+    gram_err = np.abs(gram, out=gram).max() if vals.size else 0.0
     if not gram_err < _ORTHONORMALITY_TOL:
         raise ConvergenceFailureError(f"eigenvectors lost orthonormality ({gram_err:.2e})")
-    residual = M @ vecs - vecs * vals
+    residual = M @ vecs
+    residual -= vecs * vals
+    # One pass settles every pair that clears its bound by far more than
+    # this column sum and np.linalg.norm can differ by rounding; the loop
+    # decides, and names, any other pair with one norm per column.
+    norms = np.sqrt(np.einsum("ij,ij->j", residual, residual))
+    if (norms < _RESIDUAL_TOL * (1.0 - 1e-6) * np.maximum(1.0, np.abs(vals))).all():
+        return
     for k in range(vals.shape[0]):
         bound = _RESIDUAL_TOL * max(1.0, abs(vals[k]))
         err = np.linalg.norm(residual[:, k])
@@ -206,16 +216,39 @@ def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetr
     """Raise `error` unless M is square with max |M - M^T| at most `tol`."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise error(f"expected a square matrix, got shape {M.shape}")
+    if np.array_equal(M, M.T) and np.isfinite(M).all():  # M - M.T is all zeros
+        return
     d = M - M.T
     asym = np.abs(d, out=d).max() if M.size else 0.0
     if not asym <= tol:
         raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
 
 
-def _mrrr(M: np.ndarray, m: int):
-    import scipy.linalg
+@functools.lru_cache(maxsize=64)
+def _mrrr_workspace(n: int) -> tuple[int, int]:
+    """dsyevr's (lwork, liwork) for an n x n matrix, from the query scipy.linalg.eigh makes."""
+    from scipy.linalg import lapack
 
-    return scipy.linalg.eigh(M, subset_by_index=[0, m - 1], driver="evr", check_finite=False)
+    work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    return int(work), int(iwork)
+
+
+def _mrrr(M: np.ndarray, m: int):
+    """The m smallest eigenpairs of symmetric M from LAPACK's dsyevr.
+
+    The call is the one scipy.linalg.eigh(M, subset_by_index=[0, m - 1],
+    driver="evr") makes, so the pairs are the same bytes, without eigh's
+    argument checks and workspace query on every call.
+    """
+    from scipy.linalg import lapack
+
+    lwork, liwork = _mrrr_workspace(M.shape[0])
+    vals, vecs, found, _, info = lapack.dsyevr(
+        M, compute_v=1, range="I", il=1, iu=m, lower=1, lwork=lwork, liwork=liwork
+    )
+    if info:
+        raise np.linalg.LinAlgError("Internal Error.")  # scipy.linalg.eigh's message for this driver
+    return vals[:found], vecs[:, :found]
 
 
 def _lanczos(M: np.ndarray, m: int):
@@ -257,12 +290,14 @@ def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> S
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         vecs = np.ascontiguousarray(vecs[:, order])
-        end = m if count is None else next(hi for _, hi in _degenerate_groups(vals) if hi >= count)
+        groups = _degenerate_groups(vals)
+        end = m if count is None else next(hi for _, hi in groups if hi >= count)
         if end < m or m == n:
             break
         m = min(2 * m, n)
     vals = vals[:end]
-    vecs = _canonicalize(vals, np.ascontiguousarray(vecs[:, :end]))
+    # a gap at `end` closes a group, so the kept groups are the groups of vals[:end]
+    vecs = _canonicalize([g for g in groups if g[1] <= end], np.ascontiguousarray(vecs[:, :end]))
     _validate_spectrum(M, vals, vecs)
     return Spectrum(eigenvalues=vals[:count], eigenvectors=np.ascontiguousarray(vecs[:, :count]))
 

@@ -24,9 +24,12 @@ from itertools import combinations, permutations
 import numpy as np
 
 from spectral_abstraction.errors import (
+    ConvergenceFailureError,
     DuplicateEdgeError,
+    KOutOfRangeError,
     NonpositiveWeightError,
     ParseError,
+    PartitionMismatchError,
     SelfLoopError,
 )
 from spectral_abstraction.fileio import _csv_rows, _is_header, format_float
@@ -726,3 +729,112 @@ def loop_parse_edge_list_tsv(text: str):
     if not labels:
         raise ParseError("edge list contains no edges")
     return sa.graph_from_edges(labels, edges)
+
+
+# The former per-entry and per-column checks and the former cut and split
+# bookkeeping, kept as references for their whole-array replacements.
+
+def loop_validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """spectral._validate_spectrum with one np.linalg.norm per residual column."""
+    if vals.size and not vals[0] >= -1e-10:
+        raise ConvergenceFailureError(
+            f"spectrum violates positive semidefiniteness: lambda_1 = {vals[0]}"
+        )
+    gram = vecs.T @ vecs
+    gram_err = np.abs(gram - np.eye(vals.shape[0])).max() if vals.size else 0.0
+    if not gram_err < 1e-9:
+        raise ConvergenceFailureError(f"eigenvectors lost orthonormality ({gram_err:.2e})")
+    residual = M @ vecs - vecs * vals
+    for k in range(vals.shape[0]):
+        bound = 1e-8 * max(1.0, abs(vals[k]))
+        err = np.linalg.norm(residual[:, k])
+        if not err < bound:
+            raise ConvergenceFailureError(
+                f"residual for eigenpair {k} is {err:.2e}, bound {bound:.2e}"
+            )
+
+
+def loop_partition_check(assignment: tuple, k) -> None:
+    """Partition.__post_init__'s checks, one entry at a time."""
+    if k < 1:
+        raise KOutOfRangeError(f"k must be at least 1, got {k}")
+    if not assignment:
+        raise PartitionMismatchError("assignment must cover at least one node")
+    if not all(isinstance(a, (int, np.integer)) and 0 <= a < k for a in assignment):
+        raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
+    if set(int(a) for a in assignment) != set(range(k)):
+        raise PartitionMismatchError(f"every cluster id in 0..{k - 1} must occur at least once")
+
+
+def add_at_cut_metrics(g, assign: np.ndarray, k: int):
+    """partition._cut_metrics by np.add.at scatters and one np.delete per cluster."""
+    import spectral_abstraction as sa
+
+    crossing = assign[g.ei] != assign[g.ej]
+    cut = np.zeros(k)
+    np.add.at(cut, assign[g.ei[crossing]], g.w[crossing])
+    np.add.at(cut, assign[g.ej[crossing]], g.w[crossing])
+    vol = np.bincount(assign, weights=sa.degrees(g), minlength=k)
+    size = np.bincount(assign, minlength=k).astype(np.float64)
+    total_cut = float(cut.sum()) / 2.0
+    complement = [float(np.delete(vol, a).sum()) for a in range(k)]
+
+    def safe(num: float, den: float) -> float:
+        return 0.0 if num == 0.0 else num / den
+
+    ratio = float(sum(safe(c, s) for c, s in zip(cut, size)))
+    normalized = float(sum(safe(c, v) for c, v in zip(cut, vol)))
+    cheeger = float(
+        max((safe(c, min(v, r)) for c, v, r in zip(cut, vol, complement)), default=0.0)
+    )
+    return sa.CutMetrics(
+        cut_weight=total_cut, ratio_cut=ratio, normalized_cut=normalized, cheeger=cheeger
+    )
+
+
+def set_split_once(nodes: list[int], lam2: float, sub, s, split_fn) -> tuple[list[int], list[int]]:
+    """partition._split_once by sets of local node indices."""
+    import spectral_abstraction as sa
+
+    if lam2 <= 1e-9:
+        side_local = set(sa.connected_components(sub)[0])
+    else:
+        part = split_fn(sub, s)
+        side_local = {i for i, a in enumerate(part.assignment) if a == 0}
+    left = sorted(nodes[i] for i in side_local)
+    right = sorted(nodes[i] for i in range(len(nodes)) if i not in side_local)
+    return left, right
+
+
+def add_at_connectivity_profile(g, p):
+    """partition.connectivity_profile by np.add.at scatters."""
+    import spectral_abstraction as sa
+
+    assign = p.as_array()
+    internal = np.zeros(p.k)
+    external = np.zeros(p.k)
+    same = assign[g.ei] == assign[g.ej]
+    np.add.at(internal, assign[g.ei[same]], g.w[same])
+    np.add.at(external, assign[g.ei[~same]], g.w[~same])
+    np.add.at(external, assign[g.ej[~same]], g.w[~same])
+    size = np.bincount(assign, minlength=p.k).astype(np.float64)
+    n = float(g.n)
+    records = []
+    for c in range(p.k):
+        s = size[c]
+        pairs_in = s * (s - 1.0) / 2.0
+        density = internal[c] / pairs_in if pairs_in > 0 else 0.0
+        pairs_out = s * (n - s)
+        if external[c] > 0 and pairs_out > 0:
+            separation = density / (external[c] / pairs_out)
+        else:
+            separation = float("inf")
+        records.append(
+            sa.ClusterProfile(
+                internal_weight=float(internal[c]),
+                external_weight=float(external[c]),
+                internal_density=float(density),
+                separation=float(separation),
+            )
+        )
+    return sa.ConnectivityProfile(clusters=tuple(records))

@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
-from spectral_abstraction.errors import InvalidArgumentError, NonpositiveWeightError
+from spectral_abstraction.errors import (
+    EmptySubsetError,
+    IndexOutOfRangeError,
+    InvalidArgumentError,
+    NonpositiveWeightError,
+)
 from spectral_abstraction.nonlinear import CouplingSystem, PLaplacianParams, p_spectral_bipartition
 
 from oracles import dict_quotient_graph, scalar_sbm_generate, set_induced_subgraph
@@ -62,6 +67,60 @@ def test_subgraph_and_quotient_match_the_per_edge_builders(seed, n, p, kind):
     labels[rng.choice(n, size=k, replace=False)] = np.arange(k)
     part = sa.Partition(assignment=tuple(int(a) for a in labels), k=k)
     assert_same_graph(sa.quotient_graph(g, part), dict_quotient_graph(g, part))
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 16),
+    p=st.floats(0.0, 0.9),
+    kind=st.sampled_from(WEIGHT_KINDS),
+    dtype=st.sampled_from([np.int64, np.int32, np.uint16]),
+)
+@settings(max_examples=100, deadline=None)
+def test_subgraph_of_an_index_array_matches_the_per_edge_builder(seed, n, p, kind, dtype):
+    """An integer array may hold its node ids in any order and repeat them, as a list may."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p, kind)
+    picks = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+    assert_same_graph(sa.induced_subgraph(g, picks.astype(dtype)), set_induced_subgraph(g, picks.tolist()))
+
+
+@pytest.mark.parametrize(
+    "nodes, error, message",
+    [
+        pytest.param([], EmptySubsetError, "node subset must be nonempty", id="empty-list"),
+        pytest.param(np.array([], dtype=np.int64), EmptySubsetError, "node subset must be nonempty", id="empty-array"),
+        pytest.param([0, 3], IndexOutOfRangeError, "subset contains indices outside 0..2", id="above-list"),
+        pytest.param(np.array([3, 0]), IndexOutOfRangeError, "subset contains indices outside 0..2", id="above-array"),
+        pytest.param([-1, 0], IndexOutOfRangeError, "subset contains indices outside 0..2", id="negative-list"),
+        pytest.param(np.array([0, -1]), IndexOutOfRangeError, "subset contains indices outside 0..2", id="negative-array"),
+    ],
+)
+def test_subgraph_selection_messages(triangle, nodes, error, message):
+    with pytest.raises(error) as info:
+        sa.induced_subgraph(triangle, nodes)
+    assert str(info.value) == message
+
+
+def _trusted_path(w):
+    """a - b - c built by the raw constructor, which trusts its weights."""
+    return sa.Graph(labels=("a", "b", "c"), ei=np.array([0, 1]), ej=np.array([1, 2]), w=np.array(w))
+
+
+@pytest.mark.parametrize(
+    "w, error, message",
+    [
+        pytest.param([1.0, -2.0], NonpositiveWeightError, "edge (1, 2, -2.0): weight must be positive and finite", id="negative"),
+        pytest.param([-0.0, 1.0], NonpositiveWeightError, "edge (0, 1, -0.0): weight must be positive and finite", id="minus-zero"),
+        pytest.param([1.0, np.inf], NonpositiveWeightError, "edge (1, 2, inf): weight must be positive and finite", id="inf"),
+        pytest.param([np.nan, -1.0], NonpositiveWeightError, "edge (0, 1, nan): weight must be positive and finite", id="nan-first"),
+        pytest.param([1e308, 1e308], InvalidArgumentError, "total edge weight overflows: twice its sum must be finite", id="overflow"),
+    ],
+)
+def test_subgraph_weight_check_messages(w, error, message):
+    with pytest.raises(error) as info:
+        sa.induced_subgraph(_trusted_path(w), [0, 1, 2])
+    assert str(info.value) == message
 
 
 @given(

@@ -21,6 +21,8 @@ from spectral_abstraction.spectral import Embedding
 
 from conftest import random_connected_graph
 from oracles import (
+    add_at_connectivity_profile,
+    add_at_cut_metrics,
     best_assignment,
     direct_cut_metrics,
     kmeans_objective,
@@ -28,7 +30,9 @@ from oracles import (
     loop_kway_embedding_cluster,
     loop_lloyd,
     loop_pairwise_distances,
+    loop_partition_check,
     scan_threshold_partition,
+    set_split_once,
 )
 
 
@@ -52,6 +56,74 @@ def embed(g, dim):
 def test_partition_rejects_malformed_assignments(assignment, k, error):
     with pytest.raises(error):
         sa.Partition(assignment=assignment, k=k)
+
+
+_NOT_IDS = "assignment ids must be integers in 0..k-1"
+
+
+@pytest.mark.parametrize(
+    "assignment, k, message",
+    [
+        pytest.param((0, 1.0), 2, _NOT_IDS, id="float"),
+        pytest.param(("x",), 1, _NOT_IDS, id="string"),
+        pytest.param((None,), 1, _NOT_IDS, id="none"),
+        pytest.param((0, 2), 2, _NOT_IDS, id="above-k"),
+        pytest.param((0, -1, 1), 2, _NOT_IDS, id="negative"),
+        pytest.param((0, np.True_), 2, _NOT_IDS, id="numpy-bool"),
+        pytest.param((0, np.array(1)), 2, _NOT_IDS, id="zero-dim-array"),
+        pytest.param((0, 2**70), 2, _NOT_IDS, id="beyond-int64"),
+        pytest.param((0, 0), 2, "every cluster id in 0..1 must occur at least once", id="unused-id"),
+        pytest.param((0, 1), 3, "every cluster id in 0..2 must occur at least once", id="k-above-n"),
+        pytest.param((), 1, "assignment must cover at least one node", id="empty"),
+        pytest.param((0,), 0, "k must be at least 1, got 0", id="k-zero"),
+    ],
+)
+def test_partition_check_messages(assignment, k, message):
+    with pytest.raises((PartitionMismatchError, KOutOfRangeError)) as info:
+        sa.Partition(assignment=assignment, k=k)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "assignment, k",
+    [
+        pytest.param((np.int64(0), np.int64(1)), 2, id="numpy-int64"),
+        pytest.param((np.uint8(1), 0, np.int32(2)), 3, id="mixed-integer-types"),
+        pytest.param((False, True, True), 2, id="python-bools"),
+        pytest.param((0, 1, 1), np.int64(2), id="numpy-k"),
+    ],
+)
+def test_partition_accepts_any_integer_entries(assignment, k):
+    assert sa.Partition(assignment=assignment, k=k).as_array().tolist() == [int(a) for a in assignment]
+
+
+_ENTRIES = st.one_of(
+    st.integers(-2, 5),
+    st.booleans(),
+    st.integers(-2, 5).map(np.int64),
+    st.integers(0, 5).map(np.uint64),
+    st.integers(0, 5).map(np.array),
+    st.sampled_from([1.0, np.float64(0.0), None, "x", 2**70, -(2**70), np.True_]),
+)
+
+
+def _raised(make):
+    try:
+        make()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@given(
+    assignment=st.one_of(st.lists(st.integers(0, 5), max_size=12), st.lists(_ENTRIES, max_size=8)).map(tuple),
+    k=st.one_of(st.integers(-1, 7), st.integers(1, 7).map(np.int64), st.just(2.0)),
+)
+@settings(max_examples=400, deadline=None)
+def test_partition_checks_match_the_per_entry_loop(assignment, k):
+    assert _raised(lambda: sa.Partition(assignment=assignment, k=k)) == _raised(
+        lambda: loop_partition_check(assignment, k)
+    )
 
 
 class TestSignBipartition:
@@ -504,6 +576,57 @@ def test_cut_metrics_match_direct_edge_loop(seed, n, k):
     assert abs(ours.ratio_cut - ref["ratio_cut"]) < 1e-9
     assert abs(ours.normalized_cut - ref["normalized_cut"]) < 1e-9
     assert abs(ours.cheeger - ref["cheeger"]) < 1e-9
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 30),
+    k=st.integers(1, 12),
+    p=st.floats(0.0, 1.0),
+    wide=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_cut_metrics_and_profile_match_the_scatter_loops_bit_for_bit(seed, n, k, p, wide):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    edges = [(i, j, float(10.0 ** rng.uniform(-9, 8)) if wide else float(rng.uniform(0.1, 3.0)))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    g = sa.graph_from_edges([f"v{i}" for i in range(n)], edges)
+    labels = rng.integers(0, k, size=n)
+    labels[rng.choice(n, size=k, replace=False)] = np.arange(k)
+    ours = partition._cut_metrics(g, labels, k)
+    ref = add_at_cut_metrics(g, labels, k)
+    fields = ("cut_weight", "ratio_cut", "normalized_cut", "cheeger")
+    assert np.array([getattr(ours, f) for f in fields]).tobytes() == np.array([getattr(ref, f) for f in fields]).tobytes()
+    p = sa.Partition(assignment=tuple(labels.tolist()), k=k)
+    fields = ("internal_weight", "external_weight", "internal_density", "separation")
+    assert [np.array([getattr(c, f) for f in fields]).tobytes() for c in sa.connectivity_profile(g, p).clusters] == [
+        np.array([getattr(c, f) for f in fields]).tobytes() for c in add_at_connectivity_profile(g, p).clusters
+    ]
+
+
+def _fiedler_split(sub, s):
+    return sa.threshold_partition(sub, s.eigenvectors[:, 1], "cheeger")
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 24), p=st.floats(0.05, 0.9))
+@settings(max_examples=150, deadline=None)
+def test_split_once_matches_the_set_split(seed, n, p):
+    """Clusters of a sparse host are often disconnected, which takes the component branch."""
+    rng = np.random.default_rng(seed)
+    host = sa.sbm_generate(2, 12, p, p / 4, seed)
+    nodes = sorted(rng.choice(host.n, size=n, replace=False).tolist())
+    sub = sa.induced_subgraph(host, nodes)
+    s = sa.graph_spectrum(sub, count=2)
+    lam2 = sa.algebraic_connectivity(s)
+
+    def sides(split, ids):
+        try:
+            return [[int(i) for i in side] for side in split(ids, lam2, sub, s, _fiedler_split)]
+        except ConstantVectorError as exc:
+            return str(exc)
+
+    assert sides(partition._split_once, np.array(nodes)) == sides(set_split_once, nodes)
 
 
 class TestConnectivityProfile:

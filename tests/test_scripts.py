@@ -56,3 +56,19 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
         assert r["result"]["correct"] and r["result"]["attempted"] > 0
     assert "items_per_s" in record["runs"][0]["result"]["metrics"]
     assert "nonlinear.self_s" in record["runs"][1]["result"]["metrics"]
+
+
+def test_output_digest_repeats_at_a_toy_size():
+    """The digest is one SHA-256 line, the same on every run; its value depends on the BLAS build."""
+    digests = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(SCRIPTS, "output_digest.py"), "--toy"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+    assert len(digests[0].strip()) == 64 and int(digests[0], 16) >= 0

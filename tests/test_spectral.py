@@ -30,6 +30,7 @@ from oracles import (
     charpoly_eigenvalues,
     loop_degenerate_groups,
     loop_sign_convention,
+    loop_validate_spectrum,
     power_iteration_lambda2,
     probe_gram_schmidt_basis,
     union_find_components,
@@ -405,31 +406,27 @@ class TestSubsetSolves:
         ],
     )
     def test_the_request_widens_until_a_gap_closes_the_kept_group(self, monkeypatch, g, asked):
-        import scipy.linalg
-
         calls = []
-        real = scipy.linalg.eigh
+        real = spectral._mrrr
 
-        def recording(*args, **kwargs):
-            calls.append(kwargs["subset_by_index"][1] + 1)
-            return real(*args, **kwargs)
+        def recording(M, m):
+            calls.append(m)
+            return real(M, m)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        monkeypatch.setattr(spectral, "_mrrr", recording)
         sa.graph_spectrum(g, count=2)
         assert calls == asked
 
     def test_a_wrong_vector_from_the_subset_driver_fails_the_checks(self, monkeypatch):
-        import scipy.linalg
+        real = spectral._mrrr
 
-        real = scipy.linalg.eigh
-
-        def perturbed(*args, **kwargs):
-            vals, vecs = real(*args, **kwargs)
+        def perturbed(M, m):
+            vals, vecs = real(M, m)
             vecs = vecs.copy()
             vecs[0, 1] += 1e-6
             return vals, vecs
 
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        monkeypatch.setattr(spectral, "_mrrr", perturbed)
         g = random_connected_graph(np.random.default_rng(9), 12)
         with pytest.raises(ConvergenceFailureError):
             sa.graph_spectrum(g, count=2)
@@ -491,22 +488,21 @@ class TestLanczosRoute:
         assert np.abs(lanczos.eigenvectors - subset.eigenvectors).max() < 1e-10
 
     def test_widening_past_the_first_doubling_goes_to_the_subset_driver(self, monkeypatch):
-        import scipy.linalg
         import scipy.sparse.linalg
 
         calls = []
-        real_eigsh, real_eigh = scipy.sparse.linalg.eigsh, scipy.linalg.eigh
+        real_eigsh, real_mrrr = scipy.sparse.linalg.eigsh, spectral._mrrr
 
         def eigsh(*args, **kwargs):
             calls.append(("lanczos", kwargs["k"]))
             return real_eigsh(*args, **kwargs)
 
-        def eigh(*args, **kwargs):
-            calls.append(("subset", kwargs["subset_by_index"][1] + 1))
-            return real_eigh(*args, **kwargs)
+        def mrrr(M, m):
+            calls.append(("subset", m))
+            return real_mrrr(M, m)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
-        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        monkeypatch.setattr(spectral, "_mrrr", mrrr)
         partial_eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
         assert calls == [("lanczos", 3), ("lanczos", 6), ("subset", 12), ("subset", 24)]
         calls.clear()
@@ -666,3 +662,95 @@ class TestStoredSpectra:
         assert g == twin and twin == g
         assert (repr(g), hash(g)) == before == (repr(twin), hash(twin))
         assert "_spectra" not in repr(g)
+
+
+class TestMrrrDriver:
+    """_mrrr calls LAPACK's dsyevr itself, with a workspace size kept per n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 24, 97, 192])
+    def test_equals_scipy_eigh_byte_for_byte(self, n):
+        import scipy.linalg
+
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n))
+        laplacian = sa.laplacian(random_connected_graph(rng, n, p=0.2), sa.LaplacianKind.COMBINATORIAL)
+        # one cached workspace serves every m at this n
+        for M in (A + A.T, np.asarray(laplacian.matrix)):
+            for m in sorted({1, 2, min(3, n), n // 2 or 1, n}):
+                vals, vecs = spectral._mrrr(M, m)
+                ref_vals, ref_vecs = scipy.linalg.eigh(M, subset_by_index=[0, m - 1], driver="evr")
+                assert vals.shape == (m,) and vecs.shape == (n, m)
+                assert vals.tobytes() == ref_vals.tobytes()
+                assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def _failure(check, *args):
+    """The message a check raises ConvergenceFailureError with, or None when it passes."""
+    try:
+        check(*args)
+    except ConvergenceFailureError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckMessages:
+    def test_a_negative_first_eigenvalue_fails_semidefiniteness(self):
+        with pytest.raises(ConvergenceFailureError) as info:
+            spectral._validate_spectrum(np.eye(2), np.array([-1e-9, 1.0]), np.eye(2))
+        assert str(info.value) == "spectrum violates positive semidefiniteness: lambda_1 = -1e-09"
+
+    def test_a_stretched_vector_fails_orthonormality(self):
+        vecs = np.diag([1.0, 1.0 + 1e-6])
+        with pytest.raises(ConvergenceFailureError) as info:
+            spectral._validate_spectrum(np.diag([0.0, 1.0]), np.array([0.0, 1.0]), vecs)
+        assert str(info.value) == "eigenvectors lost orthonormality (2.00e-06)"
+
+    def test_the_residual_message_names_the_lowest_failing_pair(self):
+        M = np.diag([0.0, 1.0, 2.0, 3.0])
+        vals = np.array([0.0, 1.0 + 1e-6, 2.0, 3.0 + 1e-3])
+        with pytest.raises(ConvergenceFailureError) as info:
+            spectral._validate_spectrum(M, vals, np.eye(4))
+        assert str(info.value) == "residual for eigenpair 1 is 1.00e-06, bound 1.00e-08"
+
+    @pytest.mark.parametrize(
+        "M, message",
+        [
+            pytest.param(np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)", id="not-square"),
+            pytest.param([[1.0, 2.0], [0.0, 1.0]], "matrix asymmetry 2.00e+00 exceeds 1e-12", id="asymmetric"),
+            pytest.param([[1.0, 1e-12], [0.0, 1.0]], None, id="within-tolerance"),
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], "matrix asymmetry nan exceeds 1e-12", id="nan"),
+            pytest.param([[np.inf, 0.0], [0.0, 1.0]], "matrix asymmetry nan exceeds 1e-12", id="inf"),
+        ],
+    )
+    def test_symmetry_check(self, M, message):
+        if message is None:
+            spectral._check_symmetric(np.array(M))
+            return
+        # inf - inf also warns that it made a NaN
+        with pytest.raises(NotSymmetricError) as info, np.errstate(invalid="ignore"):
+            spectral._check_symmetric(np.array(M))
+        assert str(info.value) == message
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 12),
+    shifts=st.lists(st.sampled_from([0.0, 0.5, 1 - 1e-5, 1 - 1e-7, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0]), min_size=12, max_size=12),
+    sign=st.sampled_from([-1.0, 1.0]),
+    psd_shift=st.sampled_from([0.0, 1.0, 1 + 1e-9, 2.0]),
+    stretch=st.sampled_from([0.0, 5e-10, 1e-9, 2e-9]),
+)
+@settings(max_examples=300, deadline=None)
+def test_validate_spectrum_matches_the_per_column_loop(seed, n, shifts, sign, psd_shift, stretch):
+    """Eigenvalues moved by about their residual bound reach the exact per-column decision."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+    vals, vecs = np.linalg.eigh(A @ A.T)
+    m = int(rng.integers(1, n + 1))
+    vals, vecs = vals[:m].copy(), vecs[:, :m].copy()
+    vals += sign * np.array(shifts[:m]) * 1e-8 * np.maximum(1.0, np.abs(vals))
+    vals[0] -= psd_shift * 1e-10
+    vecs[:, -1] *= 1.0 + stretch
+    M = A @ A.T
+    assert _failure(spectral._validate_spectrum, M, vals, vecs) == _failure(loop_validate_spectrum, M, vals, vecs)
+
