@@ -23,10 +23,18 @@ criterion.
 
 Only 1 < p <= 2 is supported. The functional is scale and shift
 invariant, so iterates are recentred (at the minimizing shift c*) and
-renormalized freely, and R_p is then taken with shift 0 (c* is solved
-once per iterate); edge weights are rescaled by their mean so the
-optimization, and hence the returned partition, ignores global weight
-scale.
+renormalized freely, and R_p is then taken with shift 0; edge weights
+are rescaled by their mean so the optimization, and hence the returned
+partition, ignores global weight scale.
+
+Solving for c* is the costly part of a backtracking trial, and most
+trials fail. Since no shift beats c*, R_p at shift 0 is a lower bound
+on R_p that needs no shift. A trial whose bound, less a bound on the
+rounding of both evaluations (derived at _rayleigh_floor), already
+fails the Armijo test would fail it after recentring too, so it is
+halved without a shift solve. Every other trial is recentred and tested
+as before, so the iterates, and hence the partitions, are exactly those
+of recentring every trial.
 
 The module also hosts the coupling-structure extractor: given a
 Jacobian-style coupling matrix and a linearity mask, it builds the
@@ -50,6 +58,7 @@ from .errors import (
 )
 from .graphs import Graph, LaplacianKind, _graph, connected_components
 from .partition import (
+    _EPS,
     SELECTIONS as _SELECTIONS,
     Partition,
     _recursive_split,
@@ -156,8 +165,7 @@ def _optimal_shift(f: np.ndarray, p: float) -> float:
 
     def slope(c: float) -> tuple[float, float]:
         d = c - f
-        with np.errstate(divide="ignore"):
-            r = np.abs(d) ** (p - 2.0)
+        r = np.abs(d) ** (p - 2.0)
         ds = (p - 1.0) * float(r.sum())
         if math.isinf(ds):
             # c is on an entry of f, where d @ r would take 0 * inf
@@ -168,26 +176,28 @@ def _optimal_shift(f: np.ndarray, p: float) -> float:
     c = min(max(0.0, lo), hi)
     step = hi - lo
     probed = False
-    for _ in range(_SHIFT_MAX_STEPS):
-        s, ds = slope(c)
-        if s == 0.0:
-            return c
-        if s < 0.0:
-            lo = c
-        else:
-            hi = c
-        if hi - lo <= xtol:
-            break
-        newton = -s / ds
-        probe = abs(newton) <= xtol
-        if probe:
-            newton += math.copysign(0.5 * xtol, newton)
-        if not probed and math.isfinite(ds) and lo < c + newton < hi and abs(newton) <= 0.5 * abs(step):
-            step, probed = newton, probe
-            c += newton
-        else:
-            step, probed = 0.5 * (hi - lo), False
-            c = lo + step
+    # 0 ** (p - 2) is inf where c is on an entry of f; slope handles it
+    with np.errstate(divide="ignore"):
+        for _ in range(_SHIFT_MAX_STEPS):
+            s, ds = slope(c)
+            if s == 0.0:
+                return c
+            if s < 0.0:
+                lo = c
+            else:
+                hi = c
+            if hi - lo <= xtol:
+                break
+            newton = -s / ds
+            probe = abs(newton) <= xtol
+            if probe:
+                newton += math.copysign(0.5 * xtol, newton)
+            if not probed and math.isfinite(ds) and lo < c + newton < hi and abs(newton) <= 0.5 * abs(step):
+                step, probed = newton, probe
+                c += newton
+            else:
+                step, probed = 0.5 * (hi - lo), False
+                c = lo + step
     return c
 
 
@@ -200,45 +210,99 @@ def _p_rayleigh(ei, ej, w, f: np.ndarray, p: float) -> tuple[float, float]:
 
 def _recentre(f: np.ndarray, p: float) -> np.ndarray:
     # mean first: f - c* is off by up to half an ulp of c*, large for a large common offset
-    g = f - f.mean()
+    g = f - f.sum() / f.size
     g -= _optimal_shift(g, p)
-    nrm = float(np.linalg.norm(g))
+    nrm = math.sqrt(float(g @ g))
     if nrm == 0.0:
         raise ConvergenceFailureError("iterate collapsed to a constant vector")
     return g / nrm
 
 
-def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+def _rayleigh_floor(ei, ej, w, x: np.ndarray, p: float, w_sum: float) -> float:
+    """A lower bound on _p_rayleigh(ei, ej, w, _recentre(x, p), p)[0]
+    that needs no shift solve; -inf for a constant x.
+
+    No shift c makes sum_i |x_i - c|^p smaller than the minimizing one,
+    so lb = sum w_ij |x_i - x_j|^p / sum_i |x_i|^p, R_p at shift 0, is
+    at most R_p(x). The floor takes from lb a bound on the rounding
+    between lb as computed here and the value computed on the recentred
+    vector g. With e the machine epsilon, n nodes, m edges, W = w_sum,
+    and lengths in units of |g|, so that |g_i| <= 1 and
+    sum |g_i|^p >= sum g_i^2 = 1:
+
+    * Subtracting the mean, then the shift, then scaling each round an
+      entry by half an ulp of a number at most 2 in magnitude (the
+      shift lies between the least and the largest entry): at most 4e
+      per entry and 12e per edge difference. As
+      ||a|^p - |b|^p| <= p max(|a|, |b|)^(p-1) |a - b| and differences
+      are at most 2, the numerator moves by at most 50eW and the
+      denominator by a relative 9ne.
+    * The shift solve closes its bracket, about a sign change of a slope
+      summed from n terms, to 1e-15 (4.5e) times the largest |entry|.
+      Its denominator then exceeds the minimum by a relative 18ne, plus
+      terms second order in e (for p - 1 well above ne). The minimum is
+      at most the denominator at the shift that undoes the mean, which
+      rounding moves from sum_i |x_i|^p by a relative 2ne.
+    * Each quotient sums m and n nonnegative terms, each rounded to a
+      relative 3e (difference, power, weight): a relative (m + n + 9)e
+      between the two quotients.
+
+    Rounding each constant up, the floor is
+    lb (1 - (m + 64n + 16) e) - 64 e W, away from underflow.
+    """
+    num = float((w * np.abs(x[ei] - x[ej]) ** p).sum())
+    den = float((np.abs(x) ** p).sum())
+    if not (num > 0.0 and den > 0.0):
+        return -math.inf
+    lb = num / den
+    return lb - (lb * (w.size + 64 * x.size + 16) + 64.0 * w_sum) * _EPS
+
+
+def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float, str]:
     """Backtracking gradient descent on R_p from f. Never increases R_p.
 
     Iterates come out of _recentre, so R_p is taken with shift 0.
+    Returns the last iterate, its R_p, and why descent stopped:
+    "tolerance" (a step lowered R_p by a relative _INNER_TOLERANCE or
+    less), "zero gradient", "backtrack failure" (no step in
+    _BACKTRACK_LIMIT halvings passed the Armijo test) or "iteration cap".
+
+    A trial f - t grad whose _rayleigh_floor already fails the Armijo
+    test is halved without its shift solve. The floor is below the value
+    the recentred trial would get, by more than any rounding, so that
+    trial would have failed too: every other trial is recentred and
+    tested as before, and the iterates, steps and result are those of
+    recentring every trial.
     """
     f = _recentre(f, p)
     value, den = _p_rayleigh(ei, ej, w, f, p)
+    w_sum = float(w.sum())
     step = 1.0
     for _ in range(_MAX_ITERATIONS):
         grad_den = np.abs(f) ** (p - 1.0) * np.sign(f)
         grad = p * (_p_laplacian_edges(ei, ej, w, f, p) - value * grad_den) / den
         gnorm2 = float(grad @ grad)
         if gnorm2 <= 1e-24:
-            break
+            return f, value, "zero gradient"
         t = step
-        accepted = False
         for _ in range(_BACKTRACK_LIMIT):
-            trial = _recentre(f - t * grad, p)
-            trial_value, trial_den = _p_rayleigh(ei, ej, w, trial, p)
-            if trial_value <= value - _ARMIJO_SLOPE * t * gnorm2:
-                accepted = True
-                break
+            x = f - t * grad
+            bar = value - _ARMIJO_SLOPE * t * gnorm2
+            # not >, so that a NaN floor (from overflow) takes the exact path
+            if not _rayleigh_floor(ei, ej, w, x, p, w_sum) > bar:
+                trial = _recentre(x, p)
+                trial_value, trial_den = _p_rayleigh(ei, ej, w, trial, p)
+                if trial_value <= bar:
+                    break
             t *= 0.5
-        if not accepted:
-            break
+        else:
+            return f, value, "backtrack failure"
         decrease = value - trial_value
         f, value, den = trial, trial_value, trial_den
         step = 2.0 * t
         if decrease <= _INNER_TOLERANCE * max(abs(value), 1e-300):
-            break
-    return f, value
+            return f, value, "tolerance"
+    return f, value, "iteration cap"
 
 
 def _mean_weight_rescaled(g: Graph) -> Graph:
@@ -277,12 +341,12 @@ def _p_split(gs: Graph, s: Spectrum, p: float, selection: str) -> Partition:
     steps = 1 if p == 2.0 else _CONTINUATION_STEPS
     for t in range(1, steps + 1):
         # the last stage runs at exactly p, so final_value is R_p(f)
-        f, final_value = _descend(ei, ej, w, f, 2.0 * (p / 2.0) ** (t / steps))
+        f, final_value, _ = _descend(ei, ej, w, f, 2.0 * (p / 2.0) ** (t / steps))
 
     # the continuation path must not end worse than a direct descent start
     fiedler_value, _ = _p_rayleigh(ei, ej, w, _recentre(fiedler, p), p)
     if fiedler_value < final_value:
-        alt, alt_value = _descend(ei, ej, w, fiedler, p)
+        alt, alt_value, _ = _descend(ei, ej, w, fiedler, p)
         if alt_value < final_value:
             f = alt
     return threshold_partition(gs, f, selection)

@@ -218,7 +218,8 @@ def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetr
         raise error(f"expected a square matrix, got shape {M.shape}")
     if np.array_equal(M, M.T) and np.isfinite(M).all():  # M - M.T is all zeros
         return
-    d = M - M.T
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test below
+        d = M - M.T
     asym = np.abs(d, out=d).max() if M.size else 0.0
     if not asym <= tol:
         raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")

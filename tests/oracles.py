@@ -10,8 +10,9 @@ instead of a row at once, CSV cells by parsing and checking one cell at
 a time instead of a row at once, degenerate eigenspace bases by
 probe-by-probe Gram-Schmidt instead of one QR, k-means distances over an
 n x k x d array and centers cluster by cluster instead of coordinate by
-coordinate, and edge lists through graph_from_edges instead of sorted
-edge arrays.
+coordinate, edge lists through graph_from_edges instead of sorted
+edge arrays, and the p-descent by recentring every backtracking trial
+instead of screening trials by a lower bound.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
@@ -23,6 +24,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from spectral_abstraction import nonlinear
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
     DuplicateEdgeError,
@@ -838,3 +840,46 @@ def add_at_connectivity_profile(g, p):
             )
         )
     return sa.ConnectivityProfile(clusters=tuple(records))
+
+
+# The p-descent as it was before trials were screened by a shift-free
+# lower bound: every backtracking trial is recentred and evaluated.
+
+def mean_norm_recentre(f: np.ndarray, p: float) -> np.ndarray:
+    """nonlinear._recentre with f.mean() and np.linalg.norm."""
+    g = f - f.mean()
+    g -= nonlinear._optimal_shift(g, p)
+    nrm = float(np.linalg.norm(g))
+    if nrm == 0.0:
+        raise ConvergenceFailureError("iterate collapsed to a constant vector")
+    return g / nrm
+
+
+def recentring_descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """nonlinear._descend recentring every trial: (last iterate, its R_p)."""
+    f = mean_norm_recentre(f, p)
+    value, den = nonlinear._p_rayleigh(ei, ej, w, f, p)
+    step = 1.0
+    for _ in range(nonlinear._MAX_ITERATIONS):
+        grad_den = np.abs(f) ** (p - 1.0) * np.sign(f)
+        grad = p * (nonlinear._p_laplacian_edges(ei, ej, w, f, p) - value * grad_den) / den
+        gnorm2 = float(grad @ grad)
+        if gnorm2 <= 1e-24:
+            break
+        t = step
+        accepted = False
+        for _ in range(nonlinear._BACKTRACK_LIMIT):
+            trial = mean_norm_recentre(f - t * grad, p)
+            trial_value, trial_den = nonlinear._p_rayleigh(ei, ej, w, trial, p)
+            if trial_value <= value - nonlinear._ARMIJO_SLOPE * t * gnorm2:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        decrease = value - trial_value
+        f, value, den = trial, trial_value, trial_den
+        step = 2.0 * t
+        if decrease <= nonlinear._INNER_TOLERANCE * max(abs(value), 1e-300):
+            break
+    return f, value

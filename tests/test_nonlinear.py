@@ -25,7 +25,13 @@ from spectral_abstraction.nonlinear import (
 )
 
 from conftest import random_connected_graph
-from oracles import best_bipartition, bisection_shift, exact_shift_p_rayleigh, p_laplacian_loop
+from oracles import (
+    best_bipartition,
+    bisection_shift,
+    exact_shift_p_rayleigh,
+    p_laplacian_loop,
+    recentring_descend,
+)
 
 
 class TestPLaplacianApply:
@@ -229,6 +235,127 @@ class TestOptimalShift:
         ours = [p_recursive_bipartition(g, 2, params).assignment for g in graphs]
         monkeypatch.setattr(nonlinear, "_optimal_shift", bisection_shift)
         assert [p_recursive_bipartition(g, 2, params).assignment for g in graphs] == ours
+
+
+def rescaled_edges(g: sa.Graph):
+    gs = nonlinear._mean_weight_rescaled(g)
+    return gs.ei, gs.ej, gs.w
+
+
+def assert_same_descent(ours, oracle) -> None:
+    f, value, _reason = ours
+    ref, ref_value = oracle
+    assert f.tobytes() == ref.tobytes()
+    assert value == ref_value
+
+
+class TestDescent:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 24),
+        p=st.sampled_from([1.05, 1.2, 1.5, 1.95, 2.0]),
+        start=st.sampled_from(["normal", "fiedler"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_recentring_descent(self, seed, n, p, start):
+        """Screening trials by the floor moves no iterate: same bytes as recentring every trial."""
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n)
+        ei, ej, w = rescaled_edges(g)
+        if start == "normal":
+            f = rng.normal(size=n)
+        else:
+            f = sa.fiedler_vector(sa.graph_spectrum(g, sa.LaplacianKind.COMBINATORIAL))
+        assert_same_descent(nonlinear._descend(ei, ej, w, f, p), recentring_descend(ei, ej, w, f, p))
+
+    def test_criterion_5_descents_match_the_recentring_descent(self, monkeypatch):
+        """Every descent of the criterion-5 splits at k in {3, 4} gives the oracle's bytes."""
+        descend = nonlinear._descend
+        checked = set()
+
+        def both(ei, ej, w, f, p):
+            ours = descend(ei, ej, w, f, p)
+            # k = 4 repeats the splits of k = 3 first
+            key = (ei.tobytes(), ej.tobytes(), w.tobytes(), f.tobytes(), p)
+            if key not in checked:
+                assert_same_descent(ours, recentring_descend(ei, ej, w, f, p))
+                checked.add(key)
+            return ours
+
+        monkeypatch.setattr(nonlinear, "_descend", both)
+        params = PLaplacianParams(p=1.5)
+        for seed in range(50):
+            g = sa.sbm_generate(2, 8, 0.9, 0.05, seed)
+            if len(sa.connected_components(g)) > 1:
+                continue
+            for k in (3, 4):
+                p_recursive_bipartition(g, k, params)
+        assert len(checked) > 500
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 40),
+        kind=st.sampled_from(["normal", "offset", "near-constant", "recentred", "trial"]),
+        p=st.one_of(st.sampled_from([1.0001, 1.001, 1.01, 1.5, 2.0]), st.floats(1.0001, 2.0)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_the_floor_is_below_the_recentred_value(self, seed, n, kind, p):
+        """lb less the margin never exceeds R_p, exact or as _recentre and _p_rayleigh compute it."""
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, p=float(rng.uniform(0.2, 1.0)))
+        ei, ej, w = rescaled_edges(g)
+        if kind == "offset":
+            x = 1e6 + rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 1.0)
+        elif kind == "near-constant":
+            x = rng.normal() + rng.normal(size=n) * 10.0 ** rng.uniform(-15.0, -9.0)
+        else:
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if kind in ("recentred", "trial"):
+            x = nonlinear._recentre(x, p)
+        if kind == "trial":
+            # a small step from an iterate, where the floor is tightest
+            x = x - 10.0 ** rng.uniform(-12.0, -1.0) * rng.normal(size=n)
+        assume(x.max() > x.min())
+        floor = nonlinear._rayleigh_floor(ei, ej, w, x, p, float(w.sum()))
+        computed, _ = nonlinear._p_rayleigh(ei, ej, w, nonlinear._recentre(x, p), p)
+        exact = exact_shift_p_rayleigh(zip(ei.tolist(), ej.tolist(), w.tolist()), x, p)
+        assert floor <= computed
+        assert floor <= exact
+
+    def test_a_constant_vector_has_no_floor(self, bridged_triangles):
+        ei, ej, w = rescaled_edges(bridged_triangles)
+        assert nonlinear._rayleigh_floor(ei, ej, w, np.full(6, 0.3), 1.5, float(w.sum())) == -np.inf
+
+    def test_stops_at_the_tolerance(self, bridged_triangles):
+        ei, ej, w = rescaled_edges(bridged_triangles)
+        f = np.random.default_rng(3).normal(size=6)
+        assert nonlinear._descend(ei, ej, w, f, 1.5)[2] == "tolerance"
+
+    def test_stops_at_a_zero_gradient(self, p3):
+        # the symmetric vector on a path of three is a critical point of R_p
+        ei, ej, w = rescaled_edges(p3)
+        f, value, reason = nonlinear._descend(ei, ej, w, np.array([1.0, 0.0, -1.0]), 1.5)
+        assert reason == "zero gradient"
+        assert value == 1.0
+
+    def test_stops_when_backtracking_fails(self):
+        # a restart from a converged iterate at p close to 1, found by a search over small graphs
+        g = sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1.131139132680578), (0, 2, 1.5204754579559152)])
+        ei, ej, w = rescaled_edges(g)
+        f = np.array([-0.1375151009905126, -0.4704897581730612, -1.4174801235842267])
+        f, _, reason = nonlinear._descend(ei, ej, w, f, 1.01)
+        assert reason == "tolerance"
+        ours = nonlinear._descend(ei, ej, w, f, 1.01)
+        assert ours[2] == "backtrack failure"
+        assert_same_descent(ours, recentring_descend(ei, ej, w, f, 1.01))
+
+    def test_stops_at_the_iteration_cap(self, monkeypatch, bridged_triangles):
+        ei, ej, w = rescaled_edges(bridged_triangles)
+        f = np.random.default_rng(3).normal(size=6)
+        monkeypatch.setattr(nonlinear, "_MAX_ITERATIONS", 2)
+        ours = nonlinear._descend(ei, ej, w, f, 1.5)
+        assert ours[2] == "iteration cap"
+        assert_same_descent(ours, recentring_descend(ei, ej, w, f, 1.5))
 
 
 class TestJacobianGraph:
