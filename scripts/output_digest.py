@@ -10,7 +10,10 @@ The digest covers, in this order:
   for s in 0..49: recursive_bipartition and p_recursive_bipartition
   (p = 1.5) at k = 3 and k = 4;
 * the cli-io benchmark's files: spectrum (JSON and scree CSV) and
-  hierarchy with --dot, on the TSV the benchmark writes.
+  hierarchy with --dot, on the TSV the benchmark writes;
+* the fc-fit benchmark input's files: its graph and observed matrix
+  as matrix_csv writes them, the predict-fc CSV of the true model, and
+  the fit-fc JSON on that observed matrix.
 
 Inputs are built as perfbench/workloads.py builds them. The digest
 depends on the BLAS build, so compare it only between two checkouts run
@@ -44,10 +47,15 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import spectral_abstraction as sa  # noqa: E402
 import spectral_abstraction.cli  # noqa: E402, F401
-from workloads import HIERARCHY_LEVELS, SIZES, subseed  # noqa: E402
+from workloads import HIERARCHY_LEVELS, SIZES, FcFit, subseed  # noqa: E402
 
-# --toy: inputs per benchmark family, criterion-5 seeds, and the cli-io graph
-TOY = {"graphs": 3, "criterion_seeds": 6, "cli-io": {"blocks": 4, "per_block": 12, "p_in": 0.5, "p_out": 0.02}}
+# --toy: inputs per benchmark family, criterion-5 seeds, and the cli-io and fc-fit graphs
+TOY = {
+    "graphs": 3,
+    "criterion_seeds": 6,
+    "cli-io": {"blocks": 4, "per_block": 12, "p_in": 0.5, "p_out": 0.02},
+    "fc-fit": {"blocks": 3, "per_block": 10},
+}
 
 
 def sbm(size: dict, seed: int, index: int):
@@ -64,6 +72,20 @@ def add_spectrum(h, s) -> None:
     h.update(np.ascontiguousarray(s.eigenvectors).tobytes())
 
 
+def run_cli(argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = sa.cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}: {err.getvalue().strip()}")
+
+
+def add_files(h, paths: list[str]) -> None:
+    for path in paths:
+        with open(path, "rb") as f:
+            h.update(f.read())
+
+
 def add_cli_files(h, g, workdir: str) -> None:
     """Run the cli-io workload's two CLI calls and hash the files they write."""
     tsv = os.path.join(workdir, "graph.tsv")
@@ -71,20 +93,31 @@ def add_cli_files(h, g, workdir: str) -> None:
         f.writelines(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in g.edges)
     out = {name: os.path.join(workdir, name)
            for name in ("spectrum.json", "spectrum.scree.csv", "hierarchy.json", "hierarchy.dot")}
-    calls = [
-        ["spectrum", "--input", tsv, "--output", out["spectrum.json"]],
-        ["hierarchy", "--input", tsv, "--output", out["hierarchy.json"], "--dot"]
-        + [arg for level in HIERARCHY_LEVELS for arg in ("--level", level)],
-    ]
-    for argv in calls:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = sa.cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"{argv[0]} exited {code}: {err.getvalue().strip()}")
-    for path in out.values():
-        with open(path, "rb") as f:
-            h.update(f.read())
+    run_cli(["spectrum", "--input", tsv, "--output", out["spectrum.json"]])
+    run_cli(["hierarchy", "--input", tsv, "--output", out["hierarchy.json"], "--dot"]
+            + [arg for level in HIERARCHY_LEVELS for arg in ("--level", level)])
+    add_files(h, list(out.values()))
+
+
+def add_fc_files(h, size: dict, seed: int, workdir: str) -> None:
+    """Write the fc-fit input's graph and observed matrix as CSV, run predict-fc and fit-fc.
+
+    Hashes all four files. The graph goes as an adjacency matrix, which
+    keeps isolated nodes.
+    """
+    case = FcFit(sa, size, workdir).make_inputs(seed)[0]
+    names = ("fc-graph.csv", "observed.csv", "predicted.csv", "fit.json")
+    paths = [os.path.join(workdir, name) for name in names]
+    graph, observed, predicted, report = paths
+    g = case.graph
+    for path, text in ((graph, sa.fileio.matrix_csv(sa.adjacency_matrix(g), g.labels)),
+                       (observed, sa.fileio.matrix_csv(case.observed))):
+        with open(path, "w") as f:
+            f.write(text)
+    model = [arg for name in ("beta", "scale", "offset") for arg in (f"--{name}", repr(size[name]))]
+    run_cli(["predict-fc", "--input", graph, "--output", predicted] + model)
+    run_cli(["fit-fc", "--input", graph, "--observed", observed, "--output", report])
+    add_files(h, paths)
 
 
 def digest(seed: int, toy: bool) -> str:
@@ -94,6 +127,7 @@ def digest(seed: int, toy: bool) -> str:
         for name in ("cluster-linear", "p-cluster"):
             sizes[name]["graphs"] = TOY["graphs"]
         sizes["cli-io"] = TOY["cli-io"]
+        sizes["fc-fit"].update(TOY["fc-fit"])
         criterion_seeds = TOY["criterion_seeds"]
     h = hashlib.sha256()
 
@@ -120,6 +154,7 @@ def digest(seed: int, toy: bool) -> str:
 
     with tempfile.TemporaryDirectory() as workdir:
         add_cli_files(h, sbm(sizes["cli-io"], seed, 0), workdir)
+        add_fc_files(h, sizes["fc-fit"], seed, workdir)
     return h.hexdigest()
 
 

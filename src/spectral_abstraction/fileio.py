@@ -5,10 +5,11 @@ starts a comment; labels indexed by first appearance) or as CSV
 adjacency matrices with an optional label header. Functional matrices
 reuse the CSV form but may carry a nonzero diagonal. All numeric output
 is rendered with 17 significant digits, which round-trips doubles
-exactly and keeps repeated runs byte-identical. Whole rows of finite
-floats are formatted at once; a row with NaN or an infinity falls back
-to `format_float`, element by element. Writes go through a temp file
-and an atomic rename so failed runs leave nothing behind.
+exactly and keeps repeated runs byte-identical. Scalars and float lists
+go through `format_float` one value at a time; float64 arrays are
+written to the same bytes in whole-array numpy passes, by the
+`_floattext` kernel. Writes go through a temp file and an atomic rename
+so failed runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -52,26 +53,13 @@ def dumps(value) -> str:
     """Serialize to JSON with deterministic float formatting.
 
     Dict order is insertion order. Infinities use the same literals the
-    stdlib json module emits and accepts. A list, tuple or array whose
-    items are all finite floats is formatted at once; any other row,
-    including one with a non-finite value, goes element by element
-    through `format_float`.
+    stdlib json module emits and accepts. Every float is written as
+    `format_float` writes it; a 1-D or 2-D float64 array is written in
+    whole-array passes.
     """
     parts: list[str] = []
     _emit(value, parts)
     return "".join(parts)
-
-
-def _float_row(values, sep: str) -> str | None:
-    """values joined by sep if all are finite Python floats, else None.
-
-    "%.17g" agrees with format_float on every finite float; only nan
-    and inf put an "n" in the row.
-    """
-    if not all(type(x) is float for x in values):
-        return None
-    row = sep.join(["%.17g"] * len(values)) % tuple(values)
-    return None if "n" in row else row
 
 
 def _emit(value, parts: list[str]) -> None:
@@ -84,8 +72,6 @@ def _emit(value, parts: list[str]) -> None:
             parts.append(": ")
             _emit(item, parts)
         parts.append("}")
-    elif isinstance(value, (list, tuple)) and (row := _float_row(value, ", ")) is not None:
-        parts.append("[" + row + "]")
     elif isinstance(value, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(value):
@@ -103,10 +89,22 @@ def _emit(value, parts: list[str]) -> None:
         parts.append(json.dumps(value))
     elif value is None:
         parts.append("null")
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+        parts += ["[", _join_floats(value[None], ", ", ""), "]"]
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2 and len(value):
+        parts += ["[[", _join_floats(value, ", ", "], ["), "]]"]
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), parts)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _join_floats(a: np.ndarray, sep: str, row_sep: str) -> str:
+    """row_sep.join(sep.join(format_float(x) for x in row) for row in a), for 2-D a."""
+    # loaded on first use: compiling the kernel would add about 4 ms to every package import
+    from ._floattext import join_floats
+
+    return join_floats(a, sep, row_sep)
 
 
 def write_files_atomic(files: dict[str, str]) -> None:
@@ -317,10 +315,7 @@ def _read_text(path: str) -> str:
 
 def spectrum_payload(s: Spectrum) -> dict:
     """Spectrum as {eigenvalues, eigenvectors}, one eigenvector per row."""
-    return {
-        "eigenvalues": s.eigenvalues.tolist(),
-        "eigenvectors": s.eigenvectors.T.tolist(),
-    }
+    return {"eigenvalues": s.eigenvalues, "eigenvectors": s.eigenvectors.T}
 
 
 def scree_csv(s: Spectrum) -> str:
@@ -373,9 +368,9 @@ def matrix_csv(matrix: np.ndarray, labels: tuple[str, ...] | None = None) -> str
         header = ",".join(labels)
         if _csv_rows(header) == [list(labels)] and _is_header(list(labels)):
             lines.append(header)
-    for row in np.asarray(matrix).tolist():
-        # an empty row gives "" on either path
-        lines.append(_float_row(row, ",") or ",".join(format_float(float(x)) for x in row))
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if len(matrix):
+        lines.append(_join_floats(matrix, ",", "\n"))
     return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,7 @@ characteristic polynomial instead of a symmetric eigensolver, cut
 metrics and the p-Laplacian by direct edge loops instead of vectorized
 incidence sums, the matrix exponential by a scaled power series instead
 of an eigen-sum, JSON and CSV text by formatting one float at a time
-instead of a row at once, CSV cells by parsing and checking one cell at
+instead of in whole-array passes, CSV cells by parsing and checking one cell at
 a time instead of a row at once, degenerate eigenspace bases by
 probe-by-probe Gram-Schmidt instead of one QR, k-means distances over an
 n x k x d array and centers cluster by cluster instead of coordinate by
@@ -455,7 +455,7 @@ def exact_shift_p_rayleigh(edges, f: np.ndarray, p: float) -> float:
 
 
 def elementwise_dumps(value) -> str:
-    """fileio.dumps as it was before rows were formatted at once."""
+    """fileio.dumps with every float, array elements included, formatted one at a time."""
     parts: list[str] = []
     _emit(value, parts)
     return "".join(parts)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import spectral_abstraction as sa
-from spectral_abstraction import fileio
+from spectral_abstraction import _floattext, fileio
 from spectral_abstraction.errors import (
     AsymmetricMatrixError,
     DimensionMismatchError,
@@ -69,11 +71,39 @@ class TestDumps:
         assert text == '{"v": 0.5, "n": 3, "arr": [1, 2]}'
 
 
-# the float values where "%.17g" and format_float could part ways
-EDGE_FLOATS = st.sampled_from([
-    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
-    1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
-])
+def _ties() -> list[float]:
+    """Dyadic q / 2**e whose exact decimal expansion has 18 significant digits, the last a 5.
+
+    Those are the exact halfway cases of rounding to 17 digits: q odd,
+    q < 2**53, and q * 5**e of 18 digits.
+    """
+    ties = []
+    for e in range(1, 26):
+        low, high = -(-(10**17) // 5**e), min((10**18 - 1) // 5**e, 2**53 - 1)
+        mid = (low + high) // 2
+        for q in sorted({low, low + 1, mid, mid + 1, high - 1, high}):
+            if q % 2 and low <= q <= high:
+                ties.append(q / 2**e)
+    return ties
+
+
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# the values where format_float or the _floattext kernel switch route or format:
+# decade edges, %g's switches at 1e-5, 1e-4, 1e16 and 1e17, the fast
+# path's limits 1e-250 and 1e250, halfway cases, and the specials
+_EDGE_MAGNITUDES = {
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, float("inf"),
+    *(y for k in range(-30, 31) for y in _neighbours(10.0**k)),
+    *(y for x in (1e-5, 1e-4, 1e16, 1e17, 1e-250, 1e250) for y in _neighbours(x)),
+    *_ties(),
+}
+EDGE_VALUES = sorted(
+    {y for x in _EDGE_MAGNITUDES for y in (x, -x)}, key=lambda x: (x, math.copysign(1.0, x))
+) + [float("nan")]
+EDGE_FLOATS = st.sampled_from(EDGE_VALUES)
 FLOATS = st.one_of(EDGE_FLOATS, st.floats(), st.floats(min_value=-1e-307, max_value=1e-307))
 FLOAT_ROWS = st.lists(FLOATS, max_size=6)
 LEAVES = st.one_of(
@@ -85,7 +115,7 @@ LEAVES = st.one_of(
     st.text(max_size=3),
     st.none(),
 )
-FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=FLOATS)
+FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=64), elements=FLOATS)
 JSON_VALUES = st.recursive(
     st.one_of(LEAVES, FLOAT_ROWS, FLOAT_ROWS.map(tuple), FLOAT_ARRAYS),
     lambda children: st.one_of(
@@ -103,7 +133,7 @@ LABELS = st.one_of(
 
 @st.composite
 def labelled_matrices(draw):
-    matrix = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4), elements=FLOATS))
+    matrix = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=16), elements=FLOATS))
     labels = draw(st.none() | st.lists(LABELS, min_size=matrix.shape[1], max_size=matrix.shape[1]).map(tuple))
     return matrix, labels
 
@@ -115,7 +145,9 @@ def labelled_matrices(draw):
 @example(np.array([[-0.0, 5e-324], [1e308, float("nan")]]))
 @settings(max_examples=300, deadline=None)
 def test_dumps_matches_the_elementwise_oracle(value):
-    assert fileio.dumps(value) == elementwise_dumps(value)
+    # a small chunk puts chunk edges inside rows, between them and at their ends
+    with mock.patch.object(_floattext, "_CHUNK", 37):
+        assert fileio.dumps(value) == elementwise_dumps(value)
 
 
 @given(labelled_matrices())
@@ -123,7 +155,79 @@ def test_dumps_matches_the_elementwise_oracle(value):
 @settings(max_examples=300, deadline=None)
 def test_matrix_csv_matches_the_elementwise_oracle(case):
     matrix, labels = case
-    assert fileio.matrix_csv(matrix, labels) == elementwise_matrix_csv(matrix, labels)
+    with mock.patch.object(_floattext, "_CHUNK", 37):
+        assert fileio.matrix_csv(matrix, labels) == elementwise_matrix_csv(matrix, labels)
+
+
+def test_the_ties_are_halfway_cases():
+    for x in _ties():
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    assert len(_ties()) > 50
+
+
+def _bulk_values(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Finite doubles from every family the fast path has to get right."""
+    with np.errstate(over="ignore"):
+        scaled = rng.normal(size=size) * 10.0 ** rng.uniform(-330, 330, size)
+    powers = 10.0 ** np.arange(-307, 309)
+    ties = np.array(_ties())
+    families = [
+        rng.normal(size=size),
+        rng.uniform(-1, 1, size),
+        scaled,
+        rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64),
+        rng.integers(-(10**17), 10**17, size).astype(np.float64),
+        rng.integers(-(2**20), 2**20, size) / 2.0 ** rng.integers(0, 70, size),
+        np.concatenate([np.nextafter(powers, np.inf), powers, np.nextafter(powers, -np.inf)]),
+        -np.concatenate([np.nextafter(powers, np.inf), powers, np.nextafter(powers, -np.inf)]),
+        np.array([v for v in EDGE_VALUES if math.isfinite(v)]),
+        rng.choice(ties, size) * rng.choice([-1.0, 1.0], size) * 2.0 ** rng.integers(-3, 4, size),
+    ]
+    values = np.concatenate(families)
+    return values[np.isfinite(values)]
+
+
+def test_join_floats_matches_percent_17g_in_bulk():
+    values = _bulk_values(np.random.default_rng(20260), 160_000)
+    assert values.size >= 1_000_000
+    got = _floattext.join_floats(values[None], ",", "")
+    expected = ",".join(["%.17g"] * values.size) % tuple(values.tolist())
+    if got != expected:
+        for x, a, b in zip(values.tolist(), got.split(","), expected.split(",")):
+            assert a == b, f"{x!r} written as {a}, %.17g gives {b}"
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "reason, x",
+    [
+        ("out of range", 1e-251),
+        ("out of range", -1e250),
+        ("out of range", 5e-324),
+        ("decade edge", 1e-5),
+        ("decade edge", math.nextafter(1.0, 0.0)),
+        ("tie", 2.0**-25),
+        ("tie", -(4000000000000001 / 4)),
+        ("non-finite", float("nan")),
+        ("non-finite", float("-inf")),
+        ("zero", 0.0),
+        ("zero", -0.0),
+    ],
+)
+def test_undecided_elements_take_the_fallback(reason, x):
+    formatted = []
+    format_float = _floattext.format_float
+
+    def recording(y: float) -> str:
+        formatted.append(np.float64(y).tobytes())
+        return format_float(y)
+
+    row = [0.3, x, 0.3]
+    with mock.patch.object(_floattext, "format_float", recording):
+        text = _floattext.join_floats(np.array([row]), ",", "")
+    assert formatted == [np.float64(x).tobytes()], reason
+    assert text == ",".join(map(format_float, row))
 
 
 class TestLargeReportsMatchTheOracle:
@@ -443,7 +547,7 @@ class TestPayloads:
         payload = fileio.spectrum_payload(s)
         assert len(payload["eigenvalues"]) == 3
         assert len(payload["eigenvectors"]) == 3
-        assert payload["eigenvectors"][0] == [float(x) for x in s.eigenvectors[:, 0]]
+        assert np.array_equal(payload["eigenvectors"][0], s.eigenvectors[:, 0])
 
     def test_scree_rows_are_one_based(self, p3):
         s = sa.graph_spectrum(p3, sa.LaplacianKind.COMBINATORIAL)

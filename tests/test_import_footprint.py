@@ -47,3 +47,22 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_does_not_load_the_float_kernel():
+    # fileio's whole-array float kernel, and its tables, load on the first array written
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, spectral_abstraction, spectral_abstraction.cli; "
+            "print('spectral_abstraction._floattext' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
