@@ -3,17 +3,21 @@
 
 The digest covers, in this order:
 
-* each cluster-linear benchmark input of the run seed: its k = 8
-  recursive_bipartition, then its count-2 and count-5 spectra;
-* each p-cluster benchmark input: its p = 1.5 k = 2 partition;
-* the connected criterion-5 graphs sbm_generate(2, 8, 0.9, 0.05, s)
-  for s in 0..49: recursive_bipartition and p_recursive_bipartition
-  (p = 1.5) at k = 3 and k = 4;
-* the cli-io benchmark's files: spectrum (JSON and scree CSV) and
-  hierarchy with --dot, on the TSV the benchmark writes;
-* the fc-fit benchmark input's files: its graph and observed matrix
-  as matrix_csv writes them, the predict-fc CSV of the true model, and
-  the fit-fc JSON on that observed matrix.
+* each cluster-linear benchmark input of the run seed: the graph, its
+  k = 8 recursive_bipartition, then its count-2 and count-5 spectra;
+* each p-cluster benchmark input: the graph and its p = 1.5 k = 2
+  partition;
+* the criterion-5 graphs sbm_generate(2, 8, 0.9, 0.05, s) for s in
+  0..49: each graph, and for the connected ones recursive_bipartition
+  and p_recursive_bipartition (p = 1.5) at k = 3 and k = 4;
+* the cli-io benchmark input graph, then its files: spectrum (JSON and
+  scree CSV) and hierarchy with --dot, on the TSV the benchmark writes;
+* the fc-fit benchmark input graph, then its files: its graph and
+  observed matrix as matrix_csv writes them, the predict-fc CSV of the
+  true model, and the fit-fc JSON on that observed matrix.
+
+A graph is hashed as its labels and its ei, ej and w arrays, so a
+change to the generator shows even where the partitions stay the same.
 
 Inputs are built as perfbench/workloads.py builds them. The digest
 depends on the BLAS build, so compare it only between two checkouts run
@@ -62,6 +66,14 @@ def sbm(size: dict, seed: int, index: int):
     return sa.sbm_generate(size["blocks"], size["per_block"], size["p_in"], size["p_out"], subseed(seed, index))
 
 
+def add_graph(h, g) -> None:
+    h.update(np.int64(g.n).tobytes())
+    h.update("\n".join(g.labels).encode())
+    for a in (g.ei, g.ej, g.w):
+        h.update(np.int64(a.size).tobytes())
+        h.update(a.tobytes())
+
+
 def add_partition(h, p) -> None:
     h.update(np.int64(p.k).tobytes())
     h.update(p.as_array().tobytes())
@@ -106,6 +118,7 @@ def add_fc_files(h, size: dict, seed: int, workdir: str) -> None:
     keeps isolated nodes.
     """
     case = FcFit(sa, size, workdir).make_inputs(seed)[0]
+    add_graph(h, case.graph)
     names = ("fc-graph.csv", "observed.csv", "predicted.csv", "fit.json")
     paths = [os.path.join(workdir, name) for name in names]
     graph, observed, predicted, report = paths
@@ -134,6 +147,7 @@ def digest(seed: int, toy: bool) -> str:
     linear = sizes["cluster-linear"]
     for i in range(linear["graphs"]):
         g = sbm(linear, seed, i)
+        add_graph(h, g)
         add_partition(h, sa.recursive_bipartition(g, linear["blocks"]))
         for count in (2, 5):
             add_spectrum(h, sa.graph_spectrum(g, count=count))
@@ -141,11 +155,14 @@ def digest(seed: int, toy: bool) -> str:
     pc = sizes["p-cluster"]
     params = sa.PLaplacianParams(p=pc["p"])
     for i in range(pc["graphs"]):
-        add_partition(h, sa.p_recursive_bipartition(sbm(pc, seed, i), pc["blocks"], params))
+        g = sbm(pc, seed, i)
+        add_graph(h, g)
+        add_partition(h, sa.p_recursive_bipartition(g, pc["blocks"], params))
 
     params = sa.PLaplacianParams(p=1.5)
     for s in range(criterion_seeds):
         g = sa.sbm_generate(2, 8, 0.9, 0.05, seed=s)
+        add_graph(h, g)
         if len(sa.connected_components(g)) > 1:
             continue
         for k in (3, 4):
@@ -153,7 +170,9 @@ def digest(seed: int, toy: bool) -> str:
             add_partition(h, sa.p_recursive_bipartition(g, k, params))
 
     with tempfile.TemporaryDirectory() as workdir:
-        add_cli_files(h, sbm(sizes["cli-io"], seed, 0), workdir)
+        g = sbm(sizes["cli-io"], seed, 0)
+        add_graph(h, g)
+        add_cli_files(h, g, workdir)
         add_fc_files(h, sizes["fc-fit"], seed, workdir)
     return h.hexdigest()
 

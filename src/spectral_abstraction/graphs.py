@@ -292,6 +292,16 @@ def connected_components(g: Graph) -> list[list[int]]:
     return sorted(groups, key=lambda c: c[0])
 
 
+_CHUNK = 1 << 16  # uniforms per draw in sbm_generate; bounds its scratch memory at any n
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sbm_generate(
     blocks: int,
     nodes_per_block: int,
@@ -305,17 +315,24 @@ def sbm_generate(
     nodes each; node i belongs to block i // nodes_per_block and is
     labeled b<block>n<offset>. Every intra-block pair is joined with
     probability p_in and every inter-block pair with probability p_out,
-    using one draw per pair in a fixed pair order, so output is fully
-    determined by the seed.
+    using one uniform per pair (i, j > i) in row-major order, so output
+    is fully determined by the seed, a nonnegative integer. Uniforms are
+    drawn in chunks of at most 2**16, which continue one stream: the
+    graph is the one a draw per pair would give.
 
     Requires 0 <= p_out <= p_in <= 1. The degenerate corners are legal:
     p_out = 0 gives disjoint blocks and p_in = p_out = 1 the complete
     graph.
     """
+    blocks = _integer(blocks, "blocks")
+    nodes_per_block = _integer(nodes_per_block, "nodes_per_block")
+    seed = _integer(seed, "seed")
     if blocks < 2:
         raise InvalidArgumentError("need at least 2 blocks")
     if nodes_per_block < 2:
         raise InvalidArgumentError("need at least 2 nodes per block")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise InvalidProbabilityError(
             f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}"
@@ -323,11 +340,19 @@ def sbm_generate(
     n = blocks * nodes_per_block
     labels = [f"b{i // nodes_per_block}n{i % nodes_per_block}" for i in range(n)]
     rng = np.random.default_rng(seed)
-    block = np.arange(n) // nodes_per_block
-    # one draw per pair (i, j > i), row by row: the scalar draw order
-    hits = []
-    for i in range(n - 1):
-        p = np.where(block[i + 1:] == block[i], p_in, p_out)
-        hits.append(i + 1 + np.flatnonzero(rng.random(n - i - 1) < p))
-    ej = np.concatenate(hits)
-    return _graph(labels, np.repeat(np.arange(n - 1), [h.size for h in hits]), ej, np.ones(ej.size))
+    rows = np.arange(n - 1)
+    first = rows * (2 * n - 1 - rows) // 2  # linear index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    ei, ej = [], []
+    for lo in range(0, total, _CHUNK):
+        u = rng.random(min(_CHUNK, total - lo))
+        # p_out <= p_in, so every edge of the chunk is among its candidates
+        hit = np.flatnonzero(u < p_in)
+        k = lo + hit
+        i = np.searchsorted(first, k, side="right") - 1
+        j = k - first[i] + i + 1
+        keep = (i // nodes_per_block == j // nodes_per_block) | (u[hit] < p_out)
+        ei.append(i[keep])
+        ej.append(j[keep])
+    ej = np.concatenate(ej)
+    return _graph(labels, np.concatenate(ei), ej, np.ones(ej.size))

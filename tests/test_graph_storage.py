@@ -9,12 +9,16 @@ that overflow or underflow.
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_abstraction as sa
+from spectral_abstraction import graphs
 from spectral_abstraction.errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
@@ -137,6 +141,39 @@ def test_sbm_generate_matches_scalar_draws(blocks, nodes_per_block, p_out, gap, 
         sa.sbm_generate(blocks, nodes_per_block, p_in, p_out, seed),
         scalar_sbm_generate(blocks, nodes_per_block, p_in, p_out, seed),
     )
+
+
+# the cluster-linear, p-cluster, fc-fit and cli-io inputs of perfbench/workloads.py
+SBM_BENCHMARK_SHAPES = [(8, 24, 0.3, 0.01), (2, 32, 0.9, 0.05), (8, 100, 0.3, 0.01), (16, 64, 0.3, 0.005)]
+
+
+@pytest.mark.parametrize("shape", SBM_BENCHMARK_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_sbm_generate_matches_scalar_draws_at_benchmark_sizes(shape):
+    assert_same_graph(sa.sbm_generate(*shape, seed=9201), scalar_sbm_generate(*shape, seed=9201))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, graphs._CHUNK])
+@pytest.mark.parametrize("p_in, p_out", [(0.4, 0.4), (0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.6, 0.1)])
+def test_sbm_generate_draws_one_stream_across_chunks(chunk, p_in, p_out):
+    # 6, 66 and 2,016 pairs: at chunk 7 one short chunk, a short last chunk, and chunks ending inside rows
+    with mock.patch.object(graphs, "_CHUNK", chunk):
+        for blocks, nodes_per_block in ((2, 2), (3, 4), (2, 32)):
+            assert_same_graph(
+                sa.sbm_generate(blocks, nodes_per_block, p_in, p_out, seed=5),
+                scalar_sbm_generate(blocks, nodes_per_block, p_in, p_out, seed=5),
+            )
+
+
+def test_sbm_generate_memory_is_bounded():
+    # 2,096,128 pairs: one draw of all their uniforms alone would take 16.8 MB
+    tracemalloc.start()
+    try:
+        g = sa.sbm_generate(16, 128, 0.3, 0.005, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 2048 and g.n_edges > 0
+    assert peak < 8 * 2**20
 
 
 def test_edges_are_stored_once_as_read_only_arrays(bridged_triangles):

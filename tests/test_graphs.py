@@ -12,6 +12,7 @@ from spectral_abstraction.errors import (
     DuplicateEdgeError,
     EmptySubsetError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     InvalidProbabilityError,
     NonpositiveWeightError,
     PartitionMismatchError,
@@ -261,11 +262,30 @@ class TestSbmGenerate:
         with pytest.raises(InvalidProbabilityError):
             sa.sbm_generate(2, 3, 0.8, -0.1, seed=0)
 
-    def test_shape_preconditions(self):
-        with pytest.raises(ValueError):
-            sa.sbm_generate(1, 4, 0.8, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            sa.sbm_generate(2, 1, 0.8, 0.1, seed=0)
+    @pytest.mark.parametrize(
+        "blocks, nodes_per_block, seed, message",
+        [
+            (1, 4, 0, "need at least 2 blocks"),
+            (2, 1, 0, "need at least 2 nodes per block"),
+            (2.0, 4, 0, "blocks must be an integer, got 2.0"),
+            (2, 3.5, 0, "nodes_per_block must be an integer, got 3.5"),
+            (2, 3, None, "seed must be an integer, got None"),
+            (2, 3, 1.5, "seed must be an integer, got 1.5"),
+            (2, 3, 3.0, "seed must be an integer, got 3.0"),
+            (2, 3, "7", "seed must be an integer, got '7'"),
+            (2, 3, -1, "seed must be nonnegative, got -1"),
+            (2, 3, np.int64(-5), "seed must be nonnegative, got -5"),
+        ],
+    )
+    def test_argument_preconditions(self, blocks, nodes_per_block, seed, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            sa.sbm_generate(blocks, nodes_per_block, 0.8, 0.1, seed=seed)
+        assert str(info.value) == message
+
+    def test_integer_like_arguments_give_the_int_graph(self):
+        a = sa.sbm_generate(np.int64(3), np.int32(4), 0.8, 0.1, seed=np.uint64(11))
+        b = sa.sbm_generate(3, 4, 0.8, 0.1, seed=11)
+        assert a.labels == b.labels and a.edges == b.edges
 
     def test_seed_changes_draws(self):
         a = sa.sbm_generate(3, 5, 0.7, 0.1, seed=1)
