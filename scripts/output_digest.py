@@ -123,10 +123,10 @@ def add_fc_files(h, size: dict, seed: int, workdir: str) -> None:
     paths = [os.path.join(workdir, name) for name in names]
     graph, observed, predicted, report = paths
     g = case.graph
-    for path, text in ((graph, sa.fileio.matrix_csv(sa.adjacency_matrix(g), g.labels)),
-                       (observed, sa.fileio.matrix_csv(case.observed))):
+    for path, chunks in ((graph, sa.fileio.matrix_csv(sa.adjacency_matrix(g), g.labels)),
+                         (observed, sa.fileio.matrix_csv(case.observed))):
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
     model = [arg for name in ("beta", "scale", "offset") for arg in (f"--{name}", repr(size[name]))]
     run_cli(["predict-fc", "--input", graph, "--output", predicted] + model)
     run_cli(["fit-fc", "--input", graph, "--observed", observed, "--output", report])

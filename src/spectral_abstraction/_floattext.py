@@ -1,4 +1,4 @@
-"""Float64 arrays as "%.17g" text, written in whole-array numpy passes.
+"""Float64 arrays as "%.17g" text, written in numpy passes over chunks.
 
 `join_floats` gives the exact text that `fileio.format_float`, applied
 to each element, would give. On the fast path (v finite and
@@ -18,12 +18,15 @@ tables:
 Deleting the NULs leaves the text. Every other element, and any the
 scaling cannot round with certainty, is formatted by `format_float`
 and written over its words. The tables are built on first use.
+
+The text comes out one chunk of at most `_CHUNK` elements at a time,
+so a caller that streams the chunks to a file holds only one of them.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,25 +95,28 @@ def _float_tables() -> _FloatTables:
     return tables
 
 
-def join_floats(a: np.ndarray, sep: str, row_sep: str) -> str:
-    """row_sep.join(sep.join(format_float(x) for x in row) for row in a).
+def join_floats(a: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
+    """row_sep.join(sep.join(format_float(x) for x in row) for row in a), in chunks.
 
-    a is 2-D; sep and row_sep are ASCII of at most 8 characters.
+    a is 2-D; sep and row_sep are ASCII of at most 8 characters. Each
+    chunk is the text of at most _CHUNK elements of one block of whole
+    rows, and only that block is made contiguous.
     """
     rows, cols = a.shape
     if not cols:
-        return row_sep * (rows - 1)
-    flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
+        yield row_sep * (rows - 1)
+        return
     seps = (_word(sep), _word(row_sep))
-    return b"".join(
-        _float_words(flat, start, seps, cols) for start in range(0, flat.size, _CHUNK)
-    ).decode("ascii")
+    step = max(1, _CHUNK // cols)  # rows per block
+    for r in range(0, rows, step):
+        block = np.ascontiguousarray(a[r:r + step], dtype=np.float64).ravel()
+        for c in range(0, block.size, _CHUNK):
+            yield _float_words(block[c:c + _CHUNK], r * cols + c, rows * cols, seps, cols)
 
 
-def _float_words(flat: np.ndarray, start: int, seps: tuple[int, int], cols: int) -> bytes:
-    """The text of flat[start:start + _CHUNK], each element followed by its separator."""
+def _float_words(v: np.ndarray, start: int, size: int, seps: tuple[int, int], cols: int) -> str:
+    """The text of v, row-major elements start onward of `size`, each followed by its separator."""
     t = _float_tables()
-    v = flat[start:start + _CHUNK]
     m = np.abs(v)
     sure = (m >= 1e-250) & (m < 1e250)
     m[~sure] = 1.0
@@ -167,7 +173,7 @@ def _float_words(flat: np.ndarray, start: int, seps: tuple[int, int], cols: int)
     words[:, 5] = t.exps[xi]
     words[:, 6] = seps[0]
     words[(cols - 1 - start) % cols::cols, 6] = seps[1]  # the last of each row
-    if start + v.size == flat.size:
+    if start + v.size == size:
         words[-1, 6] = 0
     # the words above assume 17 significant digits and no '.' among
     # digits 2 to 17; rebuild the elements where either fails
@@ -188,4 +194,4 @@ def _float_words(flat: np.ndarray, start: int, seps: tuple[int, int], cols: int)
         # format_float writes at most 24 characters, which 6 words hold
         texts = [format_float(y).encode("ascii").ljust(48, b"\0") for y in bits.view(np.float64).tolist()]
         words[slow, :6] = np.frombuffer(b"".join(texts), dtype=_WORD).reshape(-1, 6)[inverse]
-    return words.tobytes().translate(None, b"\0")
+    return words.tobytes().translate(None, b"\0").decode("ascii")

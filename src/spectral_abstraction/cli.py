@@ -17,7 +17,9 @@ starts) without changing any result.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -90,17 +92,16 @@ def _sibling_path(output_path: str, suffix: str) -> str:
     return stem + suffix
 
 
-def _json_report(path: str, payload) -> dict[str, str]:
-    return {path: fileio.dumps(payload) + "\n"}
+def _json_report(path: str, payload) -> dict[str, Iterable[str]]:
+    return {path: itertools.chain(fileio._emit(payload), "\n")}
 
 
-def _partition_report(path: str, g, part) -> dict[str, str]:
-    report = {
+def _partition_report(path: str, g, part) -> dict[str, Iterable[str]]:
+    return _json_report(path, {
         "partition": fileio.partition_payload(part, g.labels),
         "cut_metrics": fileio.cut_metrics_payload(cut_metrics(g, part)),
         "connectivity_profile": fileio.connectivity_profile_payload(connectivity_profile(g, part)),
-    }
-    return _json_report(path, report)
+    })
 
 
 _KMEANS_DEFAULTS = {"laplacian": "combinatorial", "metric": "euclidean", "q": 0.5, "seed": 0}
@@ -116,9 +117,9 @@ def _check_cluster_flags(args) -> None:
             setattr(args, key, default)
 
 
-# Each handler runs one subcommand and returns {path: text} pending writes.
+# Each handler runs one subcommand and returns {path: text chunks} pending writes.
 
-def _spectrum(args) -> dict[str, str]:
+def _spectrum(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
     s = graph_spectrum(g, LaplacianKind(args.laplacian))
     out = _json_report(args.output, fileio.spectrum_payload(s))
@@ -126,13 +127,13 @@ def _spectrum(args) -> dict[str, str]:
     return out
 
 
-def _bipartition(args) -> dict[str, str]:
+def _bipartition(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
     s = graph_spectrum(g, LaplacianKind(args.laplacian))
     return _partition_report(args.output, g, sign_bipartition(g, fiedler_vector(s)))
 
 
-def _cluster(args) -> dict[str, str]:
+def _cluster(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
     if args.dims is None:
         part = recursive_bipartition(g, args.k)
@@ -143,13 +144,13 @@ def _cluster(args) -> dict[str, str]:
     return _partition_report(args.output, g, part)
 
 
-def _p_cluster(args) -> dict[str, str]:
+def _p_cluster(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
     part = p_recursive_bipartition(g, args.k, PLaplacianParams(p=args.p))
     return _partition_report(args.output, g, part)
 
 
-def _hierarchy(args) -> dict[str, str]:
+def _hierarchy(args) -> dict[str, Iterable[str]]:
     h = build_hierarchy(fileio.read_graph(args.input), args.level)
     out = _json_report(args.output, fileio.hierarchy_payload(h))
     if args.dot:
@@ -157,14 +158,14 @@ def _hierarchy(args) -> dict[str, str]:
     return out
 
 
-def _predict_fc(args) -> dict[str, str]:
+def _predict_fc(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
     model = FcModel(beta=args.beta, scale=args.scale, offset=args.offset)
     F = predict_fc(g, model, LaplacianKind(args.laplacian))
     return {args.output: fileio.matrix_csv(F, g.labels)}
 
 
-def _fit_fc(args) -> dict[str, str]:
+def _fit_fc(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
     observed = fileio.read_fc_matrix(args.observed)
     kind = LaplacianKind(args.laplacian)
@@ -182,15 +183,14 @@ def _fit_fc(args) -> dict[str, str]:
     return _json_report(args.output, report)
 
 
-def _jacobian_graph(args) -> dict[str, str]:
+def _jacobian_graph(args) -> dict[str, Iterable[str]]:
     system = fileio.read_coupling_system(args.input, args.mask)
     g, largest = jacobian_graph(system, args.threshold)
-    report = {
+    return _json_report(args.output, {
         "labels": list(g.labels),
         "edges": [[i, j, w] for i, j, w in g.edges],
         "largest_component": list(largest),
-    }
-    return _json_report(args.output, report)
+    })
 
 
 def build_parser() -> _Parser:

@@ -7,9 +7,10 @@ reuse the CSV form but may carry a nonzero diagonal. All numeric output
 is rendered with 17 significant digits, which round-trips doubles
 exactly and keeps repeated runs byte-identical. Scalars and float lists
 go through `format_float` one value at a time; float64 arrays are
-written to the same bytes in whole-array numpy passes, by the
-`_floattext` kernel. Writes go through a temp file and an atomic rename
-so failed runs leave nothing behind.
+written to the same bytes in numpy passes over blocks of rows, by the
+`_floattext` kernel. Reports are built as iterables of text chunks and
+streamed into a temp file, which an atomic rename puts in place, so only
+one chunk of text is held at a time and failed runs leave nothing behind.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import tempfile
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -55,75 +57,73 @@ def dumps(value) -> str:
     Dict order is insertion order. Infinities use the same literals the
     stdlib json module emits and accepts. Every float is written as
     `format_float` writes it; a 1-D or 2-D float64 array is written in
-    whole-array passes.
+    numpy passes. `_emit` yields the same text in chunks.
     """
-    parts: list[str] = []
-    _emit(value, parts)
-    return "".join(parts)
+    return "".join(_emit(value))
 
 
-def _emit(value, parts: list[str]) -> None:
+def _emit(value) -> Iterator[str]:
     if isinstance(value, dict):
-        parts.append("{")
+        yield "{"
         for i, (key, item) in enumerate(value.items()):
             if i:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _emit(item, parts)
-        parts.append("}")
+                yield ", "
+            yield json.dumps(str(key)) + ": "
+            yield from _emit(item)
+        yield "}"
     elif isinstance(value, (list, tuple)):
-        parts.append("[")
+        yield "["
         for i, item in enumerate(value):
             if i:
-                parts.append(", ")
-            _emit(item, parts)
-        parts.append("]")
+                yield ", "
+            yield from _emit(item)
+        yield "]"
     elif isinstance(value, bool):
-        parts.append("true" if value else "false")
+        yield "true" if value else "false"
     elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
+        yield str(int(value))
     elif isinstance(value, (float, np.floating)):
-        parts.append(format_float(float(value)))
+        yield format_float(float(value))
     elif isinstance(value, str):
-        parts.append(json.dumps(value))
+        yield json.dumps(value)
     elif value is None:
-        parts.append("null")
-    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
-        parts += ["[", _join_floats(value[None], ", ", ""), "]"]
-    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 2 and len(value):
-        parts += ["[[", _join_floats(value, ", ", "], ["), "]]"]
+        yield "null"
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2) and len(value):
+        yield "[" * value.ndim
+        yield from _join_floats(np.atleast_2d(value), ", ", "], [")
+        yield "]" * value.ndim
     elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), parts)
+        yield from _emit(value.tolist())
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _join_floats(a: np.ndarray, sep: str, row_sep: str) -> str:
-    """row_sep.join(sep.join(format_float(x) for x in row) for row in a), for 2-D a."""
+def _join_floats(a: np.ndarray, sep: str, row_sep: str) -> Iterator[str]:
+    """row_sep.join(sep.join(format_float(x) for x in row) for row in a), in chunks, for 2-D a."""
     # loaded on first use: compiling the kernel would add about 4 ms to every package import
     from ._floattext import join_floats
 
     return join_floats(a, sep, row_sep)
 
 
-def write_files_atomic(files: dict[str, str]) -> None:
+def write_files_atomic(files: dict[str, Iterable[str]]) -> None:
     """Write several files all-or-nothing.
 
-    Each text goes to a temp file in its target's directory; only once
-    every one is staged are they renamed into place, in order. If any
-    step fails, the temps and the files this call already renamed into
-    place are removed before the error propagates.
+    Each file's text, an iterable of chunks, is streamed to a temp file
+    in its target's directory, so only one chunk is held at a time; only
+    once every one is staged are they renamed into place, in order. If
+    any step fails, the temps and the files this call already renamed
+    into place are removed before the error propagates.
     """
     staged: list[tuple[str, str]] = []
     placed: list[str] = []
     try:
-        for path, text in files.items():
+        for path, chunks in files.items():
             directory = os.path.dirname(os.path.abspath(path))
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         for tmp, path in staged:
             os.replace(tmp, path)
             placed.append(path)
@@ -318,10 +318,10 @@ def spectrum_payload(s: Spectrum) -> dict:
     return {"eigenvalues": s.eigenvalues, "eigenvectors": s.eigenvectors.T}
 
 
-def scree_csv(s: Spectrum) -> str:
-    """Scree data: one `index,eigenvalue` row per eigenvalue, 1-based."""
-    lines = [f"{k + 1},{format_float(float(v))}" for k, v in enumerate(s.eigenvalues)]
-    return "\n".join(lines) + "\n"
+def scree_csv(s: Spectrum) -> Iterator[str]:
+    """Scree data chunks: one `index,eigenvalue` row per eigenvalue, 1-based."""
+    # a whole float below 1e17 is written as its integer digits
+    return matrix_csv(np.column_stack([np.arange(1.0, len(s.eigenvalues) + 1), s.eigenvalues]))
 
 
 def partition_payload(p: Partition, labels: tuple[str, ...]) -> dict:
@@ -355,35 +355,32 @@ def hierarchy_payload(h: Hierarchy) -> dict:
     return {"levels": levels}
 
 
-def matrix_csv(matrix: np.ndarray, labels: tuple[str, ...] | None = None) -> str:
-    """CSV text for a matrix, preceded by a label header if it reads back.
+def matrix_csv(matrix: np.ndarray, labels: tuple[str, ...] | None = None) -> Iterator[str]:
+    """CSV text chunks for a matrix, preceded by a label header if it reads back.
 
     The header is written only when the CSV readers would take it for a
     header naming exactly these labels; numeric labels or labels with a
     comma would read as a data row or as the wrong columns. The matrix
     is positional, so it reads back the same without a header.
     """
-    lines = []
-    if labels is not None:
-        header = ",".join(labels)
-        if _csv_rows(header) == [list(labels)] and _is_header(list(labels)):
-            lines.append(header)
     matrix = np.asarray(matrix, dtype=np.float64)
+    header = ",".join(labels) if labels is not None else ""
+    if header and _csv_rows(header) == [list(labels)] and _is_header(list(labels)):
+        yield header + "\n"
+    elif not len(matrix):  # neither header nor rows: one empty line
+        yield "\n"
     if len(matrix):
-        lines.append(_join_floats(matrix, ",", "\n"))
-    return "\n".join(lines) + "\n"
+        yield from _join_floats(matrix, ",", "\n")
+        yield "\n"
 
 
-def hierarchy_dot(h: Hierarchy) -> str:
-    """All quotient graphs in DOT format, one block per level."""
-    blocks = []
-    for level in h.levels:
+def hierarchy_dot(h: Hierarchy) -> Iterator[str]:
+    """All quotient graphs in DOT format, one block per level, as text chunks."""
+    for t, level in enumerate(h.levels):
         g = level.quotient
-        lines = [f"graph level{level.level_index} {{"]
+        yield "\n" * (t > 0) + f"graph level{level.level_index} {{\n"
         for label in g.labels:
-            lines.append(f'  "{label}";')
+            yield f'  "{label}";\n'
         for i, j, w in g.edges:
-            lines.append(f'  "{g.labels[i]}" -- "{g.labels[j]}" [weight={format_float(w)}];')
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+            yield f'  "{g.labels[i]}" -- "{g.labels[j]}" [weight={format_float(w)}];\n'
+        yield "}\n"

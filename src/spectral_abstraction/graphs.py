@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -333,6 +334,8 @@ def sbm_generate(
         raise InvalidArgumentError("need at least 2 nodes per block")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
+    if not (isinstance(p_in, Real) and isinstance(p_out, Real)):
+        raise InvalidProbabilityError(f"probabilities must be real numbers, got p_in={p_in!r}, p_out={p_out!r}")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise InvalidProbabilityError(
             f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}"

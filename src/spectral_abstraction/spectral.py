@@ -258,23 +258,27 @@ def _lanczos(M: np.ndarray, m: int):
 
     v0 = np.linspace(1.0, 2.0, M.shape[0])
     try:
-        return scipy.sparse.linalg.eigsh(
+        vals, vecs = scipy.sparse.linalg.eigsh(
             scipy.sparse.csc_matrix(M), k=m, sigma=-1e-2, which="LM", v0=v0, tol=0
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise np.linalg.LinAlgError(str(exc)) from exc
+    # unlike the LAPACK drivers, ARPACK does not promise ascending order
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> Spectrum:
-    """Check L, solve it, then sort, canonicalize, verify and cut the pairs to `count`.
+    """Check L, solve it, then canonicalize, verify and cut the pairs to `count`.
 
     A full request (count=None) takes every pair from solver(M). A
     counted one, 1 <= count < n, takes the smallest m = count + 1 pairs
     from solver(M, m) and doubles m, up to n, until a gap closes the
     group that holds pair count - 1, so only whole eigenspaces are
     canonicalized; requests past the first doubling go to the MRRR
-    driver, whose cost does not grow with m. The solver's own arrays are
-    freed once sorted and never sit beside the checked copies.
+    driver, whose cost does not grow with m. Every solver returns its
+    pairs ascending; its own arrays are freed once made contiguous and
+    never sit beside the checked copies.
     """
     M = np.asarray(L.matrix, dtype=np.float64)
     _check_symmetric(M)
@@ -288,9 +292,7 @@ def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> S
             vals, vecs = solver(M) if count is None else route(M, m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        vecs = np.ascontiguousarray(vecs[:, order])
+        vecs = np.ascontiguousarray(vecs)
         groups = _degenerate_groups(vals)
         end = m if count is None else next(hi for _, hi in groups if hi >= count)
         if end < m or m == n:

@@ -5,8 +5,9 @@ library code: connectivity by union-find instead of BFS, eigenvalues by
 characteristic polynomial instead of a symmetric eigensolver, cut
 metrics and the p-Laplacian by direct edge loops instead of vectorized
 incidence sums, the matrix exponential by a scaled power series instead
-of an eigen-sum, JSON and CSV text by formatting one float at a time
-instead of in whole-array passes, CSV cells by parsing and checking one cell at
+of an eigen-sum, JSON, CSV and DOT text by formatting one float at a
+time and joining one whole string instead of in whole-array passes
+streamed as chunks, CSV cells by parsing and checking one cell at
 a time instead of a row at once, degenerate eigenspace bases by
 probe-by-probe Gram-Schmidt instead of one QR, k-means distances over an
 n x k x d array and centers cluster by cluster instead of coordinate by
@@ -524,6 +525,23 @@ def elementwise_matrix_csv(matrix: np.ndarray, labels=None) -> str:
     for row in np.asarray(matrix):
         lines.append(",".join(format_float(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def joined_scree_csv(s) -> str:
+    """fileio.scree_csv as one string, one format_float call per eigenvalue."""
+    return "".join(f"{k + 1},{format_float(float(v))}\n" for k, v in enumerate(s.eigenvalues))
+
+
+def joined_hierarchy_dot(h) -> str:
+    """fileio.hierarchy_dot as one string: each level's block joined, then the blocks."""
+    blocks = []
+    for level in h.levels:
+        g = level.quotient
+        lines = [f"graph level{level.level_index} {{"]
+        lines += [f'  "{label}";' for label in g.labels]
+        lines += [f'  "{g.labels[i]}" -- "{g.labels[j]}" [weight={format_float(w)}];' for i, j, w in g.edges]
+        blocks.append("\n".join(lines + ["}"]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def cellwise_parse_csv_cells(text: str):

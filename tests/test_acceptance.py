@@ -304,7 +304,7 @@ def cli_fixture_commands(tmp: str) -> list[list[str]]:
     from spectral_abstraction.fileio import matrix_csv
 
     with open(fc, "w") as handle:
-        handle.write(matrix_csv(predict_fc(g, FcModel(beta=1.3, scale=2.0, offset=0.1))))
+        handle.writelines(matrix_csv(predict_fc(g, FcModel(beta=1.3, scale=2.0, offset=0.1))))
     coup = os.path.join(tmp, "coup.csv")
     with open(coup, "w") as handle:
         handle.write("0,2,0\n0,0,0.1\n0,0,0\n")

@@ -293,7 +293,7 @@ class TestFcCommands:
         obs = tmp_path / "obs.csv"
         m = np.eye(6)
         m[0, 1] = 1e-3
-        obs.write_text(matrix_csv(m))
+        obs.write_text("".join(matrix_csv(m)))
         out = tmp_path / "fit.json"
         rc = run_cli(
             "fit-fc",
@@ -526,7 +526,7 @@ class TestNonFiniteInput:
         observed = tmp_path / "obs.csv"
         F = predict_fc(parse_edge_list_tsv(BRIDGED_TSV), FcModel(beta=1.0, scale=1.0, offset=0.0))
         F[2, 4] = F[4, 2] = np.nan
-        observed.write_text(matrix_csv(F))
+        observed.write_text("".join(matrix_csv(F)))
         out = tmp_path / "fit.json"
         rc = run_cli("fit-fc", "--input", str(bridged_file), "--observed", str(observed),
                      "--output", str(out))

@@ -156,7 +156,7 @@ def test_dumps_matches_the_elementwise_oracle(value):
 def test_matrix_csv_matches_the_elementwise_oracle(case):
     matrix, labels = case
     with mock.patch.object(_floattext, "_CHUNK", 37):
-        assert fileio.matrix_csv(matrix, labels) == elementwise_matrix_csv(matrix, labels)
+        assert "".join(fileio.matrix_csv(matrix, labels)) == elementwise_matrix_csv(matrix, labels)
 
 
 def test_the_ties_are_halfway_cases():
@@ -191,7 +191,7 @@ def _bulk_values(rng: np.random.Generator, size: int) -> np.ndarray:
 def test_join_floats_matches_percent_17g_in_bulk():
     values = _bulk_values(np.random.default_rng(20260), 160_000)
     assert values.size >= 1_000_000
-    got = _floattext.join_floats(values[None], ",", "")
+    got = "".join(_floattext.join_floats(values[None], ",", ""))
     expected = ",".join(["%.17g"] * values.size) % tuple(values.tolist())
     if got != expected:
         for x, a, b in zip(values.tolist(), got.split(","), expected.split(",")):
@@ -225,7 +225,7 @@ def test_undecided_elements_take_the_fallback(reason, x):
 
     row = [0.3, x, 0.3]
     with mock.patch.object(_floattext, "format_float", recording):
-        text = _floattext.join_floats(np.array([row]), ",", "")
+        text = "".join(_floattext.join_floats(np.array([row]), ",", ""))
     assert formatted == [np.float64(x).tobytes()], reason
     assert text == ",".join(map(format_float, row))
 
@@ -253,12 +253,12 @@ class TestLargeReportsMatchTheOracle:
         assert s.eigenvectors.shape == (300, count or 300)
         text, scree = self.elementwise_spectrum_text(s)
         assert fileio.dumps(fileio.spectrum_payload(s)) == text
-        assert fileio.scree_csv(s) == scree
+        assert "".join(fileio.scree_csv(s)) == scree
 
     def test_predicted_fc_matrix(self, sbm):
         F = predict_fc(sbm, FcModel(beta=1.3, scale=2.0, offset=0.1))
-        assert fileio.matrix_csv(F, sbm.labels) == elementwise_matrix_csv(F, sbm.labels)
-        assert fileio.matrix_csv(F, sbm.labels).startswith(",".join(sbm.labels) + "\n")
+        assert "".join(fileio.matrix_csv(F, sbm.labels)) == elementwise_matrix_csv(F, sbm.labels)
+        assert "".join(fileio.matrix_csv(F, sbm.labels)).startswith(",".join(sbm.labels) + "\n")
 
 
 class TestEdgeListTsv:
@@ -374,7 +374,7 @@ class TestMatrixCsvGraph:
         upper = np.triu(rng.uniform(1e-9, 1e9, (n, n)) * (rng.random((n, n)) < 0.5), 1)
         data = upper + upper.T
         labels = [f"u{i}" for i in rng.permutation(n)] if header else [f"n{i}" for i in range(n)]
-        text = fileio.matrix_csv(data, tuple(labels) if header else None)
+        text = "".join(fileio.matrix_csv(data, tuple(labels) if header else None))
         edges = [(i, j, data[i, j]) for i in range(n) for j in range(i + 1, n) if data[i, j] > 0]
         g = fileio.parse_matrix_csv_graph(text)
         assert g == sa.graph_from_edges(labels, edges)
@@ -551,7 +551,7 @@ class TestPayloads:
 
     def test_scree_rows_are_one_based(self, p3):
         s = sa.graph_spectrum(p3, sa.LaplacianKind.COMBINATORIAL)
-        rows = fileio.scree_csv(s).strip().split("\n")
+        rows = "".join(fileio.scree_csv(s)).strip().split("\n")
         assert len(rows) == 3
         assert rows[1].startswith("2,")
         assert float(rows[2].split(",")[1]) == pytest.approx(3.0, abs=1e-9)
@@ -591,7 +591,7 @@ class TestPayloads:
 
     def test_matrix_csv_round_trips_through_the_parser(self):
         m = np.array([[0.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]])
-        text = fileio.matrix_csv(m, labels=("a", "b"))
+        text = "".join(fileio.matrix_csv(m, labels=("a", "b")))
         g = fileio.parse_matrix_csv_graph(text)
         assert g.labels == ("a", "b")
         assert g.edges[0][2] == 1.0 / 3.0
@@ -599,12 +599,12 @@ class TestPayloads:
     @pytest.mark.parametrize("labels", [("1", "2"), ("a,b", "c"), ("nan", "inf")])
     def test_matrix_csv_omits_a_header_that_would_not_read_back(self, labels):
         m = np.array([[2.0, 0.5], [0.5, 2.0]])
-        text = fileio.matrix_csv(m, labels=labels)
+        text = "".join(fileio.matrix_csv(m, labels=labels))
         assert text == "2,0.5\n0.5,2\n"
 
     def test_hierarchy_dot_blocks(self, bridged_triangles):
         h = build_hierarchy(bridged_triangles, [LevelSpec(k=3), LevelSpec(k=2)])
-        dot = fileio.hierarchy_dot(h)
+        dot = "".join(fileio.hierarchy_dot(h))
         assert dot.count("graph level") == 2
         assert "graph level0 {" in dot
         assert "--" in dot

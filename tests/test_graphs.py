@@ -262,6 +262,16 @@ class TestSbmGenerate:
         with pytest.raises(InvalidProbabilityError):
             sa.sbm_generate(2, 3, 0.8, -0.1, seed=0)
 
+    @pytest.mark.parametrize("p_in, p_out", [("0.5", 0.1), (None, 0.1), (0.5, "0.1"), (0.5, None), (0.5, 0.1j)])
+    def test_non_numeric_probabilities_rejected(self, p_in, p_out):
+        with pytest.raises(InvalidProbabilityError, match=r"^probabilities must be real numbers"):
+            sa.sbm_generate(2, 3, p_in, p_out, seed=0)
+
+    @pytest.mark.parametrize("p_in, p_out", [(float("nan"), 0.1), (0.5, float("nan"))])
+    def test_nan_probabilities_rejected(self, p_in, p_out):
+        with pytest.raises(InvalidProbabilityError, match=r"^need 0 <= p_out <= p_in <= 1"):
+            sa.sbm_generate(2, 3, p_in, p_out, seed=0)
+
     @pytest.mark.parametrize(
         "blocks, nodes_per_block, seed, message",
         [

@@ -597,6 +597,35 @@ def test_lanczos_non_convergence_is_a_convergence_failure(monkeypatch):
         partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 3)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_lapack_drivers_return_their_pairs_ascending(seed):
+    # _solve takes every solver's pairs in the order they come
+    g = sa.sbm_generate(4, 12, 0.6, 0.05, seed=seed)
+    M = sa.laplacian(g, sa.LaplacianKind.NORMALIZED).matrix
+    for vals in (np.linalg.eigh(M)[0], spectral._mrrr(M, 20)[0]):
+        assert (np.diff(vals) >= 0).all()
+
+
+def test_lanczos_sorts_the_pairs_arpack_returns(monkeypatch):
+    import scipy.sparse.linalg
+
+    real = scipy.sparse.linalg.eigsh
+
+    def reversed_eigsh(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        return vals[::-1], vecs[:, ::-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", reversed_eigsh)
+    g = random_connected_graph(np.random.default_rng(7), 14)
+    M = sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL).matrix
+    vals, vecs = spectral._lanczos(M, 5)
+    assert (np.diff(vals) >= 0).all()
+    assert np.abs(M @ vecs - vecs * vals).max() < 1e-10
+    expected = partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 4)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real)
+    assert _same_bytes(expected, partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 4))
+
+
 def _twin(g):
     """An equal graph with no stored spectra."""
     return sa.graph_from_edges(g.labels, g.edges)
