@@ -76,7 +76,7 @@ def add_graph(h, g) -> None:
 
 def add_partition(h, p) -> None:
     h.update(np.int64(p.k).tobytes())
-    h.update(p.as_array().tobytes())
+    h.update(p.assignment.tobytes())
 
 
 def add_spectrum(h, s) -> None:

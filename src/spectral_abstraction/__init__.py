@@ -38,7 +38,6 @@ from .graphs import (
     LaplacianMatrix,
     adjacency_matrix,
     connected_components,
-    degree_matrix,
     degrees,
     edge_arrays,
     graph_from_edges,
@@ -107,7 +106,6 @@ __all__ = [
     "LaplacianMatrix",
     "adjacency_matrix",
     "connected_components",
-    "degree_matrix",
     "degrees",
     "edge_arrays",
     "graph_from_edges",

@@ -327,7 +327,7 @@ def scree_csv(s: Spectrum) -> Iterator[str]:
 def partition_payload(p: Partition, labels: tuple[str, ...]) -> dict:
     return {
         "k": p.k,
-        "assignment": [int(a) for a in p.assignment],
+        "assignment": p.assignment,
         "labels": list(labels),
     }
 
@@ -346,7 +346,7 @@ def hierarchy_payload(h: Hierarchy) -> dict:
         levels.append(
             {
                 "k": level.partition.k,
-                "assignment": [int(a) for a in level.partition.assignment],
+                "assignment": level.partition.assignment,
                 "quotient_edges": [[i, j, w] for i, j, w in level.quotient.edges],
                 "profile": connectivity_profile_payload(level.profile),
                 "embedding_dim": level.embedding_dim,

@@ -199,15 +199,10 @@ def degrees(g: Graph) -> np.ndarray:
     return d.astype(np.float64, copy=False)  # bincount over no edges is integer
 
 
-def degree_matrix(g: Graph) -> np.ndarray:
-    """Diagonal matrix of weighted degrees."""
-    return np.diag(degrees(g))
-
-
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> LaplacianMatrix:
     """Build the graph Laplacian in the requested normalization.
 
-    The combinatorial form matches degree_matrix(g) - adjacency_matrix(g)
+    The combinatorial form matches np.diag(degrees(g)) - adjacency_matrix(g)
     entry for entry, zero entries included as +0.0. The
     normalized form is I - D^(-1/2) A D^(-1/2) with rows and columns of
     isolated nodes (zero degree) set to zero, diagonal included.
@@ -271,7 +266,7 @@ def quotient_graph(g: Graph, partition: "Partition") -> Graph:
             f"partition covers {partition.n} nodes, graph has {g.n}"
         )
     k = partition.k
-    a, b = np.sort(partition.as_array()[np.stack([g.ei, g.ej])], axis=0)
+    a, b = np.sort(partition.assignment[np.stack([g.ei, g.ej])], axis=0)
     crossing = a != b
     pairs, slot = np.unique(a[crossing] * k + b[crossing], return_inverse=True)
     # bincount adds each pair's weights in edge order, as a running sum would

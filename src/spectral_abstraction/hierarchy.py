@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgumentError, LevelOutOfRangeError, SpecMonotonicityViolationError
 from .graphs import Graph, LaplacianKind, quotient_graph
 from .nonlinear import PLaplacianParams, p_recursive_bipartition
@@ -127,8 +125,7 @@ def flatten(h: Hierarchy, level: int) -> Partition:
     """
     if not 0 <= level < h.depth:
         raise LevelOutOfRangeError(f"level {level} outside 0..{h.depth - 1}")
-    assign = np.array(h.levels[0].partition.assignment, dtype=np.int64)
+    assign = h.levels[0].partition.assignment
     for t in range(1, level + 1):
-        step = np.array(h.levels[t].partition.assignment, dtype=np.int64)
-        assign = step[assign]
-    return Partition(assignment=tuple(int(a) for a in assign), k=h.levels[level].partition.k)
+        assign = h.levels[t].partition.assignment[assign]
+    return Partition(assignment=assign, k=h.levels[level].partition.k)

@@ -28,6 +28,7 @@ denominator is zero as well.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,48 +72,53 @@ METRICS = ("euclidean", "manhattan", "fractional")
 SELECTIONS = ("cheeger", "ratio", "normalized")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Hard assignment of n nodes to clusters 0..k-1, every id used."""
+    """Hard assignment of n nodes to clusters 0..k-1, every id used.
 
-    assignment: tuple[int, ...]
+    `assignment` is stored as a read-only int64 array, a copy of the
+    input, so later writes to the caller's sequence cannot reach it.
+    """
+
+    assignment: np.ndarray
     k: int
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise KOutOfRangeError(f"k must be at least 1, got {self.k}")
-        if not self.assignment:
+        if not len(self.assignment):
             raise PartitionMismatchError("assignment must cover at least one node")
-        counts = _id_counts(self.assignment, self.k)
-        if counts is None:  # the per-entry check, which also rejects what _id_counts turned down
-            if not all(isinstance(a, (int, np.integer)) and 0 <= a < self.k for a in self.assignment):
-                raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
-            used = set(int(a) for a in self.assignment) == set(range(self.k))
-        else:
-            used = counts.all()
-        if not used:
-            raise PartitionMismatchError(
-                f"every cluster id in 0..{self.k - 1} must occur at least once"
-            )
+        ids = _int64_ids(self.assignment)
+        if ids is None or ids.ndim != 1 or ids.min() < 0 or ids.max() >= self.k:
+            raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
+        k = operator.index(self.k)  # a k that is no integer fails here, as range(k) would
+        # ids are below k, so k > n leaves some unused without counting k slots
+        if k > ids.shape[0] or not np.bincount(ids, minlength=k).all():
+            raise PartitionMismatchError(f"every cluster id in 0..{k - 1} must occur at least once")
+        ids.flags.writeable = False
+        object.__setattr__(self, "assignment", ids)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and self.k == other.k and np.array_equal(self.assignment, other.assignment)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.assignment.tobytes()))
 
     @property
     def n(self) -> int:
-        return len(self.assignment)
-
-    def as_array(self) -> np.ndarray:
-        return np.fromiter(self.assignment, dtype=np.int64, count=self.n)
+        return self.assignment.shape[0]
 
 
-def _id_counts(assignment: tuple, k) -> np.ndarray | None:
-    """Entries per id 0..k-1 by one bincount; None unless every entry is a Python
-    int (or bool) in 0..k-1 and k is a Python int no larger than the entry count."""
-    if type(k) is not int or k > len(assignment) or not set(map(type, assignment)) <= {int, bool}:
-        return None
-    try:
-        ids = np.array(assignment, dtype=np.int64)
-    except OverflowError:  # beyond int64, so beyond k
-        return None
-    return np.bincount(ids, minlength=k) if 0 <= ids.min() and ids.max() < k else None
+def _int64_ids(assignment) -> np.ndarray | None:
+    """A fresh int64 array of the entries; None unless each is an integer that fits."""
+    # judged by type: numpy's conversion would take np.True_ and 0-d arrays as integers
+    types = {assignment.dtype.type} if isinstance(assignment, np.ndarray) else set(map(type, assignment))
+    if all(issubclass(t, (int, np.integer)) for t in types):
+        try:
+            return np.array(assignment, dtype=np.int64)
+        except OverflowError:  # beyond int64, so beyond k
+            pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,6 @@ class ClusterProfile:
 @dataclass(frozen=True)
 class ConnectivityProfile:
     clusters: tuple[ClusterProfile, ...]
-
-
-def _partition_from_labels(labels: np.ndarray, k: int) -> Partition:
-    return Partition(assignment=tuple(labels.tolist()), k=k)
 
 
 def _node_vector(g: Graph, v: np.ndarray) -> np.ndarray:
@@ -166,7 +168,7 @@ def sign_bipartition(g: Graph, v: np.ndarray) -> Partition:
     labels = (v < -tol).astype(np.int64)
     if labels.min() == labels.max():
         raise ConstantVectorError("vector has no sign change to cut along")
-    return _partition_from_labels(labels, 2)
+    return Partition(assignment=labels, k=2)
 
 
 def _split_once(
@@ -178,7 +180,7 @@ def _split_once(
         side = np.zeros(nodes.shape[0], dtype=bool)
         side[connected_components(sub)[0]] = True
     else:
-        side = split_fn(sub, s).as_array() == 0
+        side = split_fn(sub, s).assignment == 0
     return nodes[side], nodes[~side]
 
 
@@ -232,7 +234,7 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
     labels = np.zeros(g.n, dtype=np.int64)
     for cid, first in enumerate(sorted(clusters)):
         labels[clusters[first]] = cid
-    return _partition_from_labels(labels, len(clusters))
+    return Partition(assignment=labels, k=len(clusters))
 
 
 def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> Partition:
@@ -273,7 +275,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     ts = (levels[1:] - levels[:-1] > _LEVEL_REL_TOL * max(-levels[0], levels[-1])).nonzero()[0] + 1
     if not ts.size:
         raise ConstantVectorError("vector has no gap between its entries to cut at")
-    return _partition_from_labels(_threshold_labels(order, _sweep(g, order, ts, selection)), 2)
+    return Partition(assignment=_threshold_labels(order, _sweep(g, order, ts, selection)), k=2)
 
 
 def _sweep(g: Graph, order: np.ndarray, ts: np.ndarray, selection: str) -> int:
@@ -472,13 +474,10 @@ def kway_embedding_cluster(
         assign, objective = _lloyd(pts, k, metric, q, centers)
         if best is None or objective < best[0]:
             best = (objective, assign)
-    labels = best[1]
-    remap: dict[int, int] = {}
-    for a in labels:
-        if int(a) not in remap:
-            remap[int(a)] = len(remap)
-    relabeled = np.fromiter((remap[int(a)] for a in labels), dtype=np.int64, count=n)
-    return _partition_from_labels(relabeled, k)
+    _, first, cluster = np.unique(best[1], return_index=True, return_inverse=True)
+    # each cluster's rank among the clusters ordered by first appearance
+    rank = np.argsort(np.argsort(first))
+    return Partition(assignment=rank[cluster], k=k)
 
 
 def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
@@ -489,7 +488,7 @@ def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
     """
     if p.n != g.n:
         raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
-    return _cut_metrics(g, p.as_array(), p.k)
+    return _cut_metrics(g, p.assignment, p.k)
 
 
 def _cut_metrics(g: Graph, assign: np.ndarray, k: int) -> CutMetrics:
@@ -532,7 +531,7 @@ def connectivity_profile(g: Graph, p: Partition) -> ConnectivityProfile:
     """
     if p.n != g.n:
         raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
-    assign = p.as_array()
+    assign = p.assignment
     ai, aj = assign[g.ei], assign[g.ej]
     same = ai == aj
     w = g.w[~same]

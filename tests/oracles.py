@@ -830,7 +830,7 @@ def add_at_connectivity_profile(g, p):
     """partition.connectivity_profile by np.add.at scatters."""
     import spectral_abstraction as sa
 
-    assign = p.as_array()
+    assign = p.assignment
     internal = np.zeros(p.k)
     external = np.zeros(p.k)
     same = assign[g.ei] == assign[g.ej]

@@ -559,7 +559,7 @@ class TestPayloads:
     def test_partition_payload_shape(self, bridged_triangles):
         p = sa.recursive_bipartition(bridged_triangles, 2)
         payload = fileio.partition_payload(p, bridged_triangles.labels)
-        assert payload == {
+        assert {**payload, "assignment": payload["assignment"].tolist()} == {
             "k": 2,
             "assignment": [0, 0, 0, 1, 1, 1],
             "labels": list(bridged_triangles.labels),

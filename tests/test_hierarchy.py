@@ -31,13 +31,13 @@ class TestBuildHierarchy:
     def test_identity_level(self, bridged_triangles):
         h = build_hierarchy(bridged_triangles, [LevelSpec(k=6)])
         assert h.depth == 1
-        assert h.levels[0].partition.assignment == (0, 1, 2, 3, 4, 5)
+        assert h.levels[0].partition.assignment.tolist() == [0, 1, 2, 3, 4, 5]
         assert h.levels[0].quotient.edges == bridged_triangles.edges
 
     def test_bridged_level_collapses_to_one_edge(self, bridged_triangles):
         h = build_hierarchy(bridged_triangles, [LevelSpec(k=2)])
         lvl = h.levels[0]
-        assert lvl.partition.assignment == (0, 0, 0, 1, 1, 1)
+        assert lvl.partition.assignment.tolist() == [0, 0, 0, 1, 1, 1]
         assert lvl.quotient.n == 2
         assert lvl.quotient.edges == ((0, 1, 1.0),)
         assert lvl.embedding_dim == 1
@@ -56,7 +56,7 @@ class TestBuildHierarchy:
             bridged_triangles,
             [LevelSpec(k=2, method="kway-embedding", dim=1)],
         )
-        assert h.levels[0].partition.assignment == (0, 0, 0, 1, 1, 1)
+        assert h.levels[0].partition.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_recursive_p_method(self, bridged_triangles):
         from spectral_abstraction.nonlinear import PLaplacianParams
@@ -65,7 +65,7 @@ class TestBuildHierarchy:
             bridged_triangles,
             [LevelSpec(k=2, method="recursive-p", p_params=PLaplacianParams(p=1.3))],
         )
-        assert h.levels[0].partition.assignment == (0, 0, 0, 1, 1, 1)
+        assert h.levels[0].partition.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_nonmonotone_counts_rejected(self, bridged_triangles):
         with pytest.raises(SpecMonotonicityViolationError):
@@ -85,6 +85,15 @@ class TestBuildHierarchy:
         with pytest.raises(ValueError):
             LevelSpec(k=2, method="agglomerative")
 
+    def test_rebuilding_gives_an_equal_hierarchy(self):
+        g = nested_sbm(4, 6, 0.9, 0.3, 0.02, seed=5)
+        specs = [LevelSpec(k=4, method="kway-embedding", dim=3), LevelSpec(k=2)]
+        first, second = build_hierarchy(g, specs), build_hierarchy(g, specs)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != build_hierarchy(g, specs[:1])
+
 
 class TestFlatten:
     def test_level_zero_is_its_own_partition(self, bridged_triangles):
@@ -93,7 +102,7 @@ class TestFlatten:
 
     def test_identity_hierarchy_flattens_to_identity(self, bridged_triangles):
         h = build_hierarchy(bridged_triangles, [LevelSpec(k=6)])
-        assert flatten(h, 0).assignment == (0, 1, 2, 3, 4, 5)
+        assert flatten(h, 0).assignment.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_level_out_of_range(self, bridged_triangles):
         h = build_hierarchy(bridged_triangles, [LevelSpec(k=2)])

@@ -72,6 +72,10 @@ _NOT_IDS = "assignment ids must be integers in 0..k-1"
         pytest.param((0, np.True_), 2, _NOT_IDS, id="numpy-bool"),
         pytest.param((0, np.array(1)), 2, _NOT_IDS, id="zero-dim-array"),
         pytest.param((0, 2**70), 2, _NOT_IDS, id="beyond-int64"),
+        pytest.param(np.array([False, True]), 2, _NOT_IDS, id="bool-array"),
+        pytest.param(np.array([0.0, 1.0]), 2, _NOT_IDS, id="float-array"),
+        pytest.param(np.array([[0, 1], [1, 0]]), 2, _NOT_IDS, id="2d-array"),
+        pytest.param(np.array([0, -1, 1], dtype=np.int8), 2, _NOT_IDS, id="negative-int8-array"),
         pytest.param((0, 0), 2, "every cluster id in 0..1 must occur at least once", id="unused-id"),
         pytest.param((0, 1), 3, "every cluster id in 0..2 must occur at least once", id="k-above-n"),
         pytest.param((), 1, "assignment must cover at least one node", id="empty"),
@@ -91,10 +95,13 @@ def test_partition_check_messages(assignment, k, message):
         pytest.param((np.uint8(1), 0, np.int32(2)), 3, id="mixed-integer-types"),
         pytest.param((False, True, True), 2, id="python-bools"),
         pytest.param((0, 1, 1), np.int64(2), id="numpy-k"),
+        pytest.param(np.array([0, 2, 1], dtype=np.int32), 3, id="int32-array"),
+        pytest.param(np.array([1, 0], dtype=np.uint8), 2, id="uint8-array"),
+        pytest.param([0, 1, 0], 2, id="list"),
     ],
 )
 def test_partition_accepts_any_integer_entries(assignment, k):
-    assert sa.Partition(assignment=assignment, k=k).as_array().tolist() == [int(a) for a in assignment]
+    assert sa.Partition(assignment=assignment, k=k).assignment.tolist() == [int(a) for a in assignment]
 
 
 _ENTRIES = st.one_of(
@@ -115,31 +122,67 @@ def _raised(make):
     return None
 
 
+def _given_as(assignment: tuple, dtype):
+    """The tuple itself, or its ids as a dtype array when each is a Python int the dtype holds."""
+    if dtype is None:
+        return assignment
+    info = np.iinfo(dtype)
+    if all(type(a) is int and info.min <= a <= info.max for a in assignment):
+        return np.array(assignment, dtype=dtype)
+    return assignment
+
+
 @given(
     assignment=st.one_of(st.lists(st.integers(0, 5), max_size=12), st.lists(_ENTRIES, max_size=8)).map(tuple),
     k=st.one_of(st.integers(-1, 7), st.integers(1, 7).map(np.int64), st.just(2.0)),
+    dtype=st.sampled_from([None, np.int64, np.int32, np.uint8]),
 )
 @settings(max_examples=400, deadline=None)
-def test_partition_checks_match_the_per_entry_loop(assignment, k):
-    assert _raised(lambda: sa.Partition(assignment=assignment, k=k)) == _raised(
+def test_partition_checks_match_the_per_entry_loop(assignment, k, dtype):
+    given = _given_as(assignment, dtype)
+    assert _raised(lambda: sa.Partition(assignment=given, k=k)) == _raised(
         lambda: loop_partition_check(assignment, k)
     )
+
+
+def test_partition_keeps_its_own_read_only_copy():
+    ids = np.array([0, 1, 1, 2])
+    p = sa.Partition(assignment=ids, k=3)
+    ids[0] = 2
+    assert p.assignment.tolist() == [0, 1, 1, 2]
+    assert p.assignment.dtype == np.int64
+    assert not p.assignment.flags.writeable
+    with pytest.raises(ValueError):
+        p.assignment[0] = 1
+
+
+def test_partition_equality_and_hash_follow_the_ids():
+    from_tuple = sa.Partition(assignment=(0, 1, 1), k=2)
+    for ids in (np.array([0, 1, 1]), np.array([0, 1, 1], dtype=np.uint8), [0, 1, 1]):
+        same = sa.Partition(assignment=ids, k=2)
+        assert same == from_tuple
+        assert hash(same) == hash(from_tuple)
+    assert sa.Partition(assignment=(0, 1, 2), k=3) != sa.Partition(assignment=(0, 1, 1), k=2)
+    assert sa.Partition(assignment=(1, 0, 0), k=2) != from_tuple
+    assert sa.Partition(assignment=(0, 1, 1, 1), k=2) != from_tuple
+    assert from_tuple != (0, 1, 1)
+    assert len({from_tuple, sa.Partition(assignment=np.array([0, 1, 1]), k=np.int64(2))}) == 1
 
 
 class TestSignBipartition:
     def test_negatives_form_cluster_one(self, c4):
         p = sa.sign_bipartition(c4, np.array([-1.0, -2.0, 3.0, 4.0]))
-        assert p.assignment == (1, 1, 0, 0)
+        assert p.assignment.tolist() == [1, 1, 0, 0]
 
     def test_near_zero_entries_join_the_positive_side(self, c4):
         p = sa.sign_bipartition(c4, np.array([1e-15, -1.0, 1.0, -1.0]))
-        assert p.assignment == (0, 1, 0, 1)
+        assert p.assignment.tolist() == [0, 1, 0, 1]
 
     def test_bridged_fiedler_recovers_planted_split(self, bridged_triangles):
         v = sa.fiedler_vector(sa.graph_spectrum(bridged_triangles, sa.LaplacianKind.COMBINATORIAL))
         p = sa.sign_bipartition(bridged_triangles, v)
         assert p.k == 2
-        assert len({p.assignment[:3]}) == 1
+        assert len(set(p.assignment[:3].tolist())) == 1
         assert p.assignment[0] != p.assignment[3]
         assert p.assignment[3] == p.assignment[4] == p.assignment[5]
 
@@ -172,7 +215,7 @@ def test_sign_cut_is_invariant_under_positive_scaling(seed, n, scale):
         v[1] = -1.0
     a = sa.sign_bipartition(g, v)
     b = sa.sign_bipartition(g, v * scale)
-    assert a.assignment == b.assignment
+    assert a.assignment.tolist() == b.assignment.tolist()
 
 
 class TestThresholdPartition:
@@ -259,7 +302,7 @@ def sweep_inputs(draw):
 
 def _threshold_outcome(threshold, g, f, selection):
     try:
-        return threshold(g, f, selection).assignment
+        return threshold(g, f, selection).assignment.tolist()
     except ConstantVectorError:
         return "constant"
 
@@ -315,8 +358,8 @@ class TestRecursiveSpectra:
         params = sa.PLaplacianParams(p=1.5)
 
         def run():
-            linear = [sa.recursive_bipartition(g, 4).assignment for g in graphs]
-            p = [nonlinear.p_recursive_bipartition(g, 2, params).assignment for g in small]
+            linear = [sa.recursive_bipartition(g, 4).assignment.tolist() for g in graphs]
+            p = [nonlinear.p_recursive_bipartition(g, 2, params).assignment.tolist() for g in small]
             return linear, p
 
         fast = run()
@@ -328,15 +371,15 @@ class TestRecursiveSpectra:
 class TestRecursiveBipartition:
     def test_bridged_k2_is_planted(self, bridged_triangles):
         p = sa.recursive_bipartition(bridged_triangles, 2)
-        assert p.assignment == (0, 0, 0, 1, 1, 1)
+        assert p.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_k1_is_a_single_cluster(self, bridged_triangles):
         p = sa.recursive_bipartition(bridged_triangles, 1)
-        assert p.assignment == (0,) * 6
+        assert p.assignment.tolist() == [0] * 6
 
     def test_components_split_before_any_fiedler_cut(self, two_k3):
         p = sa.recursive_bipartition(two_k3, 2)
-        assert p.assignment == (0, 0, 0, 1, 1, 1)
+        assert p.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_labels_follow_minimum_node_index(self, bridged_triangles):
         for k in (2, 3, 4):
@@ -387,12 +430,12 @@ class TestKwayCluster:
         e = embed(bridged_triangles, 1)
         for metric in sa.METRICS:
             p = sa.kway_embedding_cluster(e, 2, metric=metric)
-            assert p.assignment == (0, 0, 0, 1, 1, 1), metric
+            assert p.assignment.tolist() == [0, 0, 0, 1, 1, 1], metric
 
     def test_coincident_block_points_are_never_separated(self, two_k3):
         e = embed(two_k3, 1)
         p = sa.kway_embedding_cluster(e, 2)
-        assert p.assignment == (0, 0, 0, 1, 1, 1)
+        assert p.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_same_seed_is_deterministic(self, bridged_triangles):
         e = embed(bridged_triangles, 2)
@@ -515,7 +558,7 @@ def test_kmeans_matches_the_array_loop(seed, n, d, k, metric, repeats, rounded):
     assert np.array_equal(ours, theirs)
     assert objective == loop_objective
     e = Embedding(coordinates=pts, dim=d)
-    assert sa.kway_embedding_cluster(e, k, metric, 0.5, seed).assignment == loop_kway_embedding_cluster(
+    assert tuple(sa.kway_embedding_cluster(e, k, metric, 0.5, seed).assignment.tolist()) == loop_kway_embedding_cluster(
         pts, k, metric, 0.5, seed
     )
 

@@ -1,10 +1,11 @@
-"""Static hygiene of the package source, checked with ast alone.
+"""Static hygiene of the package source, checked with ast and one import.
 
 No module other than __init__.py may import a name it never uses, no
 module may define a module-level _private name that nothing in the
 package references, and no def or lambda may take a parameter its body
-never reads. Deletions then cannot leave dead imports, dead helpers or
-dead parameters behind.
+never reads. The package's __all__ must list exactly the public names
+__init__.py imports, plus __version__. Deletions then cannot leave dead
+imports, dead helpers, dead parameters or stale exports behind.
 """
 
 from __future__ import annotations
@@ -127,3 +128,14 @@ def test_every_parameter_is_read(name):
             if param not in read and param not in ("self", "cls"):
                 unread[f"{name}:{node.lineno}"] = param
     assert not unread, f"{name} has parameters their body never reads: {unread}"
+
+
+def test_all_lists_exactly_the_public_imports():
+    import spectral_abstraction as sa
+
+    assert len(sa.__all__) == len(set(sa.__all__)), "__all__ lists a name twice"
+    unresolved = [name for name in sa.__all__ if not hasattr(sa, name)]
+    assert not unresolved, f"__all__ names what the package does not define: {unresolved}"
+    public = {name for name in _imported(_tree("__init__.py")) if not name.startswith("_")}
+    assert "errors" in public
+    assert set(sa.__all__) == public | {"__version__"}
