@@ -7,6 +7,11 @@ final result line of every run together with the machine's nproc and
 the numpy and scipy versions the runs reported. Run length defaults to
 BENCHMARK.json's run_seconds.
 
+It also times a cold CLI run: `cluster --k 4` on a fixed, connected
+64-node SBM, in a fresh interpreter with one BLAS thread, three times.
+The record keeps the median wall time and the largest peak RSS of the
+three child processes.
+
 Usage:
     python3 scripts/bench_record.py --out BENCH_<n>.json --seed 0
     python3 scripts/bench_record.py --out bench.json --workload cli-io --seconds 5
@@ -17,11 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
+SRC = os.path.join(ROOT, "src")
+CLI_GRAPH = (4, 16, 0.5, 0.05, 0)  # sbm_generate's arguments: connected, 64 nodes
+CLI_RUNS = 3
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -34,6 +45,39 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dic
     lines = proc.stdout.splitlines()
     env = json.loads(next(line[len("env "):] for line in lines if line.startswith("env ")))
     return env, json.loads(lines[-1])
+
+
+def cli_run() -> dict:
+    """Median wall time and peak RSS of CLI_RUNS cold `cluster --k 4` runs on the CLI_GRAPH SBM."""
+    sys.path.insert(0, SRC)
+    from spectral_abstraction import sbm_generate
+
+    g = sbm_generate(*CLI_GRAPH)
+    env = dict(os.environ, PYTHONPATH=SRC, SPECTRAL_ABSTRACTION_THREADS="1")
+    walls, rss_kb = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        tsv = os.path.join(tmp, "graph.tsv")
+        with open(tsv, "w") as f:
+            f.writelines(f"{g.labels[i]}\t{g.labels[j]}\t{w!r}\n" for i, j, w in g.edges)
+        argv = [sys.executable, "-m", "spectral_abstraction.cli", "cluster", "--k", "4",
+                "--input", tsv, "--output", os.path.join(tmp, "out.json")]
+        for _ in range(CLI_RUNS):
+            start = time.perf_counter()
+            child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            # wait4 gives this child's own rusage, whatever other children ran
+            _, status, usage = os.wait4(child.pid, 0)
+            walls.append(time.perf_counter() - start)
+            child.returncode = os.waitstatus_to_exitcode(status)  # reaped above, not by Popen
+            if child.returncode != 0:
+                raise SystemExit(f"{' '.join(argv[1:])} exited {child.returncode}")
+            rss_kb.append(usage.ru_maxrss)  # kilobytes on Linux
+    return {
+        "command": "cluster --k 4",
+        "graph": f"sbm_generate{CLI_GRAPH}",
+        "runs": CLI_RUNS,
+        "wall_s_p50": statistics.median(walls),
+        "peak_rss_mb": max(rss_kb) / 1024.0,
+    }
 
 
 def main() -> int:
@@ -63,6 +107,7 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "runs": runs,
+        "cli": cli_run(),
     }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)

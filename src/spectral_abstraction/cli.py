@@ -10,8 +10,9 @@ atomically or not at all.
 
 Determinism contract: fixed inputs and seed produce byte-identical
 outputs. The SPECTRAL_ABSTRACTION_THREADS environment variable caps the
-numeric thread pools (applied in the package __init__, before numpy
-starts) without changing any result.
+numeric thread pools without changing any result, but only when set
+before numpy is first imported: the CLI always meets this, a library
+caller that imported numpy first does not.
 """
 
 from __future__ import annotations

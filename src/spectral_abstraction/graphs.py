@@ -62,8 +62,9 @@ class Graph:
     (i, j, weight) tuples. Construct through :func:`graph_from_edges`,
     which validates and canonicalizes; the raw constructor trusts its
     input. `_spectra` holds the full spectra that
-    :func:`spectral.graph_spectrum` has solved, by Laplacian kind; it
-    takes no part in equality, hashing or repr.
+    :func:`spectral.graph_spectrum` has solved, by Laplacian kind, and
+    `_degrees` the vector :func:`degrees` computed on its first call;
+    neither takes part in equality, hashing or repr.
     """
 
     labels: tuple[str, ...]
@@ -71,6 +72,7 @@ class Graph:
     ej: np.ndarray
     w: np.ndarray
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _degrees: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -194,9 +196,16 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    """Weighted degree vector (the adjacency's row sums), in O(m) from the edge arrays."""
-    d = np.bincount(g.ei, g.w, g.n) + np.bincount(g.ej, g.w, g.n)
-    return d.astype(np.float64, copy=False)  # bincount over no edges is integer
+    """Weighted degree vector (the adjacency's row sums), in O(m) from the edge arrays.
+
+    Computed once per graph: every call returns the same read-only float64 array.
+    """
+    if g._degrees is None:
+        d = np.bincount(g.ei, g.w, g.n) + np.bincount(g.ej, g.w, g.n)
+        d = d.astype(np.float64, copy=False)  # bincount over no edges is integer
+        d.flags.writeable = False
+        object.__setattr__(g, "_degrees", d)
+    return g._degrees
 
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> LaplacianMatrix:

@@ -28,7 +28,6 @@ denominator is zero as well.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import (
 from .graphs import (
     Graph,
     LaplacianKind,
+    _integer,
     connected_components,
     degrees,
     induced_subgraph,
@@ -84,14 +84,18 @@ class Partition:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise KOutOfRangeError(f"k must be at least 1, got {self.k}")
-        if not len(self.assignment):
-            raise PartitionMismatchError("assignment must cover at least one node")
+        try:
+            if self.k < 1:
+                raise KOutOfRangeError(f"k must be at least 1, got {self.k}")
+            if not len(self.assignment):
+                raise PartitionMismatchError("assignment must cover at least one node")
+        except TypeError:  # a k that is no number, or an assignment that is no sequence
+            _integer(self.k, "k")
+            raise PartitionMismatchError("assignment must be a sequence of ids") from None
         ids = _int64_ids(self.assignment)
         if ids is None or ids.ndim != 1 or ids.min() < 0 or ids.max() >= self.k:
             raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
-        k = operator.index(self.k)  # a k that is no integer fails here, as range(k) would
+        k = _integer(self.k, "k")  # a float k passes the comparisons above
         # ids are below k, so k > n leaves some unused without counting k slots
         if k > ids.shape[0] or not np.bincount(ids, minlength=k).all():
             raise PartitionMismatchError(f"every cluster id in 0..{k - 1} must occur at least once")
@@ -116,7 +120,7 @@ def _int64_ids(assignment) -> np.ndarray | None:
     if all(issubclass(t, (int, np.integer)) for t in types):
         try:
             return np.array(assignment, dtype=np.int64)
-        except OverflowError:  # beyond int64, so beyond k
+        except (OverflowError, TypeError):  # beyond int64, so beyond k; or a set, which has no order
             pass
     return None
 
@@ -187,33 +191,38 @@ def _split_once(
 def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
     """Shared engine for recursive bipartitioning policies.
 
-    Starts from the connected components (which count toward k),
-    repeatedly splits the cluster with the smallest internal lambda_2,
-    never splits singletons, and finally relabels clusters by minimum
-    node index. A cluster ties for weakest when its lambda_2 is within
+    For k > 1 it first solves g itself, as its first cluster; only when
+    lambda_2 <= 1e-9 (a disconnected graph) or k = 1 does it start from
+    the connected components, which count toward k. It repeatedly splits
+    the cluster with the smallest internal lambda_2, never splits
+    singletons, and finally relabels clusters by minimum node index. A
+    cluster ties for weakest when its lambda_2 is within
     1e-10 * max(1, |lambda_min|) of the smallest, so last-digit solver
     noise cannot pick the target; among tied clusters the larger one,
-    then the one with the lower minimum node index, is split.
-    Each cluster's induced subgraph and two smallest combinatorial
-    eigenpairs are computed once; split_fn(sub, spectrum) receives both.
+    then the one with the lower minimum node index, is split. Each
+    cluster's induced subgraph and two smallest combinatorial eigenpairs
+    are computed once; split_fn(sub, spectrum) receives both.
     """
     if not 1 <= k <= g.n:
         raise KOutOfRangeError(f"k={k} outside 1..{g.n}")
     # each cluster's ascending node ids, keyed by its lowest: clusters are disjoint
-    clusters = {c[0]: np.array(c) for c in connected_components(g)}
-    if len(clusters) > k:
-        raise KOutOfRangeError(
-            f"graph has {len(clusters)} connected components, cannot form k={k} clusters"
-        )
+    clusters = {0: np.arange(g.n)}
     # entries live until their cluster is split
     solved: dict[int, tuple[float, Graph, Spectrum]] = {}
 
     def lam2(first: int) -> float:
         if first not in solved:
-            sub = induced_subgraph(g, clusters[first])
+            nodes = clusters[first]
+            sub = g if nodes.shape[0] == g.n else induced_subgraph(g, nodes)
             s = graph_spectrum(sub, LaplacianKind.COMBINATORIAL, count=2)
             solved[first] = algebraic_connectivity(s), sub, s
         return solved[first][0]
+
+    if k == 1 or lam2(0) <= CONNECTIVITY_TOL:
+        solved.clear()  # the root's pairs belong to no component of a disconnected graph
+        clusters = {c[0]: np.array(c) for c in connected_components(g)}
+        if len(clusters) > k:
+            raise KOutOfRangeError(f"graph has {len(clusters)} connected components, cannot form k={k} clusters")
 
     while len(clusters) < k:
         candidates = [first for first, c in clusters.items() if c.shape[0] >= 2]

@@ -29,6 +29,7 @@ from spectral_abstraction import nonlinear
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
     DuplicateEdgeError,
+    InvalidArgumentError,
     KOutOfRangeError,
     NonpositiveWeightError,
     ParseError,
@@ -776,12 +777,17 @@ def loop_validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) ->
 
 def loop_partition_check(assignment: tuple, k) -> None:
     """Partition.__post_init__'s checks, one entry at a time."""
+    if not isinstance(k, (int, float, np.integer, np.floating)):
+        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise KOutOfRangeError(f"k must be at least 1, got {k}")
     if not assignment:
         raise PartitionMismatchError("assignment must cover at least one node")
     if not all(isinstance(a, (int, np.integer)) and 0 <= a < k for a in assignment):
         raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
+    # a float k that passed the range checks is still no cluster count
+    if not isinstance(k, (int, np.integer)):
+        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
     if set(int(a) for a in assignment) != set(range(k)):
         raise PartitionMismatchError(f"every cluster id in 0..{k - 1} must occur at least once")
 

@@ -88,6 +88,18 @@ class TestMatrices:
         assert np.array_equal(np.diag(D), A.sum(axis=1))
         assert np.array_equal(D, np.diag(np.diag(D)))
 
+    def test_degrees_are_one_shared_read_only_array(self, bridged_triangles):
+        edgeless = sa.graph_from_edges(["a", "b", "c"], [])
+        for g in (bridged_triangles, edgeless, sa.sbm_generate(2, 5, 0.8, 0.2, seed=1)):
+            d = sa.degrees(g)
+            assert sa.degrees(g) is d
+            assert d.dtype == np.float64 and not d.flags.writeable
+            # bincount over no edges gives integers; the cached vector is float all the same
+            assert np.array_equal(d, np.bincount(g.ei, g.w, g.n) + np.bincount(g.ej, g.w, g.n))
+            with pytest.raises(ValueError):
+                d[0] = 1.0
+        assert sa.degrees(sa.graph_from_edges(["a", "b", "c"], [])) is not sa.degrees(edgeless)
+
     @pytest.mark.parametrize("weights", ["unit", "dyadic"])
     def test_degrees_are_the_dense_row_sums(self, weights):
         # unit and dyadic weights sum exactly in any order

@@ -66,3 +66,25 @@ def test_import_does_not_load_the_float_kernel():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_recursive_splits_of_a_connected_graph_do_not_load_scipy_sparse():
+    # lambda_2 > 0 proves the graph connected, so no components pass (csgraph) runs
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, spectral_abstraction as sa; "
+            "g = sa.sbm_generate(4, 8, 0.9, 0.1, seed=2); "
+            "assert sa.recursive_bipartition(g, 4).k == 4; "
+            "assert sa.p_recursive_bipartition(g, 3, sa.PLaplacianParams(p=1.5)).k == 3; "
+            "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True False"

@@ -58,6 +58,33 @@ def test_partition_rejects_malformed_assignments(assignment, k, error):
         sa.Partition(assignment=assignment, k=k)
 
 
+@pytest.mark.parametrize(
+    "assignment, k, error, message",
+    [
+        ((0, 1), 2.0, InvalidArgumentError, "k must be an integer, got 2.0"),
+        ((0, 1), np.float64(2.0), InvalidArgumentError, f"k must be an integer, got {np.float64(2.0)!r}"),
+        ((0, 1), "2", InvalidArgumentError, "k must be an integer, got '2'"),
+        ((0, 1), None, InvalidArgumentError, "k must be an integer, got None"),
+        (np.array(1), 2, PartitionMismatchError, "assignment must be a sequence of ids"),
+        (5, 1, PartitionMismatchError, "assignment must be a sequence of ids"),
+        (iter([0, 1]), 2, PartitionMismatchError, "assignment must be a sequence of ids"),
+        ({0, 1}, 2, PartitionMismatchError, "assignment ids must be integers in 0..k-1"),
+        # inputs a toolkit error rejected before keep that error
+        ((0, 1), 0.5, KOutOfRangeError, "k must be at least 1, got 0.5"),
+        ((), 2.0, PartitionMismatchError, "assignment must cover at least one node"),
+        ((0, 1, 2), 2.0, PartitionMismatchError, "assignment ids must be integers in 0..k-1"),
+    ],
+    ids=["float-k", "numpy-float-k", "str-k", "none-k", "0-d-array", "int", "iterator", "set",
+         "k-below-1", "empty", "id-beyond-float-k"],
+)
+def test_partition_rejects_a_non_integer_k_or_an_unsized_assignment_with_toolkit_errors(
+    assignment, k, error, message
+):
+    with pytest.raises(error) as info:
+        sa.Partition(assignment=assignment, k=k)
+    assert str(info.value) == message
+
+
 _NOT_IDS = "assignment ids must be integers in 0..k-1"
 
 
@@ -134,15 +161,15 @@ def _given_as(assignment: tuple, dtype):
 
 @given(
     assignment=st.one_of(st.lists(st.integers(0, 5), max_size=12), st.lists(_ENTRIES, max_size=8)).map(tuple),
-    k=st.one_of(st.integers(-1, 7), st.integers(1, 7).map(np.int64), st.just(2.0)),
+    k=st.one_of(st.integers(-1, 7), st.integers(1, 7).map(np.int64), st.sampled_from([2.0, 0.5, "2", None])),
     dtype=st.sampled_from([None, np.int64, np.int32, np.uint8]),
 )
 @settings(max_examples=400, deadline=None)
 def test_partition_checks_match_the_per_entry_loop(assignment, k, dtype):
     given = _given_as(assignment, dtype)
-    assert _raised(lambda: sa.Partition(assignment=given, k=k)) == _raised(
-        lambda: loop_partition_check(assignment, k)
-    )
+    raised = _raised(lambda: sa.Partition(assignment=given, k=k))
+    assert raised == _raised(lambda: loop_partition_check(assignment, k))
+    assert raised is None or issubclass(raised[0], sa.errors.ToolkitError)
 
 
 def test_partition_keeps_its_own_read_only_copy():
@@ -410,6 +437,69 @@ class TestRecursiveBipartition:
             sa.recursive_bipartition(triangle, 4)
         with pytest.raises(KOutOfRangeError):
             sa.recursive_bipartition(triangle, 0)
+
+
+_SPLITS = [
+    pytest.param(sa.recursive_bipartition, id="linear"),
+    pytest.param(lambda g, k: nonlinear.p_recursive_bipartition(g, k, sa.PLaplacianParams(p=1.5)), id="p"),
+]
+
+
+class TestRecursiveComponents:
+    """lambda_2 of the whole graph decides whether its components are needed."""
+
+    @staticmethod
+    def counting_components(monkeypatch) -> list:
+        calls = []
+        real = partition.connected_components
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(partition, "connected_components", counting)
+        return calls
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_a_connected_graph_skips_the_components_pass(self, monkeypatch, split):
+        calls = self.counting_components(monkeypatch)
+        g = sa.sbm_generate(3, 6, 0.9, 0.1, seed=5)
+        for k in (2, 3, 4):
+            split(g, k)
+        assert calls == []
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_an_isolated_node_is_split_off_by_one_components_pass(self, monkeypatch, split):
+        calls = self.counting_components(monkeypatch)
+        base = sa.sbm_generate(3, 6, 0.9, 0.1, seed=5)
+        # node 7 is isolated; the SBM's nodes from 7 on move up by one
+        edges = [(i + (i >= 7), j + (j >= 7), w) for i, j, w in base.edges]
+        g = sa.graph_from_edges([f"v{i}" for i in range(19)], edges)
+        expected = {
+            2: [0] * 7 + [1] + [0] * 11,
+            3: [0] * 6 + [1, 2] + [1] * 11,
+            4: [0] * 6 + [1, 2] + [1] * 5 + [3] * 6,
+        }
+        for k, assignment in expected.items():
+            calls.clear()
+            assert split(g, k).assignment.tolist() == assignment
+            assert calls == [19]
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_component_errors_keep_their_messages(self, split, two_k3):
+        edgeless = sa.graph_from_edges(["a", "b", "c", "d"], [])
+        cases = [
+            (edgeless, 1, "graph has 4 connected components, cannot form k=1 clusters"),
+            (edgeless, 2, "graph has 4 connected components, cannot form k=2 clusters"),
+            (edgeless, 5, "k=5 outside 1..4"),
+            (two_k3, 1, "graph has 2 connected components, cannot form k=1 clusters"),
+            (two_k3, 7, "k=7 outside 1..6"),
+        ]
+        for g, k, message in cases:
+            with pytest.raises(KOutOfRangeError) as info:
+                split(g, k)
+            assert str(info.value) == message
+        assert split(edgeless, 4).assignment.tolist() == [0, 1, 2, 3]
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(4, 14), k=st.integers(2, 4))
