@@ -10,7 +10,8 @@ BENCHMARK.json's run_seconds.
 It also times a cold CLI run: `cluster --k 4` on a fixed, connected
 64-node SBM, in a fresh interpreter with one BLAS thread, three times.
 The record keeps the median wall time and the largest peak RSS of the
-three child processes.
+three child processes, and `src_lines`, the total line count of the
+package's modules (src/spectral_abstraction/*.py).
 
 Usage:
     python3 scripts/bench_record.py --out BENCH_<n>.json --seed 0
@@ -20,6 +21,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -80,6 +82,15 @@ def cli_run() -> dict:
     }
 
 
+def src_lines() -> int:
+    """Total line count of src/spectral_abstraction/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(SRC, "spectral_abstraction", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
@@ -108,6 +119,7 @@ def main() -> int:
         "seconds": args.seconds,
         "runs": runs,
         "cli": cli_run(),
+        "src_lines": src_lines(),
     }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)

@@ -39,7 +39,6 @@ from .graphs import (
     adjacency_matrix,
     connected_components,
     degrees,
-    edge_arrays,
     graph_from_edges,
     induced_subgraph,
     laplacian,
@@ -107,7 +106,6 @@ __all__ = [
     "adjacency_matrix",
     "connected_components",
     "degrees",
-    "edge_arrays",
     "graph_from_edges",
     "induced_subgraph",
     "laplacian",

@@ -182,11 +182,6 @@ def _graph(labels: Sequence[str], ei, ej, w) -> Graph:
     return Graph(labels=tuple(labels), ei=ei, ej=ej, w=w)
 
 
-def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stored (i, j, w) edge arrays, read-only; convenient for vectorized sums."""
-    return g.ei, g.ej, g.w
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense symmetric adjacency matrix with zero diagonal."""
     A = np.zeros((g.n, g.n))
@@ -305,6 +300,16 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _node_vector(v, n: int, error) -> np.ndarray:
+    """v as a flat float64 vector of n finite entries; `error` if it has another length."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if v.shape[0] != n:
+        raise error(f"vector has length {v.shape[0]}, graph has {n} nodes")
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("vector entries must be finite")
+    return v
 
 
 def sbm_generate(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, LevelOutOfRangeError, SpecMonotonicityViolationError
-from .graphs import Graph, LaplacianKind, quotient_graph
+from .graphs import Graph, LaplacianKind, _integer, quotient_graph
 from .nonlinear import PLaplacianParams, p_recursive_bipartition
 from .partition import (
     ConnectivityProfile,
@@ -34,7 +34,8 @@ class LevelSpec:
     """How to cluster one level: target count plus clustering method.
 
     dim, metric, q and seed apply to kway-embedding; p_params applies to
-    recursive-p (defaulting to p = 1.2 continuation when omitted).
+    recursive-p (defaulting to p = 1.2 continuation when omitted). k, dim
+    and seed must be integers (InvalidArgumentError) and are kept as ints.
     """
 
     k: int
@@ -46,6 +47,8 @@ class LevelSpec:
     p_params: PLaplacianParams | None = None
 
     def __post_init__(self) -> None:
+        for name in ("k", "dim", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.method not in METHODS:
             raise InvalidArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -123,6 +126,7 @@ def flatten(h: Hierarchy, level: int) -> Partition:
     Composes the per-level assignments; flatten(h, 0) is level 0's own
     partition. Raises LevelOutOfRangeError outside 0..depth-1.
     """
+    level = _integer(level, "level")
     if not 0 <= level < h.depth:
         raise LevelOutOfRangeError(f"level {level} outside 0..{h.depth - 1}")
     assign = h.levels[0].partition.assignment

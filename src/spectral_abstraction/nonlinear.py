@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _graph, connected_components
+from .graphs import Graph, LaplacianKind, _graph, _node_vector, connected_components
 from .partition import (
     _EPS,
     SELECTIONS as _SELECTIONS,
@@ -64,7 +65,7 @@ from .partition import (
     _recursive_split,
     threshold_partition,
 )
-from .spectral import CONNECTIVITY_TOL, Spectrum, graph_spectrum
+from .spectral import Spectrum, fiedler_vector, graph_spectrum
 
 _SHIFT_RTOL = 1e-15
 _SHIFT_MAX_STEPS = 64
@@ -88,7 +89,7 @@ class PLaplacianParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.p <= 2.0:
+        if not (isinstance(self.p, Real) and 1.0 < self.p <= 2.0):
             raise ExponentOutOfRangeError(f"p must lie in (1, 2], got {self.p}")
 
 
@@ -122,13 +123,8 @@ class CouplingSystem:
 
 def p_laplacian_apply(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
     """Apply the graph p-Laplacian to a finite vector; equals L @ f at p = 2."""
-    if not 1.0 < p <= 2.0:
-        raise ExponentOutOfRangeError(f"p must lie in (1, 2], got {p}")
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.shape[0] != g.n:
-        raise DimensionMismatchError(f"vector has length {f.shape[0]}, graph has {g.n} nodes")
-    if not np.isfinite(f).all():
-        raise InvalidArgumentError("vector entries must be finite")
+    p = PLaplacianParams(p).p
+    f = _node_vector(f, g.n, DimensionMismatchError)
     return _p_laplacian_edges(g.ei, g.ej, g.w, f, p)
 
 
@@ -329,8 +325,7 @@ def p_spectral_bipartition(
         raise DisconnectedGraphError("p-spectral bipartition requires a connected graph")
     gs = _mean_weight_rescaled(g)
     s = graph_spectrum(gs, LaplacianKind.COMBINATORIAL, count=2)
-    if s.eigenvalues[1] <= CONNECTIVITY_TOL:
-        raise DisconnectedGraphError("graph is disconnected (lambda_2 is numerically zero)")
+    fiedler_vector(s)  # DisconnectedGraphError unless lambda_2 > CONNECTIVITY_TOL
     return _p_split(gs, s, params.p, selection)
 
 

@@ -45,6 +45,7 @@ from .graphs import (
     Graph,
     LaplacianKind,
     _integer,
+    _node_vector,
     connected_components,
     degrees,
     induced_subgraph,
@@ -89,7 +90,7 @@ class Partition:
                 raise KOutOfRangeError(f"k must be at least 1, got {self.k}")
             if not len(self.assignment):
                 raise PartitionMismatchError("assignment must cover at least one node")
-        except TypeError:  # a k that is no number, or an assignment that is no sequence
+        except (TypeError, ValueError):  # a k that is no single number, or an assignment that is no sequence
             _integer(self.k, "k")
             raise PartitionMismatchError("assignment must be a sequence of ids") from None
         ids = _int64_ids(self.assignment)
@@ -101,6 +102,7 @@ class Partition:
             raise PartitionMismatchError(f"every cluster id in 0..{k - 1} must occur at least once")
         ids.flags.writeable = False
         object.__setattr__(self, "assignment", ids)
+        object.__setattr__(self, "k", k)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.k == other.k and np.array_equal(self.assignment, other.assignment)
@@ -148,16 +150,6 @@ class ConnectivityProfile:
     clusters: tuple[ClusterProfile, ...]
 
 
-def _node_vector(g: Graph, v: np.ndarray) -> np.ndarray:
-    """v as a flat float vector with one finite entry per node of g."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != g.n:
-        raise PartitionMismatchError(f"vector has length {v.shape[0]}, graph has {g.n} nodes")
-    if not np.isfinite(v).all():
-        raise InvalidArgumentError("vector entries must be finite")
-    return v
-
-
 def sign_bipartition(g: Graph, v: np.ndarray) -> Partition:
     """Split nodes by the sign of a vector: negatives against the rest.
 
@@ -167,7 +159,7 @@ def sign_bipartition(g: Graph, v: np.ndarray) -> Partition:
     when the vector fails to separate anything and InvalidArgumentError
     when it has a NaN or infinite entry.
     """
-    v = _node_vector(g, v)
+    v = _node_vector(v, g.n, PartitionMismatchError)
     tol = _SIGN_ZERO_REL_TOL * float(np.abs(v).max())
     labels = (v < -tol).astype(np.int64)
     if labels.min() == labels.max():
@@ -180,9 +172,12 @@ def _split_once(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split one cluster of a host graph (its ascending node ids), given its subgraph and spectrum."""
     if lam2 <= CONNECTIVITY_TOL:
-        # internally disconnected: peel off the component with the lowest index
+        # no cut direction: peel off the component with the lowest index, if there are two
+        components = connected_components(sub)
+        if len(components) == 1:
+            raise ConstantVectorError("connected cluster with lambda_2 <= 1e-9 has no cut direction")
         side = np.zeros(nodes.shape[0], dtype=bool)
-        side[connected_components(sub)[0]] = True
+        side[components[0]] = True
     else:
         side = split_fn(sub, s).assignment == 0
     return nodes[side], nodes[~side]
@@ -203,6 +198,7 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
     cluster's induced subgraph and two smallest combinatorial eigenpairs
     are computed once; split_fn(sub, spectrum) receives both.
     """
+    k = _integer(k, "k")
     if not 1 <= k <= g.n:
         raise KOutOfRangeError(f"k={k} outside 1..{g.n}")
     # each cluster's ascending node ids, keyed by its lowest: clusters are disjoint
@@ -275,7 +271,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     """
     if selection not in SELECTIONS:
         raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
-    f = _node_vector(g, f)
+    f = _node_vector(f, g.n, PartitionMismatchError)
     if g.n < 2:
         raise PartitionMismatchError("need at least two nodes to threshold")
     order = np.argsort(f, kind="stable")
@@ -458,9 +454,10 @@ def kway_embedding_cluster(
     clusters in order of first appearance. metric is one of euclidean
     (mean centers), manhattan or fractional (coordinate-wise median
     centers); fractional uses d(x, y) = (sum |x_i - y_i|^q)^(1/q) and
-    requires 0 < q < 1. The seed must be nonnegative (InvalidArgumentError
-    otherwise); Embedding has already checked the coordinates.
+    requires 0 < q < 1. k and the seed must be integers, the seed nonnegative
+    (InvalidArgumentError otherwise); Embedding has checked the coordinates.
     """
+    k, seed = _integer(k, "k"), _integer(seed, "seed")
     if metric not in METRICS:
         raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "fractional" and not 0.0 < q < 1.0:

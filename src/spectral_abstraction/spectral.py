@@ -69,7 +69,7 @@ from .errors import (
     TooFewNodesError,
     ZeroVectorError,
 )
-from .graphs import Graph, LaplacianKind, LaplacianMatrix, laplacian
+from .graphs import Graph, LaplacianKind, LaplacianMatrix, _integer, _node_vector, laplacian
 
 DENSE_SOLVER_MAX_N = 2048
 CONNECTIVITY_TOL = 1e-9
@@ -323,7 +323,7 @@ def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
     reproducible, and they widen to whole eigenspaces and pass the same
     canonicalization and checks as eigendecompose (see _solve).
     """
-    return _solve(L, _lanczos, "Lanczos solver", count)
+    return _solve(L, _lanczos, "Lanczos solver", _integer(count, "count"))
 
 
 def _subset_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
@@ -351,6 +351,7 @@ def graph_spectrum(
     eigenspaces (see _solve). It never reads or writes the store, so its
     result never depends on call history.
     """
+    count = None if count is None else _integer(count, "count")
     if count is not None and count < g.n:
         solve = partial_eigendecompose if g.n > DENSE_SOLVER_MAX_N else _subset_eigendecompose
         return solve(laplacian(g, kind), count)
@@ -368,13 +369,7 @@ def rayleigh_quotient(L: LaplacianMatrix, x: np.ndarray) -> float:
     For combinatorial Laplacians this equals the edge sum
     sum w_ij (x_i - x_j)^2 divided by x^T x.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != L.n:
-        raise DimensionOutOfRangeError(
-            f"vector has length {x.shape[0]}, matrix is {L.n} x {L.n}"
-        )
-    if not np.isfinite(x).all():
-        raise InvalidArgumentError("vector entries must be finite")
+    x = _node_vector(x, L.n, DimensionOutOfRangeError)
     denom = float(x @ x)
     if denom == 0.0:
         raise ZeroVectorError("Rayleigh quotient of the zero vector is undefined")
@@ -409,6 +404,7 @@ def spectral_embedding(s: Spectrum, k: int) -> Embedding:
 
     Requires 1 <= k <= n-1 and a spectrum holding at least k+1 pairs.
     """
+    k = _integer(k, "k")
     if not 1 <= k <= s.n - 1:
         raise DimensionOutOfRangeError(f"embedding dimension {k} outside 1..{s.n - 1}")
     if s.n_pairs < k + 1:

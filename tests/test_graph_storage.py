@@ -177,8 +177,7 @@ def test_sbm_generate_memory_is_bounded():
 
 
 def test_edges_are_stored_once_as_read_only_arrays(bridged_triangles):
-    ei, ej, w = sa.edge_arrays(bridged_triangles)
-    assert ei is bridged_triangles.ei and ej is bridged_triangles.ej and w is bridged_triangles.w
+    ei, ej, w = bridged_triangles.ei, bridged_triangles.ej, bridged_triangles.w
     assert (ei.dtype, ej.dtype, w.dtype) == (np.int64, np.int64, np.float64)
     for a in (ei, ej, w):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from spectral_abstraction.errors import (
     InvalidArgumentError,
     InvalidFractionalExponentError,
     KOutOfRangeError,
+    NotEnoughSplittableClustersError,
     PartitionMismatchError,
     TooFewDistinctPointsError,
 )
@@ -194,6 +195,17 @@ def test_partition_equality_and_hash_follow_the_ids():
     assert sa.Partition(assignment=(0, 1, 1, 1), k=2) != from_tuple
     assert from_tuple != (0, 1, 1)
     assert len({from_tuple, sa.Partition(assignment=np.array([0, 1, 1]), k=np.int64(2))}) == 1
+
+
+def test_an_array_k_is_stored_as_its_int_or_rejected():
+    p = sa.Partition(assignment=(0, 1), k=np.array(2))
+    assert type(p.k) is int and p.k == 2
+    plain = sa.Partition(assignment=(0, 1), k=2)
+    assert p == plain and hash(p) == hash(plain)
+    assert type(sa.Partition(assignment=(0, 1), k=np.int64(2)).k) is int
+    with pytest.raises(InvalidArgumentError) as info:
+        sa.Partition(assignment=(0, 1), k=np.array([0, 1]))
+    assert str(info.value) == "k must be an integer, got array([0, 1])"
 
 
 class TestSignBipartition:
@@ -500,6 +512,31 @@ class TestRecursiveComponents:
                 split(g, k)
             assert str(info.value) == message
         assert split(edgeless, 4).assignment.tolist() == [0, 1, 2, 3]
+
+
+class TestNumericallyZeroLambda2:
+    """A connected cluster whose lambda_2 is at most 1e-9 has no cut to make."""
+
+    PATH = sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1e-12), (1, 2, 1e-12)])
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_connected_cluster_is_not_split(self, split, k):
+        with pytest.raises(NotEnoughSplittableClustersError) as info:
+            split(self.PATH, k)
+        assert str(info.value) == "cluster [0, 1, 2] admits no further spectral split"
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_k1_is_the_whole_graph(self, split):
+        assert split(self.PATH, 1) == sa.Partition(assignment=(0, 0, 0), k=1)
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_components_still_split_off(self, split):
+        g = sa.graph_from_edges(list("abcde"), [(0, 1, 1.0), (2, 3, 1e-12), (3, 4, 1e-12)])
+        assert split(g, 2).assignment.tolist() == [0, 0, 1, 1, 1]
+        with pytest.raises(NotEnoughSplittableClustersError) as info:
+            split(g, 3)
+        assert str(info.value) == "cluster [2, 3, 4] admits no further spectral split"
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(4, 14), k=st.integers(2, 4))

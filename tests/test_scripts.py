@@ -48,7 +48,7 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
-    assert set(record) == {"nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli"}
+    assert set(record) == {"nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "src_lines"}
     assert record["numpy"] == np.__version__ and record["nproc"] == os.cpu_count()
     assert [(r["workload"], r["trace"]) for r in record["runs"]] == [("p-cluster", 0), ("p-cluster", 1)]
     for r in record["runs"]:
@@ -61,6 +61,13 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
     # a cold interpreter that imports numpy takes a tenth of a second and some tens of MB at least
     assert 0.05 < cli["wall_s_p50"] < 60.0
     assert 10.0 < cli["peak_rss_mb"] < 2048.0
+    package = os.path.join(os.path.dirname(SCRIPTS), "src", "spectral_abstraction")
+    lines = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                lines += len(f.read().splitlines())
+    assert record["src_lines"] == lines
 
 
 def test_output_digest_repeats_at_a_toy_size():

@@ -1,0 +1,117 @@
+"""Each input kind is checked on one path: integer arguments, the exponent p, the lambda_2 test."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import spectral_abstraction as sa
+from spectral_abstraction.errors import DisconnectedGraphError, ExponentOutOfRangeError, InvalidArgumentError
+
+# two complete blocks of five joined by two edges: connected, with a clear 2-way split
+_G = sa.graph_from_edges(
+    [f"v{i}" for i in range(10)],
+    [(i, j, 1.0) for b in (0, 5) for i in range(b, b + 5) for j in range(i + 1, b + 5)] + [(0, 5, 1.0), (4, 9, 1.0)],
+)
+_P = sa.PLaplacianParams(p=1.5)
+
+
+def _spectrum():
+    return sa.graph_spectrum(_G)
+
+
+def _embedding():
+    return sa.spectral_embedding(_spectrum(), 2)
+
+
+def _hierarchy():
+    return sa.build_hierarchy(_G, [sa.LevelSpec(k=4), sa.LevelSpec(k=2)])
+
+
+# (function, argument, a valid value, call with the argument set to v)
+_INTEGER_ARGUMENTS = [
+    ("recursive_bipartition", "k", 2, lambda v: sa.recursive_bipartition(_G, v)),
+    ("p_recursive_bipartition", "k", 2, lambda v: sa.p_recursive_bipartition(_G, v, _P)),
+    ("kway_embedding_cluster", "k", 2, lambda v: sa.kway_embedding_cluster(_embedding(), v)),
+    ("kway_embedding_cluster", "seed", 3, lambda v: sa.kway_embedding_cluster(_embedding(), 3, seed=v)),
+    ("spectral_embedding", "k", 2, lambda v: sa.spectral_embedding(_spectrum(), v)),
+    ("graph_spectrum", "count", 2, lambda v: sa.graph_spectrum(_G, count=v)),
+    ("partial_eigendecompose", "count", 2, lambda v: sa.partial_eigendecompose(sa.laplacian(_G), v)),
+    ("flatten", "level", 1, lambda v: sa.flatten(_hierarchy(), v)),
+    ("LevelSpec", "k", 2, lambda v: sa.LevelSpec(k=v)),
+    ("LevelSpec", "dim", 2, lambda v: sa.LevelSpec(k=2, method="kway-embedding", dim=v)),
+    ("LevelSpec", "seed", 3, lambda v: sa.LevelSpec(k=2, method="kway-embedding", seed=v)),
+]
+# None is a valid count for graph_spectrum: the full spectrum
+_NONE_IS_VALID = {("graph_spectrum", "count")}
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [
+        pytest.param(name, call, value, id=f"{function}-{name}-{value!r}")
+        for function, name, _, call in _INTEGER_ARGUMENTS
+        for value in (2.0, "2", None)
+        if not (value is None and (function, name) in _NONE_IS_VALID)
+    ],
+)
+def test_a_non_integer_argument_is_an_invalid_argument(name, call, value):
+    with pytest.raises(InvalidArgumentError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def _comparable(result):
+    if isinstance(result, sa.Spectrum):
+        return result.eigenvalues.tolist(), result.eigenvectors.tolist()
+    if isinstance(result, sa.Embedding):
+        return result.coordinates.tolist()
+    return result
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [pytest.param(call, value, id=f"{function}-{name}") for function, name, value, call in _INTEGER_ARGUMENTS],
+)
+def test_numpy_integers_give_the_int_result(call, value):
+    assert _comparable(call(np.int64(value))) == _comparable(call(value))
+
+
+def test_level_spec_stores_ints():
+    spec = sa.LevelSpec(k=np.int64(3), method="kway-embedding", dim=np.int32(2), seed=np.uint8(7))
+    assert [type(x) for x in (spec.k, spec.dim, spec.seed)] == [int, int, int]
+    assert spec == sa.LevelSpec(k=3, method="kway-embedding", dim=2, seed=7)
+
+
+@pytest.mark.parametrize("p", ["1.5", None, 1.5j], ids=["str", "none", "complex"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda p: sa.PLaplacianParams(p), lambda p: sa.p_laplacian_apply(_G, np.zeros(_G.n), p)],
+    ids=["PLaplacianParams", "p_laplacian_apply"],
+)
+def test_a_non_real_exponent_is_out_of_range(make, p):
+    with pytest.raises(ExponentOutOfRangeError) as info:
+        make(p)
+    assert str(info.value) == f"p must lie in (1, 2], got {p}"
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        pytest.param(
+            sa.graph_from_edges(list("abcd"), [(0, 1, 1.0), (2, 3, 1.0)]),
+            "p-spectral bipartition requires a connected graph",
+            id="two-components",
+        ),
+        # connected, but lambda_2 of the mean-weight rescaled path is about 1e-12
+        pytest.param(
+            sa.graph_from_edges(list("abc"), [(0, 1, 1e-12), (1, 2, 1.0)]),
+            "graph is disconnected (lambda_2 is numerically zero)",
+            id="tiny-lambda-2",
+        ),
+    ],
+)
+def test_p_spectral_bipartition_rejects_a_disconnected_graph(g, message):
+    with pytest.raises(DisconnectedGraphError) as info:
+        sa.p_spectral_bipartition(g, _P)
+    assert str(info.value) == message
