@@ -7,11 +7,13 @@ final result line of every run together with the machine's nproc and
 the numpy and scipy versions the runs reported. Run length defaults to
 BENCHMARK.json's run_seconds.
 
-It also times a cold CLI run: `cluster --k 4` on a fixed, connected
-64-node SBM, in a fresh interpreter with one BLAS thread, three times.
-The record keeps the median wall time and the largest peak RSS of the
-three child processes, and `src_lines`, the total line count of the
-package's modules (src/spectral_abstraction/*.py).
+It also times cold CLI runs: `cluster --k 4` in a fresh interpreter
+with one BLAS thread, three times, on a fixed, connected 64-node SBM
+(`cli`) and on two disjoint copies of it (`cli_disconnected`, whose
+split starts with a components pass). Each keeps the median wall time
+and the largest peak RSS of its three child processes. The record also
+keeps `src_lines`, the total line count of the package's modules
+(src/spectral_abstraction/*.py).
 
 Usage:
     python3 scripts/bench_record.py --out BENCH_<n>.json --seed 0
@@ -49,12 +51,21 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dic
     return env, json.loads(lines[-1])
 
 
-def cli_run() -> dict:
-    """Median wall time and peak RSS of CLI_RUNS cold `cluster --k 4` runs on the CLI_GRAPH SBM."""
+def cli_graphs() -> tuple:
+    """The CLI_GRAPH SBM, and two disjoint copies of it as one graph."""
     sys.path.insert(0, SRC)
-    from spectral_abstraction import sbm_generate
+    from spectral_abstraction import graph_from_edges, sbm_generate
 
     g = sbm_generate(*CLI_GRAPH)
+    copies = graph_from_edges(
+        [f"{copy}{label}" for copy in "ab" for label in g.labels],
+        g.edges + tuple((i + g.n, j + g.n, w) for i, j, w in g.edges),
+    )
+    return g, copies
+
+
+def cli_run(g, graph: str) -> dict:
+    """Median wall time and peak RSS of CLI_RUNS cold `cluster --k 4` runs on g, described by `graph`."""
     env = dict(os.environ, PYTHONPATH=SRC, SPECTRAL_ABSTRACTION_THREADS="1")
     walls, rss_kb = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,7 +86,7 @@ def cli_run() -> dict:
             rss_kb.append(usage.ru_maxrss)  # kilobytes on Linux
     return {
         "command": "cluster --k 4",
-        "graph": f"sbm_generate{CLI_GRAPH}",
+        "graph": graph,
         "runs": CLI_RUNS,
         "wall_s_p50": statistics.median(walls),
         "peak_rss_mb": max(rss_kb) / 1024.0,
@@ -111,6 +122,7 @@ def main() -> int:
             runs.append({"workload": workload, "trace": trace, "result": result})
             print(f"{workload} trace={trace} correct={result['correct']} "
                   f"attempted={result['attempted']} failed={result['failed']}", flush=True)
+    g, copies = cli_graphs()
     record = {
         "nproc": env["nproc"],
         "numpy": env["numpy"],
@@ -118,7 +130,8 @@ def main() -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "runs": runs,
-        "cli": cli_run(),
+        "cli": cli_run(g, f"sbm_generate{CLI_GRAPH}"),
+        "cli_disconnected": cli_run(copies, f"two copies of sbm_generate{CLI_GRAPH}"),
         "src_lines": src_lines(),
     }
     with open(args.out, "w") as f:

@@ -279,17 +279,23 @@ def quotient_graph(g: Graph, partition: "Partition") -> Graph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted index lists, ordered by minimum index."""
-    import scipy.sparse.csgraph  # loaded on first use: the package import stays numpy-only
+    """Connected components as sorted index lists, ordered by minimum index.
 
-    # the edges are sorted by (ei, ej), so ej in that order is the CSR column array
-    indptr = np.concatenate([[0], np.bincount(g.ei, minlength=g.n).cumsum()])
-    A = scipy.sparse.csr_array((g.w, g.ej, indptr), shape=(g.n, g.n))
-    _, comp = scipy.sparse.csgraph.connected_components(A, directed=False)
-    order = np.argsort(comp, kind="stable").tolist()
-    ends = np.bincount(comp).cumsum().tolist()
-    groups = [order[a:b] for a, b in zip([0, *ends[:-1]], ends)]
-    return sorted(groups, key=lambda c: c[0])
+    Hook and shortcut (Shiloach and Vishkin 1982): each round hooks every
+    root to its smallest neighbouring root, in O(m), and pointer-jumps to
+    a fixed point, in O(n) a jump; a path takes ceil(log2 n) rounds at
+    most. Roots only fall, so each component is rooted at its least index.
+    """
+    root, a, b = np.arange(g.n), g.ei, g.ej  # b > a: the ends of edges between roots
+    while a.size:
+        np.minimum.at(root, b, a)
+        while ((up := root[root]) != root).any():
+            root = up
+        a, b = np.sort(root[np.stack([a, b])], axis=0)
+        a, b = a[a < b], b[a < b]
+    ends = np.bincount(root, minlength=g.n).cumsum()[root == np.arange(g.n)].tolist()
+    order = np.argsort(root, kind="stable").tolist()
+    return [order[s:e] for s, e in zip([0, *ends[:-1]], ends)]
 
 
 _CHUNK = 1 << 16  # uniforms per draw in sbm_generate; bounds its scratch memory at any n
@@ -300,6 +306,13 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str, error):
+    """value itself if it is a real number; `error` otherwise."""
+    if not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def _node_vector(v, n: int, error) -> np.ndarray:

@@ -57,7 +57,7 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _graph, _node_vector, connected_components
+from .graphs import Graph, LaplacianKind, _graph, _node_vector, _real, connected_components
 from .partition import (
     _EPS,
     SELECTIONS as _SELECTIONS,
@@ -373,7 +373,7 @@ def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[
     present in the mask and the larger coupling magnitude exceeds the
     threshold. Components tie-break toward the smaller minimum index.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
+    if not (math.isfinite(_real(threshold, "threshold", InvalidArgumentError)) and threshold >= 0):
         raise InvalidArgumentError(f"threshold must be finite and nonnegative, got {threshold}")
     if sys.n == 0:
         raise InvalidArgumentError("a graph needs at least one node")

@@ -46,6 +46,7 @@ from .graphs import (
     LaplacianKind,
     _integer,
     _node_vector,
+    _real,
     connected_components,
     degrees,
     induced_subgraph,
@@ -215,8 +216,9 @@ def _recursive_split(g: Graph, k: int, split_fn) -> Partition:
         return solved[first][0]
 
     if k == 1 or lam2(0) <= CONNECTIVITY_TOL:
-        solved.clear()  # the root's pairs belong to no component of a disconnected graph
         clusters = {c[0]: np.array(c) for c in connected_components(g)}
+        if len(clusters) > 1:
+            solved.clear()  # the root's pairs belong to no component of a disconnected graph
         if len(clusters) > k:
             raise KOutOfRangeError(f"graph has {len(clusters)} connected components, cannot form k={k} clusters")
 
@@ -460,7 +462,7 @@ def kway_embedding_cluster(
     k, seed = _integer(k, "k"), _integer(seed, "seed")
     if metric not in METRICS:
         raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
-    if metric == "fractional" and not 0.0 < q < 1.0:
+    if metric == "fractional" and not 0.0 < _real(q, "q", InvalidFractionalExponentError) < 1.0:
         raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")

@@ -52,7 +52,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind
+from .graphs import Graph, LaplacianKind, _real
 from .spectral import Spectrum, _check_symmetric, graph_spectrum
 
 _FC_SYMMETRY_TOL = 1e-10
@@ -70,6 +70,8 @@ class FcModel:
     offset: float
 
     def __post_init__(self) -> None:
+        for name in ("beta", "scale", "offset"):
+            _real(getattr(self, name), name, InvalidArgumentError)
         if not np.isfinite(self.beta) or self.beta < 0:
             raise InvalidArgumentError(f"beta must be finite and nonnegative, got {self.beta}")
         if not (np.isfinite(self.scale) and np.isfinite(self.offset)):

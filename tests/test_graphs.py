@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,17 +227,61 @@ def test_quotient_conserves_crossing_weight(seed, n, k):
     assert q.total_weight + intra == pytest.approx(g.total_weight, abs=1e-12)
 
 
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 18), p=st.floats(0.0, 0.7))
-@settings(max_examples=80, deadline=None)
-def test_components_match_union_find(seed, n, p):
-    rng = np.random.default_rng(seed)
-    edges = [
-        (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    ]
+def _assert_components_match_union_find(n, edges):
     g = sa.graph_from_edges([f"n{i}" for i in range(n)], edges)
-    ours = [set(c) for c in sa.connected_components(g)]
-    theirs = union_find_components(n, edges)
-    assert ours == theirs
+    ours = sa.connected_components(g)
+    assert all(c == sorted(c) for c in ours)
+    assert [set(c) for c in ours] == union_find_components(n, edges)
+
+
+def _relabelled(pairs, new):
+    """Unit-weight edges of `pairs` with node v renamed new[v]."""
+    return [(int(new[i]), int(new[j]), 1.0) for i, j in pairs]
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 300), degree=st.floats(0.0, 6.0))
+@settings(max_examples=80, deadline=None)
+def test_components_match_union_find(seed, n, degree):
+    # the mean degree is drawn, not the edge probability, so large graphs fall apart too
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < degree / max(n - 1, 1), k=1)
+    _assert_components_match_union_find(n, [(i, j, 1.0) for i, j in zip(*np.nonzero(upper))])
+
+
+_SHAPES = {
+    "single-node": (1, []),
+    "edgeless": (6, []),
+    # nodes 1, 4, 5 and 9 are isolated
+    "isolated-nodes": (10, [(0, 2, 1.0), (2, 3, 1.0), (6, 7, 1.0), (7, 8, 1.0), (8, 6, 1.0)]),
+    # every leaf hooks to the centre, the largest label
+    "star-largest-centre": (50, [(i, 49, 1.0) for i in range(49)]),
+    # node v of the heap-ordered binary tree is labelled 126 - v
+    "binary-tree-reversed": (127, _relabelled([((v - 1) // 2, v) for v in range(1, 127)], np.arange(126, -1, -1))),
+    # a 300-node path cut in two, with shuffled labels
+    "shuffled-paths": (
+        300,
+        _relabelled([(v, v + 1) for v in range(299) if v != 149], np.random.default_rng(4).permutation(300)),
+    ),
+}
+
+
+@pytest.mark.parametrize("n, edges", list(_SHAPES.values()), ids=list(_SHAPES))
+def test_components_match_union_find_on_shapes(n, edges):
+    _assert_components_match_union_find(n, edges)
+
+
+def test_components_of_a_long_shuffled_path_take_milliseconds():
+    n = 20_000
+    edges = _relabelled([(v, v + 1) for v in range(n - 1)], np.random.default_rng(7).permutation(n))
+    g = sa.graph_from_edges([f"n{i}" for i in range(n)], edges)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        comps = sa.connected_components(g)
+        times.append(time.perf_counter() - start)
+    assert comps == [list(range(n))]
+    assert [set(c) for c in comps] == union_find_components(n, edges)
+    assert min(times) < 0.05
 
 
 def test_components_are_ordered_by_minimum_index(two_k3):

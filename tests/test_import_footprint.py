@@ -30,8 +30,8 @@ def test_import_does_not_load_scipy_optimize():
 
 
 def test_import_does_not_load_scipy():
-    # scipy.sparse and its csgraph and linalg modules add about 30 MB; they
-    # load on the first connected_components or Lanczos call
+    # scipy.sparse and its linalg modules add about 30 MB; they load on the
+    # first Lanczos call, for a graph above DENSE_SOLVER_MAX_N nodes
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [
@@ -69,7 +69,7 @@ def test_import_does_not_load_the_float_kernel():
 
 
 def test_recursive_splits_of_a_connected_graph_do_not_load_scipy_sparse():
-    # lambda_2 > 0 proves the graph connected, so no components pass (csgraph) runs
+    # lambda_2 > 0 proves the graph connected, so no components pass runs
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [
@@ -88,3 +88,36 @@ def test_recursive_splits_of_a_connected_graph_do_not_load_scipy_sparse():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True False"
+
+
+def test_components_passes_do_not_load_scipy_sparse():
+    # connected_components labels in numpy, so only Lanczos needs scipy.sparse
+    env = dict(os.environ, PYTHONPATH=SRC)
+    script = """
+import sys, numpy as np, spectral_abstraction as sa
+from spectral_abstraction.errors import DisconnectedGraphError
+def report(step):
+    print(step, 'scipy.sparse' in sys.modules)
+base = sa.sbm_generate(3, 6, 0.9, 0.1, seed=5)
+copy = tuple((i + 18, j + 18, w) for i, j, w in base.edges)
+g = sa.graph_from_edges([f"v{i}" for i in range(36)], base.edges + copy)  # two disjoint SBMs
+assert sa.recursive_bipartition(g, 4).k == 4
+report('recursive_bipartition')
+assert sa.p_recursive_bipartition(g, 3, sa.PLaplacianParams(p=1.5)).k == 3
+report('p_recursive_bipartition')
+c = np.kron(np.eye(2), np.ones((3, 3)))
+sa.jacobian_graph(sa.CouplingSystem(couplings=c, linear_mask=c > 0), 0.5)
+report('jacobian_graph')
+try:
+    sa.p_spectral_bipartition(g, sa.PLaplacianParams(p=1.5))
+except DisconnectedGraphError:
+    report('p_spectral_bipartition')
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "recursive_bipartition False",
+        "p_recursive_bipartition False",
+        "jacobian_graph False",
+        "p_spectral_bipartition False",
+    ]

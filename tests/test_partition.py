@@ -527,6 +527,23 @@ class TestNumericallyZeroLambda2:
         assert str(info.value) == "cluster [0, 1, 2] admits no further spectral split"
 
     @pytest.mark.parametrize("split", _SPLITS)
+    def test_the_root_is_solved_once(self, monkeypatch, split):
+        # the components pass returns the whole graph, so its spectrum stays valid
+        calls = []
+        real = partition.graph_spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "graph_spectrum", counting)
+        monkeypatch.setattr(nonlinear, "graph_spectrum", counting)
+        with pytest.raises(NotEnoughSplittableClustersError) as info:
+            split(self.PATH, 2)
+        assert str(info.value) == "cluster [0, 1, 2] admits no further spectral split"
+        assert calls == [3]
+
+    @pytest.mark.parametrize("split", _SPLITS)
     def test_k1_is_the_whole_graph(self, split):
         assert split(self.PATH, 1) == sa.Partition(assignment=(0, 0, 0), k=1)
 

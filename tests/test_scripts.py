@@ -48,7 +48,7 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
-    assert set(record) == {"nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "src_lines"}
+    assert set(record) == {"nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "cli_disconnected", "src_lines"}
     assert record["numpy"] == np.__version__ and record["nproc"] == os.cpu_count()
     assert [(r["workload"], r["trace"]) for r in record["runs"]] == [("p-cluster", 0), ("p-cluster", 1)]
     for r in record["runs"]:
@@ -56,11 +56,15 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
         assert r["result"]["correct"] and r["result"]["attempted"] > 0
     assert "items_per_s" in record["runs"][0]["result"]["metrics"]
     assert "nonlinear.self_s" in record["runs"][1]["result"]["metrics"]
-    cli = record["cli"]
-    assert (cli["command"], cli["graph"], cli["runs"]) == ("cluster --k 4", "sbm_generate(4, 16, 0.5, 0.05, 0)", 3)
-    # a cold interpreter that imports numpy takes a tenth of a second and some tens of MB at least
-    assert 0.05 < cli["wall_s_p50"] < 60.0
-    assert 10.0 < cli["peak_rss_mb"] < 2048.0
+    for key, graph in [
+        ("cli", "sbm_generate(4, 16, 0.5, 0.05, 0)"),
+        ("cli_disconnected", "two copies of sbm_generate(4, 16, 0.5, 0.05, 0)"),
+    ]:
+        cli = record[key]
+        assert (cli["command"], cli["graph"], cli["runs"]) == ("cluster --k 4", graph, 3)
+        # a cold interpreter that imports numpy takes a tenth of a second and some tens of MB at least
+        assert 0.05 < cli["wall_s_p50"] < 60.0
+        assert 10.0 < cli["peak_rss_mb"] < 2048.0
     package = os.path.join(os.path.dirname(SCRIPTS), "src", "spectral_abstraction")
     lines = 0
     for name in os.listdir(package):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import spectral_abstraction as sa
-from spectral_abstraction.errors import DisconnectedGraphError, ExponentOutOfRangeError, InvalidArgumentError
+from spectral_abstraction.errors import (
+    DisconnectedGraphError,
+    ExponentOutOfRangeError,
+    InvalidArgumentError,
+    InvalidFractionalExponentError,
+)
 
 # two complete blocks of five joined by two edges: connected, with a clear 2-way split
 _G = sa.graph_from_edges(
@@ -93,6 +98,30 @@ def test_a_non_real_exponent_is_out_of_range(make, p):
     with pytest.raises(ExponentOutOfRangeError) as info:
         make(p)
     assert str(info.value) == f"p must lie in (1, 2], got {p}"
+
+
+_SYSTEM = sa.CouplingSystem(couplings=np.ones((3, 3)), linear_mask=np.ones((3, 3), dtype=bool))
+# (argument, the error its range check raises, call with the argument set to v)
+_REAL_ARGUMENTS = [
+    ("beta", InvalidArgumentError, lambda v: sa.FcModel(beta=v, scale=1.0, offset=0.0)),
+    ("threshold", InvalidArgumentError, lambda v: sa.jacobian_graph(_SYSTEM, v)),
+    ("q", InvalidFractionalExponentError, lambda v: sa.kway_embedding_cluster(_embedding(), 2, metric="fractional", q=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, error, call, value",
+    [
+        pytest.param(name, error, call, value, id=f"{name}-{value!r}")
+        for name, error, call in _REAL_ARGUMENTS
+        for value in ("1", None, 1j)
+    ],
+)
+def test_a_non_real_argument_raises_its_range_error(name, error, call, value):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
 
 
 @pytest.mark.parametrize(
