@@ -32,11 +32,11 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graphs import Graph, _graph, _node_labels
+from .graphs import Graph, _check_symmetric, _graph, _node_labels
 from .hierarchy import Hierarchy
 from .nonlinear import CouplingSystem
 from .partition import ConnectivityProfile, CutMetrics, Partition
-from .spectral import Spectrum, _check_symmetric
+from .spectral import Spectrum
 from .structfunc import _FC_SYMMETRY_TOL
 
 _MATRIX_DIAGONAL_TOL = 1e-12

@@ -35,6 +35,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidProbabilityError,
     NonpositiveWeightError,
+    NotSymmetricError,
     PartitionMismatchError,
     SelfLoopError,
 )
@@ -99,12 +100,15 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
-    """A dense Laplacian matrix, read-only."""
+    """A dense Laplacian, read-only float64; NotSymmetricError unless square, finite and symmetric."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix.flags.writeable = False
+        M = np.asarray(self.matrix, dtype=np.float64)
+        _check_symmetric(M)
+        M.flags.writeable = False
+        object.__setattr__(self, "matrix", M)
 
     @property
     def n(self) -> int:
@@ -182,12 +186,17 @@ def _graph(labels: Sequence[str], ei, ej, w) -> Graph:
     return Graph(labels=tuple(labels), ei=ei, ej=ej, w=w)
 
 
+def _edge_matrix(g: Graph, diagonal: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix: `diagonal`, then values[k] at both (ei[k], ej[k]) and (ej[k], ei[k])."""
+    M = np.diag(diagonal)
+    M[g.ei, g.ej] = values
+    M[g.ej, g.ei] = values
+    return M
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense symmetric adjacency matrix with zero diagonal."""
-    A = np.zeros((g.n, g.n))
-    A[g.ei, g.ej] = g.w
-    A[g.ej, g.ei] = g.w
-    return A
+    return _edge_matrix(g, np.zeros(g.n), g.w)
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -206,28 +215,19 @@ def degrees(g: Graph) -> np.ndarray:
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> LaplacianMatrix:
     """Build the graph Laplacian in the requested normalization.
 
-    The combinatorial form matches np.diag(degrees(g)) - adjacency_matrix(g)
-    entry for entry, zero entries included as +0.0. The
-    normalized form is I - D^(-1/2) A D^(-1/2) with rows and columns of
-    isolated nodes (zero degree) set to zero, diagonal included.
+    Both are written from the edge arrays and are exactly symmetric. The
+    combinatorial form matches np.diag(degrees(g)) - adjacency_matrix(g)
+    entry for entry, zero entries included as +0.0. The normalized form is
+    I - D^(-1/2) A D^(-1/2), with isolated nodes' rows and columns zero.
     """
+    d = degrees(g)
     if kind is LaplacianKind.COMBINATORIAL:
-        # D - A written in place: -w off the diagonal, +0.0 where A is zero
-        M = np.diag(degrees(g))
-        neg = -g.w
-        M[g.ei, g.ej] = neg
-        M[g.ej, g.ei] = neg
-        return LaplacianMatrix(matrix=M)
+        return LaplacianMatrix(matrix=_edge_matrix(g, d, -g.w))
     if kind is LaplacianKind.NORMALIZED:
-        A = adjacency_matrix(g)
-        d = degrees(g)
-        connected = d > 0
-        inv_sqrt = np.zeros_like(d)
-        inv_sqrt[connected] = 1.0 / np.sqrt(d[connected])
-        M = np.eye(g.n)
-        M[~connected, ~connected] = 0.0
-        M -= inv_sqrt[:, None] * A * inv_sqrt[None, :]
-        return LaplacianMatrix(matrix=M)
+        s = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0)
+        # both triangles take the lower one's product order, the triangle eigh and dsyevr read
+        off = -(s[g.ej] * g.w) * s[g.ei]
+        return LaplacianMatrix(matrix=_edge_matrix(g, (d > 0).astype(np.float64), off))
     raise InvalidArgumentError(f"unknown Laplacian kind: {kind!r}")
 
 
@@ -323,6 +323,19 @@ def _node_vector(v, n: int, error) -> np.ndarray:
     if not np.isfinite(v).all():
         raise InvalidArgumentError("vector entries must be finite")
     return v
+
+
+def _check_symmetric(M: np.ndarray, tol: float = 1e-12, error=NotSymmetricError) -> None:
+    """Raise `error` unless M is square with max |M - M^T| at most `tol`."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise error(f"expected a square matrix, got shape {M.shape}")
+    if np.array_equal(M, M.T) and np.isfinite(M).all():  # M - M.T is all zeros
+        return
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test below
+        d = M - M.T
+    asym = np.abs(d, out=d).max() if M.size else 0.0
+    if not asym <= tol:
+        raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
 
 
 def sbm_generate(

@@ -57,7 +57,7 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _graph, _node_vector, _real, connected_components
+from .graphs import Graph, LaplacianKind, _graph, _node_labels, _node_vector, _real, connected_components
 from .partition import (
     _EPS,
     SELECTIONS as _SELECTIONS,
@@ -375,14 +375,11 @@ def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[
     """
     if not (math.isfinite(_real(threshold, "threshold", InvalidArgumentError)) and threshold >= 0):
         raise InvalidArgumentError(f"threshold must be finite and nonnegative, got {threshold}")
-    if sys.n == 0:
-        raise InvalidArgumentError("a graph needs at least one node")
     c = np.abs(sys.couplings)
     strength = np.maximum(c, c.T)
     present = sys.linear_mask | sys.linear_mask.T
-    n = sys.n
     ei, ej = np.nonzero(np.triu(present & (strength > threshold), k=1))
-    g = _graph([f"x{i}" for i in range(n)], ei, ej, np.ones(ei.size))
+    g = _graph(_node_labels(f"x{i}" for i in range(sys.n)), ei, ej, np.ones(ei.size))
     components = connected_components(g)
     largest = max(components, key=len)
     return g, tuple(largest)

@@ -65,7 +65,6 @@ from .errors import (
     DimensionOutOfRangeError,
     DisconnectedGraphError,
     InvalidArgumentError,
-    NotSymmetricError,
     TooFewNodesError,
     ZeroVectorError,
 )
@@ -74,7 +73,6 @@ from .graphs import Graph, LaplacianKind, LaplacianMatrix, _integer, _node_vecto
 DENSE_SOLVER_MAX_N = 2048
 CONNECTIVITY_TOL = 1e-9
 
-_SYMMETRY_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-9
@@ -212,19 +210,6 @@ def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Non
             )
 
 
-def _check_symmetric(M: np.ndarray, tol: float = _SYMMETRY_TOL, error=NotSymmetricError) -> None:
-    """Raise `error` unless M is square with max |M - M^T| at most `tol`."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise error(f"expected a square matrix, got shape {M.shape}")
-    if np.array_equal(M, M.T) and np.isfinite(M).all():  # M - M.T is all zeros
-        return
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test below
-        d = M - M.T
-    asym = np.abs(d, out=d).max() if M.size else 0.0
-    if not asym <= tol:
-        raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
-
-
 @functools.lru_cache(maxsize=64)
 def _mrrr_workspace(n: int) -> tuple[int, int]:
     """dsyevr's (lwork, liwork) for an n x n matrix, from the query scipy.linalg.eigh makes."""
@@ -269,7 +254,7 @@ def _lanczos(M: np.ndarray, m: int):
 
 
 def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> Spectrum:
-    """Check L, solve it, then canonicalize, verify and cut the pairs to `count`.
+    """Solve L, checked when it was made, then canonicalize, verify and cut the pairs to `count`.
 
     A full request (count=None) takes every pair from solver(M). A
     counted one, 1 <= count < n, takes the smallest m = count + 1 pairs
@@ -280,9 +265,7 @@ def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> S
     pairs ascending; its own arrays are freed once made contiguous and
     never sit beside the checked copies.
     """
-    M = np.asarray(L.matrix, dtype=np.float64)
-    _check_symmetric(M)
-    n = M.shape[0]
+    M, n = L.matrix, L.n
     if count is not None and not 1 <= count < n:
         raise DimensionOutOfRangeError(f"eigenpair count {count} outside 1..{n - 1}")
     m = first = n if count is None else count + 1

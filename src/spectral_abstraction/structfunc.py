@@ -52,8 +52,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _real
-from .spectral import Spectrum, _check_symmetric, graph_spectrum
+from .graphs import Graph, LaplacianKind, _check_symmetric, _real
+from .spectral import Spectrum, graph_spectrum
 
 _FC_SYMMETRY_TOL = 1e-10
 _BETA_GRID_MAX = 10.0

@@ -13,7 +13,9 @@ probe-by-probe Gram-Schmidt instead of one QR, k-means distances over an
 n x k x d array and centers cluster by cluster instead of coordinate by
 coordinate, edge lists through graph_from_edges instead of sorted
 edge arrays, and the p-descent by recentring every backtracking trial
-instead of screening trials by a lower bound.
+instead of screening trials by a lower bound, and the normalized
+Laplacian by n x n broadcast products over a dense adjacency instead of
+one write per edge.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
@@ -26,6 +28,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from spectral_abstraction import nonlinear
+from spectral_abstraction.graphs import degrees
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
     DuplicateEdgeError,
@@ -56,6 +59,24 @@ def union_find_components(n: int, edges) -> list[set[int]]:
     for v in range(n):
         groups.setdefault(find(v), set()).add(v)
     return sorted(groups.values(), key=min)
+
+
+def dense_normalized_laplacian(g) -> np.ndarray:
+    """I - (s[:, None] * A) * s[None, :] for s = d^(-1/2), with isolated nodes' rows and columns zero.
+
+    The dense formula the library used before it wrote each edge once;
+    its lower triangle is the library's to the bit. The degrees are the
+    library's own, so s agrees to the bit too.
+    """
+    A = np.zeros((g.n, g.n))
+    for i, j, w in g.edges:
+        A[i, j] = A[j, i] = w
+    d = degrees(g)
+    connected = d > 0
+    s = np.zeros(g.n)
+    s[connected] = 1.0 / np.sqrt(d[connected])
+    identity = np.diag(connected.astype(np.float64))
+    return identity - (s[:, None] * A) * s[None, :]
 
 
 def charpoly_coefficients(M: np.ndarray) -> list[Fraction]:

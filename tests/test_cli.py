@@ -576,6 +576,23 @@ def test_level_field_its_method_ignores_is_a_usage_error(bridged_file, tmp_path,
     assert field in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "level, detail",
+    [
+        ("k=2,foo=1", "unknown level spec key 'foo'"),
+        ("method=recursive-linear", "level spec 'method=recursive-linear' is missing k="),
+    ],
+)
+def test_level_spec_key_errors_are_usage_errors(bridged_file, tmp_path, capsys, level, detail):
+    out = tmp_path / "h.json"
+    rc = run_cli("hierarchy", "--input", str(bridged_file), "--output", str(out), "--level", level)
+    assert rc == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "Usage", "detail": detail}
+
+
 def test_hierarchy_seed_without_a_kway_level_is_a_usage_error(bridged_file, tmp_path, capsys):
     out = tmp_path / "h.json"
     rc = run_cli("hierarchy", "--input", str(bridged_file), "--output", str(out),

@@ -17,12 +17,13 @@ from spectral_abstraction.errors import (
     InvalidArgumentError,
     InvalidProbabilityError,
     NonpositiveWeightError,
+    NotSymmetricError,
     PartitionMismatchError,
     SelfLoopError,
 )
 
 from conftest import random_connected_graph
-from oracles import union_find_components
+from oracles import dense_normalized_laplacian, union_find_components
 
 
 class TestConstruction:
@@ -65,6 +66,22 @@ class TestConstruction:
         with pytest.raises(NonpositiveWeightError) as err:
             sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1.0), (1, 2, -2.0)])
         assert "(1, 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "labels, edges, error, message",
+        [
+            pytest.param(["a", "b"], [(0, 1)], InvalidArgumentError,
+                         "edge (0, 1) is not an (i, j, weight) triple", id="pair"),
+            pytest.param(["a", "b"], [(0.0, 1, 1.0)], IndexOutOfRangeError,
+                         "edge (0.0, 1, 1.0): endpoints must be integers", id="float-endpoint"),
+            pytest.param([], [], InvalidArgumentError, "a graph needs at least one node", id="no-nodes"),
+        ],
+    )
+    def test_malformed_input_messages(self, labels, edges, error, message):
+        with pytest.raises(error) as info:
+            sa.graph_from_edges(labels, edges)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestMatrices:
@@ -151,6 +168,50 @@ class TestMatrices:
         assert np.array_equal(L[2], np.zeros(3))
         assert np.array_equal(L[:, 2], np.zeros(3))
         assert L[2, 2] == 0.0
+
+    def test_normalized_laplacian_is_exactly_symmetric_and_matches_the_dense_formula(self):
+        rng = np.random.default_rng(25)
+        with_isolated = 0
+        for _ in range(300):
+            linked, isolated = int(rng.integers(1, 14)), int(rng.integers(0, 3))
+            n = linked + isolated
+            perm = rng.permutation(n).tolist()
+            edges = [
+                (perm[i], perm[j], float(rng.choice([1.0, rng.uniform(0.05, 5)])))
+                for i in range(linked)
+                for j in range(i + 1, linked)
+                if rng.random() < 0.5
+            ]
+            g = sa.graph_from_edges([f"v{i}" for i in range(n)], edges)
+            with_isolated += bool((sa.degrees(g) == 0).any())
+            M = sa.laplacian(g, sa.LaplacianKind.NORMALIZED).matrix
+            assert np.array_equal(M, M.T)
+            # the lower triangle is the one eigh and the subset driver read
+            assert np.tril(M).tobytes() == np.tril(dense_normalized_laplacian(g)).tobytes()
+        assert with_isolated > 100
+
+
+class TestLaplacianMatrix:
+    @pytest.mark.parametrize("M", [[[1.0, -1.0], [-1.0, 1.0]], np.array([[1, -1], [-1, 1]])], ids=["list", "int"])
+    def test_stored_as_read_only_float64(self, M):
+        L = sa.LaplacianMatrix(matrix=M)
+        assert L.matrix.dtype == np.float64 and not L.matrix.flags.writeable
+        assert np.array_equal(L.matrix, [[1.0, -1.0], [-1.0, 1.0]])
+        assert sa.rayleigh_quotient(L, [1.0, -1.0]) == 2.0
+
+    @pytest.mark.parametrize(
+        "M, message",
+        [
+            pytest.param(np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)", id="not-square"),
+            pytest.param([[1.0, 2.0], [0.0, 1.0]], "matrix asymmetry 2.00e+00 exceeds 1e-12", id="asymmetric"),
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], "matrix asymmetry nan exceeds 1e-12", id="nan"),
+        ],
+    )
+    def test_checked_when_made(self, M, message):
+        # so rayleigh_quotient and the solvers never receive such a matrix
+        with pytest.raises(NotSymmetricError) as info:
+            sa.LaplacianMatrix(matrix=M)
+        assert str(info.value) == message
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 16))

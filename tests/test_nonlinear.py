@@ -130,6 +130,41 @@ class TestPSpectralBipartition:
             deltas.append(c12 - c20)
         assert np.median(deltas) <= 1e-12
 
+    def test_direct_descent_replaces_a_worse_continuation_end(self, monkeypatch):
+        # trial 29 of: rng = np.random.default_rng(1); per trial n = int(rng.integers(3, 14)),
+        # then (i, j, float(rng.choice([1.0, rng.uniform(0.05, 5)]))) for i < j
+        # where rng.random() < rng.uniform(0.2, 0.8)
+        edges = [
+            (0, 1, 3.292320854279895), (0, 2, 0.6077531331288526), (0, 6, 2.9634271089398427),
+            (0, 9, 1.0), (0, 10, 1.0), (0, 11, 4.473249135116329), (0, 12, 1.0),
+            (1, 3, 2.2498110864286396), (1, 4, 1.0), (1, 7, 1.0), (1, 10, 1.0),
+            (1, 12, 0.20119983411008485), (2, 8, 0.6254861240541701), (2, 9, 1.0),
+            (2, 11, 2.137852632213881), (3, 4, 1.0), (3, 5, 2.165480635109638),
+            (3, 6, 1.458233926361083), (3, 7, 1.6247760139291636), (3, 12, 1.0), (4, 6, 1.0),
+            (4, 9, 1.1383477343374142), (4, 10, 1.0), (4, 11, 1.0), (4, 12, 1.1162200267832438),
+            (5, 9, 1.0), (5, 10, 1.0), (5, 11, 2.4128750604339535), (5, 12, 2.8670395266227455),
+            (6, 7, 0.7347361948858054), (6, 10, 1.0410095986041583), (6, 11, 1.0), (6, 12, 1.0),
+            (7, 8, 1.0), (7, 9, 1.0), (8, 11, 1.9409836521260788), (8, 12, 1.8132155291434204),
+            (9, 12, 3.0099496469583054), (10, 11, 1.0), (10, 12, 1.0),
+        ]
+        g = sa.graph_from_edges([f"v{i}" for i in range(13)], edges)
+        descend, ends = nonlinear._descend, []
+
+        def recording(ei, ej, w, f, p):
+            ends.append(descend(ei, ej, w, f, p))
+            return ends[-1]
+
+        monkeypatch.setattr(nonlinear, "_descend", recording)
+        ours = p_spectral_bipartition(g, PLaplacianParams(p=1.05))
+        # six continuation stages, the last at p itself, then the direct descent from the Fiedler vector
+        assert len(ends) == 7
+        (continued, continued_value, _), (direct, direct_value, _) = ends[5:]
+        assert continued_value == pytest.approx(3.0146, abs=1e-4)
+        assert direct_value == pytest.approx(2.5871, abs=1e-4)
+        gs = nonlinear._mean_weight_rescaled(g)
+        assert ours.assignment.tolist() == sa.threshold_partition(gs, direct, "cheeger").assignment.tolist()
+        assert ours.assignment.tolist() != sa.threshold_partition(gs, continued, "cheeger").assignment.tolist()
+
     def test_ratio_and_normalized_selections_run(self, bridged_triangles):
         for selection in ("ratio", "normalized"):
             p = p_spectral_bipartition(

@@ -18,7 +18,7 @@ from spectral_abstraction.errors import (
     TooFewNodesError,
     ZeroVectorError,
 )
-from spectral_abstraction import spectral
+from spectral_abstraction import graphs, spectral
 from spectral_abstraction.spectral import (
     DENSE_SOLVER_MAX_N,
     eigendecompose,
@@ -753,10 +753,10 @@ class TestCheckMessages:
     )
     def test_symmetry_check(self, M, message):
         if message is None:
-            spectral._check_symmetric(np.array(M))
+            graphs._check_symmetric(np.array(M))
             return
         with pytest.raises(NotSymmetricError) as info:
-            spectral._check_symmetric(np.array(M))
+            graphs._check_symmetric(np.array(M))
         assert str(info.value) == message
 
 
