@@ -142,7 +142,10 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
             raise IndexOutOfRangeError(f"edge ({i}, {j}, {w}): endpoint outside 0..{n - 1}")
         if i == j:
             raise SelfLoopError(f"edge ({i}, {j}, {w}): self loops are not allowed")
-        w = float(w)
+        try:
+            w = float(w)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"edge ({i}, {j}, {w!r}): weight must be a real number") from None
         if not np.isfinite(w) or w <= 0.0:
             raise NonpositiveWeightError(f"edge ({i}, {j}, {w}): weight must be positive and finite")
         key = (min(i, j), max(i, j))
@@ -241,7 +244,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     if isinstance(nodes, np.ndarray) and nodes.ndim == 1 and nodes.dtype.kind in "iu":
         wanted = np.sort(nodes)  # repeats are harmless below
     else:
-        wanted = sorted({operator.index(i) for i in nodes})
+        wanted = sorted({_integer(i, "node index") for i in nodes})
     if not len(wanted):
         raise EmptySubsetError("node subset must be nonempty")
     if wanted[0] < 0 or wanted[-1] >= g.n:
@@ -315,9 +318,17 @@ def _real(value, name: str, error):
     return value
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """value as a float64 array, copied only if it is not one; InvalidArgumentError if numpy cannot read it."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be real numbers") from None
+
+
 def _node_vector(v, n: int, error) -> np.ndarray:
     """v as a flat float64 vector of n finite entries; `error` if it has another length."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    v = _floats(v, "vector entries").reshape(-1)
     if v.shape[0] != n:
         raise error(f"vector has length {v.shape[0]}, graph has {n} nodes")
     if not np.isfinite(v).all():

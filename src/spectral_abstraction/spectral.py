@@ -28,7 +28,7 @@ so Rayleigh quotients of combinatorial Laplacians are nonnegative and
 vanish exactly on vectors that are constant on every connected
 component.
 
-Which solver answers a request (graph_spectrum picks):
+Which solver answers a request (`_solve` picks):
 
 * a full spectrum comes from the dense symmetric solver (LAPACK's
   divide and conquer, through numpy);
@@ -37,7 +37,8 @@ Which solver answers a request (graph_spectrum picks):
   2006), called through scipy.linalg.lapack with the workspace sizes
   scipy.linalg.eigh would query, which are kept per matrix size;
 * the smallest few pairs beyond DENSE_SOLVER_MAX_N come from
-  shift-invert Lanczos.
+  shift-invert Lanczos, and from the MRRR driver once a request has
+  widened past its first doubling.
 
 Every route widens a counted request until its last eigenspace is whole
 and passes the same canonicalization and checks, so a counted spectrum
@@ -68,7 +69,7 @@ from .errors import (
     TooFewNodesError,
     ZeroVectorError,
 )
-from .graphs import Graph, LaplacianKind, LaplacianMatrix, _integer, _node_vector, laplacian
+from .graphs import Graph, LaplacianKind, LaplacianMatrix, _floats, _integer, _node_vector, laplacian
 
 DENSE_SOLVER_MAX_N = 2048
 CONNECTIVITY_TOL = 1e-9
@@ -88,16 +89,21 @@ class Spectrum:
     """Eigenpairs of a Laplacian, possibly truncated to the smallest few.
 
     eigenvalues has shape (m,), ascending; eigenvectors has shape
-    (n, m) with eigenvectors[:, k] belonging to eigenvalues[k]. A full
-    decomposition has m == n.
+    (n, m), n >= m, with eigenvectors[:, k] belonging to eigenvalues[k].
+    A full decomposition has m == n. Both are stored read-only float64,
+    without a copy when they already are float64.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        self.eigenvalues.flags.writeable = False
-        self.eigenvectors.flags.writeable = False
+        vals, vecs = _floats(self.eigenvalues, "eigenvalues"), _floats(self.eigenvectors, "eigenvectors")
+        if vals.ndim != 1 or vecs.ndim != 2 or not vals.shape[0] == vecs.shape[1] <= vecs.shape[0]:
+            raise DimensionMismatchError(f"eigenvalues {vals.shape} do not fit eigenvectors {vecs.shape}")
+        for name, a in (("eigenvalues", vals), ("eigenvectors", vecs)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -253,26 +259,31 @@ def _lanczos(M: np.ndarray, m: int):
     return vals[order], vecs[:, order]
 
 
-def _solve(L: LaplacianMatrix, solver, name: str, count: int | None = None) -> Spectrum:
+def _solve(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
     """Solve L, checked when it was made, then canonicalize, verify and cut the pairs to `count`.
 
-    A full request (count=None) takes every pair from solver(M). A
+    A full request (count=None) takes every pair from np.linalg.eigh. A
     counted one, 1 <= count < n, takes the smallest m = count + 1 pairs
-    from solver(M, m) and doubles m, up to n, until a gap closes the
-    group that holds pair count - 1, so only whole eigenspaces are
-    canonicalized; requests past the first doubling go to the MRRR
-    driver, whose cost does not grow with m. Every solver returns its
-    pairs ascending; its own arrays are freed once made contiguous and
-    never sit beside the checked copies.
+    and doubles m, up to n, until a gap closes the group that holds pair
+    count - 1, so only whole eigenspaces are canonicalized. Above
+    DENSE_SOLVER_MAX_N nodes the first two requests short of n go to
+    Lanczos; all others go to the MRRR driver, whose cost does not grow
+    with m. Every solver returns its pairs ascending; its own arrays are
+    freed once made contiguous and never sit beside the checked copies.
     """
     M, n = L.matrix, L.n
     if count is not None and not 1 <= count < n:
         raise DimensionOutOfRangeError(f"eigenpair count {count} outside 1..{n - 1}")
     m = first = n if count is None else count + 1
     while True:
-        route = solver if m <= 2 * first and m < n else _mrrr
+        if count is None:
+            solver, name = np.linalg.eigh, "dense eigensolver"
+        elif n > DENSE_SOLVER_MAX_N and m <= 2 * first and m < n:
+            solver, name = _lanczos, "Lanczos solver"
+        else:
+            solver, name = _mrrr, "dense subset eigensolver"
         try:
-            vals, vecs = solver(M) if count is None else route(M, m)
+            vals, vecs = solver(M) if count is None else solver(M, m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
         vecs = np.ascontiguousarray(vecs)
@@ -295,26 +306,18 @@ def eigendecompose(L: LaplacianMatrix) -> Spectrum:
     degenerate eigenspaces canonically, applies the sign convention and
     verifies orthonormality, residuals and positive semidefiniteness.
     """
-    return _solve(L, np.linalg.eigh, "dense eigensolver")
+    return _solve(L)
 
 
 def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
-    """Smallest `count` eigenpairs via shift-invert Lanczos, 1 <= count < n.
+    """Smallest `count` eigenpairs, 1 <= count < n, routed by size (see _solve).
 
-    Always starts with Lanczos; graph_spectrum decides when that beats
-    the dense solver. The Lanczos start vector is fixed, so results are
-    reproducible, and they widen to whole eigenspaces and pass the same
-    canonicalization and checks as eigendecompose (see _solve).
+    Shift-invert Lanczos above DENSE_SOLVER_MAX_N nodes, the MRRR subset
+    driver up to it. The Lanczos start vector is fixed, so results are
+    reproducible; they widen to whole eigenspaces and pass the same
+    canonicalization and checks as eigendecompose.
     """
-    return _solve(L, _lanczos, "Lanczos solver", _integer(count, "count"))
-
-
-def _subset_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
-    """Smallest `count` eigenpairs from LAPACK's MRRR subset driver, 1 <= count < n.
-
-    Widened to whole eigenspaces, canonicalized and checked as in _solve.
-    """
-    return _solve(L, _mrrr, "dense subset eigensolver", count)
+    return _solve(L, _integer(count, "count"))
 
 
 def graph_spectrum(
@@ -322,22 +325,20 @@ def graph_spectrum(
     kind: LaplacianKind = LaplacianKind.COMBINATORIAL,
     count: int | None = None,
 ) -> Spectrum:
-    """Spectrum of a graph Laplacian; the one place that picks the solver.
+    """Spectrum of a graph Laplacian.
 
     A full request (count=None, or count >= n) gets every pair from the
     dense solver. It is stored on `g` by kind, freed with the graph and
     shared read-only, and serves every later full request.
 
-    A counted request (count < n) gets only the smallest `count` pairs:
-    from shift-invert Lanczos on graphs above DENSE_SOLVER_MAX_N nodes,
-    otherwise from the dense subset driver, each widened to whole
-    eigenspaces (see _solve). It never reads or writes the store, so its
-    result never depends on call history.
+    A counted request (count < n) gets only the smallest `count` pairs,
+    widened to whole eigenspaces, from the solver _solve picks by size.
+    It never reads or writes the store, so its result never depends on
+    call history.
     """
     count = None if count is None else _integer(count, "count")
     if count is not None and count < g.n:
-        solve = partial_eigendecompose if g.n > DENSE_SOLVER_MAX_N else _subset_eigendecompose
-        return solve(laplacian(g, kind), count)
+        return _solve(laplacian(g, kind), count)
     # an unknown kind, hashable or not, is left for laplacian to reject
     s = g._spectra.get(kind) if isinstance(kind, LaplacianKind) else None
     if s is None:

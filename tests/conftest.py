@@ -35,26 +35,22 @@ def pytest_terminal_summary(terminalreporter) -> None:
 
 @pytest.fixture
 def dense_solves(monkeypatch) -> list[tuple[str, int]]:
-    """(route, node count) of each dense eigensolve the test runs, in call order.
+    """(route, node count) of each eigensolve the test runs, in call order.
 
-    The route is "full" for eigendecompose and "subset" for the
-    count-limited solver.
+    The route is "full" for a full request and "subset" for a counted
+    one, which the MRRR subset driver serves up to DENSE_SOLVER_MAX_N
+    nodes.
     """
     from spectral_abstraction import spectral
 
     calls: list[tuple[str, int]] = []
-    full, subset = spectral.eigendecompose, spectral._subset_eigendecompose
+    solve = spectral._solve
 
-    def counted_full(L):
-        calls.append(("full", L.n))
-        return full(L)
+    def counted(L, count=None):
+        calls.append(("full" if count is None else "subset", L.n))
+        return solve(L, count)
 
-    def counted_subset(L, count):
-        calls.append(("subset", L.n))
-        return subset(L, count)
-
-    monkeypatch.setattr(spectral, "eigendecompose", counted_full)
-    monkeypatch.setattr(spectral, "_subset_eigendecompose", counted_subset)
+    monkeypatch.setattr(spectral, "_solve", counted)
     return calls
 
 

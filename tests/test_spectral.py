@@ -289,7 +289,8 @@ class TestPartialAndCount:
         assert np.abs(part.eigenvalues - full.eigenvalues[:3]).max() < 1e-12
         assert np.abs(part.eigenvectors - full.eigenvectors[:, :3]).max() < 1e-10
 
-    def test_partial_solver_agrees_with_dense(self):
+    def test_partial_solver_agrees_with_dense(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)  # Lanczos, then the subset driver
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 40, p=0.2)
         L = sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL)
@@ -479,35 +480,59 @@ class TestLanczosRoute:
         _assert_subset_matches_full(g, kind, count)
 
     @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_lanczos_equals_the_subset_driver_on_a_cycle(self, count):
+    def test_lanczos_equals_the_subset_driver_on_a_cycle(self, monkeypatch, count):
         # C20's nonzero eigenvalues come in pairs, so counts 2 and 4 cut a group
         L = sa.laplacian(_cycle(20), sa.LaplacianKind.COMBINATORIAL)
+        subset = partial_eigendecompose(L, count)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
         lanczos = partial_eigendecompose(L, count)
-        subset = spectral._subset_eigendecompose(L, count)
         assert np.abs(lanczos.eigenvalues - subset.eigenvalues).max() < 1e-10
         assert np.abs(lanczos.eigenvectors - subset.eigenvectors).max() < 1e-10
 
     def test_widening_past_the_first_doubling_goes_to_the_subset_driver(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        calls = []
-        real_eigsh, real_mrrr = scipy.sparse.linalg.eigsh, spectral._mrrr
-
-        def eigsh(*args, **kwargs):
-            calls.append(("lanczos", kwargs["k"]))
-            return real_eigsh(*args, **kwargs)
-
-        def mrrr(M, m):
-            calls.append(("subset", m))
-            return real_mrrr(M, m)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
-        monkeypatch.setattr(spectral, "_mrrr", mrrr)
+        calls = _record_drivers(monkeypatch)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
         partial_eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
         assert calls == [("lanczos", 3), ("lanczos", 6), ("subset", 12), ("subset", 24)]
         calls.clear()
         s = partial_eigendecompose(sa.laplacian(_cycle(6), sa.LaplacianKind.COMBINATORIAL), 5)
         assert calls == [("subset", 6)] and s.n_pairs == 5
+
+    def test_up_to_the_dense_limit_every_counted_request_goes_to_the_subset_driver(self, monkeypatch):
+        calls = _record_drivers(monkeypatch)
+        g = _complete(24)
+        partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 2)
+        sa.graph_spectrum(g, count=2)
+        assert calls == [("subset", 3), ("subset", 6), ("subset", 12), ("subset", 24)] * 2
+
+    def test_a_widened_request_that_fails_in_the_subset_driver_names_it(self, monkeypatch):
+        def failing(M, m):
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
+        monkeypatch.setattr(spectral, "_mrrr", failing)
+        with pytest.raises(ConvergenceFailureError, match=r"^dense subset eigensolver failed: Internal Error\.$"):
+            partial_eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
+
+
+def _record_drivers(monkeypatch):
+    """("lanczos" or "subset", m) of each counted driver call, in call order."""
+    import scipy.sparse.linalg
+
+    calls = []
+    real_eigsh, real_mrrr = scipy.sparse.linalg.eigsh, spectral._mrrr
+
+    def eigsh(*args, **kwargs):
+        calls.append(("lanczos", kwargs["k"]))
+        return real_eigsh(*args, **kwargs)
+
+    def mrrr(M, m):
+        calls.append(("subset", m))
+        return real_mrrr(M, m)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    monkeypatch.setattr(spectral, "_mrrr", mrrr)
+    return calls
 
 
 _CROSS_ROUTE_GRAPHS = (
@@ -569,13 +594,11 @@ def test_large_counted_spectrum_uses_lanczos_and_matches_closed_form(monkeypatch
     # above DENSE_SOLVER_MAX_N a counted spectrum must come from Lanczos;
     # the path graph P_n has lambda_k = 2 - 2 cos(pi k / n) with
     # eigenvectors cos(pi k (j + 1/2) / n), whose first entries are positive
-    def no_dense(L):
-        raise AssertionError("dense solver used above DENSE_SOLVER_MAX_N")
-
-    monkeypatch.setattr(spectral, "eigendecompose", no_dense)
+    calls = _record_drivers(monkeypatch)
     n = DENSE_SOLVER_MAX_N + 52
     g = sa.graph_from_edges([f"v{i}" for i in range(n)], [(i, i + 1, 1.0) for i in range(n - 1)])
     s = sa.graph_spectrum(g, count=4)
+    assert calls == [("lanczos", 5)]  # P_n's eigenvalues are simple, so m = 5 needs no widening
     k = np.arange(4)
     assert s.n_pairs == 4
     assert g._spectra == {}  # Lanczos results are never stored
@@ -592,6 +615,7 @@ def test_lanczos_non_convergence_is_a_convergence_failure(monkeypatch):
         raise scipy.sparse.linalg.ArpackNoConvergence("No convergence (3 iterations)", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
     g = random_connected_graph(np.random.default_rng(5), 12)
     with pytest.raises(ConvergenceFailureError, match=r"^Lanczos solver failed: .*No convergence \(3 iterations\)"):
         partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 3)
@@ -616,6 +640,7 @@ def test_lanczos_sorts_the_pairs_arpack_returns(monkeypatch):
         return vals[::-1], vecs[:, ::-1]
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", reversed_eigsh)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
     g = random_connected_graph(np.random.default_rng(7), 14)
     M = sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL).matrix
     vals, vecs = spectral._lanczos(M, 5)

@@ -1,4 +1,5 @@
-"""Each input kind is checked on one path: integer arguments, the exponent p, the lambda_2 test."""
+"""Each input kind is checked on one path: integer arguments, the exponent p, the lambda_2 test,
+node vectors, edge weights and spectra."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 import spectral_abstraction as sa
 from spectral_abstraction.errors import (
+    DimensionMismatchError,
     DisconnectedGraphError,
     ExponentOutOfRangeError,
     InvalidArgumentError,
@@ -144,3 +146,90 @@ def test_p_spectral_bipartition_rejects_a_disconnected_graph(g, message):
     with pytest.raises(DisconnectedGraphError) as info:
         sa.p_spectral_bipartition(g, _P)
     assert str(info.value) == message
+
+
+_P4 = sa.graph_from_edges(list("abcd"), [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+_NOT_FLOATS = "vector entries must be real numbers"
+_MISFIT = "eigenvalues {} do not fit eigenvectors {}"
+# (id, the toolkit error, its message, the call): each raised a builtin error or returned
+_MALFORMED_VALUES = [
+    ("sign_bipartition-str", InvalidArgumentError, _NOT_FLOATS, lambda: sa.sign_bipartition(_P4, "abc")),
+    ("threshold_partition-str", InvalidArgumentError, _NOT_FLOATS, lambda: sa.threshold_partition(_P4, "abcd")),
+    ("rayleigh_quotient-str", InvalidArgumentError, _NOT_FLOATS, lambda: sa.rayleigh_quotient(sa.laplacian(_P4), "x")),
+    ("p_laplacian_apply-str", InvalidArgumentError, _NOT_FLOATS, lambda: sa.p_laplacian_apply(_P4, "abcd", 1.5)),
+    (
+        "graph_from_edges-weight-str",
+        InvalidArgumentError,
+        "edge (0, 1, 'x'): weight must be a real number",
+        lambda: sa.graph_from_edges(list("ab"), [(0, 1, "x")]),
+    ),
+    (
+        "graph_from_edges-weight-none",
+        InvalidArgumentError,
+        "edge (1, 0, None): weight must be a real number",
+        lambda: sa.graph_from_edges(list("ab"), [(1, 0, None)]),
+    ),
+    (
+        "induced_subgraph-float-index",
+        InvalidArgumentError,
+        "node index must be an integer, got 0.5",
+        lambda: sa.induced_subgraph(_P4, [0.5]),
+    ),
+    (
+        "Spectrum-str-eigenvalues",
+        InvalidArgumentError,
+        "eigenvalues must be real numbers",
+        lambda: sa.Spectrum(["a", "b"], [[1.0, 0.0], [0.0, 1.0]]),
+    ),
+    (
+        "Spectrum-str-eigenvectors",
+        InvalidArgumentError,
+        "eigenvectors must be real numbers",
+        lambda: sa.Spectrum([0.0, 1.0], [["a", "b"], ["c", "d"]]),
+    ),
+    (
+        "fiedler_vector-more-eigenvalues-than-columns",
+        DimensionMismatchError,
+        _MISFIT.format((3,), (2, 2)),
+        lambda: sa.fiedler_vector(sa.Spectrum(np.array([0.0, 1.0, 2.0]), np.eye(2))),
+    ),
+    (
+        "Spectrum-fewer-rows-than-columns",
+        DimensionMismatchError,
+        _MISFIT.format((3,), (2, 3)),
+        lambda: sa.Spectrum(np.zeros(3), np.zeros((2, 3))),
+    ),
+    (
+        "Spectrum-2d-eigenvalues",
+        DimensionMismatchError,
+        _MISFIT.format((2, 1), (2, 2)),
+        lambda: sa.Spectrum(np.zeros((2, 1)), np.eye(2)),
+    ),
+    (
+        "Spectrum-1d-eigenvectors",
+        DimensionMismatchError,
+        _MISFIT.format((2,), (2,)),
+        lambda: sa.Spectrum(np.zeros(2), np.zeros(2)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "error, message, call", [pytest.param(*row[1:], id=row[0]) for row in _MALFORMED_VALUES]
+)
+def test_a_malformed_value_raises_a_toolkit_error(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_a_spectrum_stores_read_only_float64_and_keeps_float64_arrays_uncopied():
+    s = sa.Spectrum([0.0, 1.0], [[1, 0], [0, 1]])
+    assert s.eigenvalues.dtype == s.eigenvectors.dtype == np.float64
+    assert s.eigenvectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert not (s.eigenvalues.flags.writeable or s.eigenvectors.flags.writeable)
+    vals, vecs = np.zeros(2), np.zeros((3, 2))
+    t = sa.Spectrum(vals, vecs)
+    assert t.eigenvalues is vals and t.eigenvectors is vecs
+    assert (t.n, t.n_pairs) == (3, 2)
