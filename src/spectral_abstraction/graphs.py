@@ -244,6 +244,10 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     if isinstance(nodes, np.ndarray) and nodes.ndim == 1 and nodes.dtype.kind in "iu":
         wanted = np.sort(nodes)  # repeats are harmless below
     else:
+        try:
+            nodes = iter(nodes)
+        except TypeError:
+            raise InvalidArgumentError(f"nodes must be an iterable of node indices, got {nodes!r}") from None
         wanted = sorted({_integer(i, "node index") for i in nodes})
     if not len(wanted):
         raise EmptySubsetError("node subset must be nonempty")

@@ -34,16 +34,16 @@ Which solver answers a request (`_solve` picks):
   divide and conquer, through numpy);
 * the smallest few pairs, up to DENSE_SOLVER_MAX_N nodes, come from
   LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
-  2006), called through scipy.linalg.lapack with the workspace sizes
-  scipy.linalg.eigh would query, which are kept per matrix size;
+  2006), called with the workspace sizes scipy.linalg.eigh would query,
+  which are kept per matrix size;
 * the smallest few pairs beyond DENSE_SOLVER_MAX_N come from
   shift-invert Lanczos, and from the MRRR driver once a request has
   widened past its first doubling.
 
 Every route widens a counted request until its last eigenspace is whole
 and passes the same canonicalization and checks, so a counted spectrum
-is a full one's leading pairs whichever solver ran. scipy is imported
-only inside the two count-limited solvers and the MRRR workspace query.
+is a full one's leading pairs whichever solver ran. The MRRR driver loads
+scipy's compiled LAPACK module alone (_lapack); only Lanczos loads more.
 
 A full spectrum is a pure function of the graph and the Laplacian kind,
 so graph_spectrum stores each one on its graph, and one
@@ -56,7 +56,10 @@ read-only.
 from __future__ import annotations
 
 import functools
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
 
@@ -122,7 +125,7 @@ class Embedding:
     dim: int
 
     def __post_init__(self) -> None:
-        coords = np.array(self.coordinates, dtype=np.float64)
+        coords = np.array(_floats(self.coordinates, "embedding coordinates"))
         if coords.ndim != 2 or coords.shape[1] != self.dim:
             raise DimensionMismatchError(f"coordinates of shape {coords.shape} do not have {self.dim} columns")
         if not np.isfinite(coords).all():
@@ -216,12 +219,22 @@ def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Non
             )
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg._flapack, which holds dsyevr, loaded without running scipy/linalg/__init__.py."""
+    import scipy  # light; on some wheels it sets up the bundled library paths
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:  # registered, so scipy.linalg.lapack imported later reuses it
+        spec = machinery.PathFinder.find_spec(name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 @functools.lru_cache(maxsize=64)
 def _mrrr_workspace(n: int) -> tuple[int, int]:
     """dsyevr's (lwork, liwork) for an n x n matrix, from the query scipy.linalg.eigh makes."""
-    from scipy.linalg import lapack
-
-    work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    work, iwork, _ = _lapack().dsyevr_lwork(n, lower=1)
     return int(work), int(iwork)
 
 
@@ -232,10 +245,8 @@ def _mrrr(M: np.ndarray, m: int):
     driver="evr") makes, so the pairs are the same bytes, without eigh's
     argument checks and workspace query on every call.
     """
-    from scipy.linalg import lapack
-
     lwork, liwork = _mrrr_workspace(M.shape[0])
-    vals, vecs, found, _, info = lapack.dsyevr(
+    vals, vecs, found, _, info = _lapack().dsyevr(
         M, compute_v=1, range="I", il=1, iu=m, lower=1, lwork=lwork, liwork=liwork
     )
     if info:

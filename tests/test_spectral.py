@@ -584,6 +584,11 @@ class TestEmbedding:
         assert not e.coordinates.flags.writeable
         assert e.n == 3
 
+    def test_the_embedding_keeps_its_own_copy_of_float64_coordinates(self):
+        coords = np.zeros((3, 1))
+        e = sa.Embedding(coordinates=coords, dim=1)
+        assert coords.flags.writeable and not np.shares_memory(coords, e.coordinates)
+
     @pytest.mark.parametrize("coords", [np.zeros((3, 1)), np.zeros(3), np.zeros((3, 5, 1))])
     def test_coordinates_must_have_dim_columns(self, coords):
         with pytest.raises(DimensionMismatchError):

@@ -176,6 +176,24 @@ _MALFORMED_VALUES = [
         lambda: sa.induced_subgraph(_P4, [0.5]),
     ),
     (
+        "induced_subgraph-none",
+        InvalidArgumentError,
+        "nodes must be an iterable of node indices, got None",
+        lambda: sa.induced_subgraph(_P4, None),
+    ),
+    (
+        "induced_subgraph-0d-array",
+        InvalidArgumentError,
+        "nodes must be an iterable of node indices, got array(2)",
+        lambda: sa.induced_subgraph(_P4, np.array(2)),
+    ),
+    (
+        "Embedding-str-coordinates",
+        InvalidArgumentError,
+        "embedding coordinates must be real numbers",
+        lambda: sa.Embedding(coordinates="x", dim=1),
+    ),
+    (
         "Spectrum-str-eigenvalues",
         InvalidArgumentError,
         "eigenvalues must be real numbers",
