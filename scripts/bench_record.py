@@ -13,7 +13,11 @@ with one BLAS thread, three times, on a fixed, connected 64-node SBM
 split starts with a components pass). Each keeps the median wall time
 and the largest peak RSS of its three child processes. The record also
 keeps `src_lines`, the total line count of the package's modules
-(src/spectral_abstraction/*.py).
+(src/spectral_abstraction/*.py), and `import`: the median wall time of
+five fresh interpreters that run `import spectral_abstraction,
+spectral_abstraction.cli` with PYTHONDONTWRITEBYTECODE=1 on a copy of the
+package without bytecode caches, as a fresh checkout compiles it, and the
+sorted package modules that import loads, so an eager import shows up.
 
 Usage:
     python3 scripts/bench_record.py --out BENCH_<n>.json --seed 0
@@ -26,6 +30,7 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +42,9 @@ RUN = os.path.join(ROOT, "perfbench", "run.py")
 SRC = os.path.join(ROOT, "src")
 CLI_GRAPH = (4, 16, 0.5, 0.05, 0)  # sbm_generate's arguments: connected, 64 nodes
 CLI_RUNS = 3
+PACKAGE = "spectral_abstraction"
+IMPORT_STATEMENT = f"import {PACKAGE}, {PACKAGE}.cli"
+IMPORT_RUNS = 5
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -93,6 +101,29 @@ def cli_run(g, graph: str) -> dict:
     }
 
 
+def import_run() -> dict:
+    """Median wall time of IMPORT_RUNS cold IMPORT_STATEMENT runs, and the package modules loaded."""
+    script = f"{IMPORT_STATEMENT}; import sys; print(*(m for m in sys.modules if m.startswith('{PACKAGE}')))"
+    walls, modules = [], set()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(os.path.join(SRC, PACKAGE), os.path.join(tmp, PACKAGE),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1", SPECTRAL_ABSTRACTION_THREADS="1")
+        for _ in range(IMPORT_RUNS):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=False)
+            walls.append(time.perf_counter() - start)
+            if proc.returncode != 0:
+                raise SystemExit(f"{IMPORT_STATEMENT} exited {proc.returncode}: {proc.stderr.strip()}")
+            modules.update(proc.stdout.split())
+    return {
+        "statement": IMPORT_STATEMENT,
+        "runs": IMPORT_RUNS,
+        "wall_s_p50": statistics.median(walls),
+        "modules": sorted(modules),
+    }
+
+
 def src_lines() -> int:
     """Total line count of src/spectral_abstraction/*.py."""
     total = 0
@@ -132,6 +163,7 @@ def main() -> int:
         "runs": runs,
         "cli": cli_run(g, f"sbm_generate{CLI_GRAPH}"),
         "cli_disconnected": cli_run(copies, f"two copies of sbm_generate{CLI_GRAPH}"),
+        "import": import_run(),
         "src_lines": src_lines(),
     }
     with open(args.out, "w") as f:

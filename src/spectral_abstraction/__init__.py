@@ -7,6 +7,7 @@ hierarchies, and a Laplacian eigenmode model predicting functional
 connectivity from structure.
 """
 
+import importlib as _importlib
 import os as _os
 
 
@@ -72,27 +73,23 @@ from .partition import (
     sign_bipartition,
     threshold_partition,
 )
-from .nonlinear import (
-    CouplingSystem,
-    PLaplacianParams,
-    jacobian_graph,
-    p_laplacian_apply,
-    p_recursive_bipartition,
-    p_spectral_bipartition,
-)
-from .hierarchy import (
-    Hierarchy,
-    HierarchyLevel,
-    LevelSpec,
-    build_hierarchy,
-    flatten,
-)
-from .structfunc import (
-    FcModel,
-    fit_fc,
-    predict_fc,
-    spectra_similarity,
-)
+# Layers past partitioning load on first use (PEP 562), read from their module on
+# every access and never cached here, so a patched function is what the package returns.
+_LAZY = {
+    **dict.fromkeys(["CouplingSystem", "PLaplacianParams", "jacobian_graph", "p_laplacian_apply",
+                     "p_recursive_bipartition", "p_spectral_bipartition"], "nonlinear"),
+    **dict.fromkeys(["Hierarchy", "HierarchyLevel", "LevelSpec", "build_hierarchy", "flatten"], "hierarchy"),
+    **dict.fromkeys(["FcModel", "fit_fc", "predict_fc", "spectra_similarity"], "structfunc"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():  # the submodule itself
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(_importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

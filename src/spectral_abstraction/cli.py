@@ -27,8 +27,6 @@ import numpy as np
 from . import fileio
 from .errors import ToolkitError
 from .graphs import LaplacianKind
-from .hierarchy import LevelSpec, build_hierarchy
-from .nonlinear import PLaplacianParams, jacobian_graph, p_recursive_bipartition
 from .partition import (
     connectivity_profile,
     cut_metrics,
@@ -37,7 +35,6 @@ from .partition import (
     sign_bipartition,
 )
 from .spectral import fiedler_vector, graph_spectrum, spectral_embedding
-from .structfunc import FcModel, _eigenvalue_correlation, _model_eigenvalues, fit_fc, predict_fc
 
 
 class _UsageError(Exception):
@@ -60,6 +57,8 @@ _METHOD_KEYS = {
 
 
 def _parse_level_spec(text: str, seed: int) -> LevelSpec:
+    from .hierarchy import LevelSpec
+    from .nonlinear import PLaplacianParams
     spec: dict = {}
     for item in text.split(","):
         if "=" not in item:
@@ -146,12 +145,14 @@ def _cluster(args) -> dict[str, Iterable[str]]:
 
 
 def _p_cluster(args) -> dict[str, Iterable[str]]:
+    from .nonlinear import PLaplacianParams, p_recursive_bipartition
     g = fileio.read_graph(args.input)
     part = p_recursive_bipartition(g, args.k, PLaplacianParams(p=args.p))
     return _partition_report(args.output, g, part)
 
 
 def _hierarchy(args) -> dict[str, Iterable[str]]:
+    from .hierarchy import build_hierarchy
     h = build_hierarchy(fileio.read_graph(args.input), args.level)
     out = _json_report(args.output, fileio.hierarchy_payload(h))
     if args.dot:
@@ -160,6 +161,7 @@ def _hierarchy(args) -> dict[str, Iterable[str]]:
 
 
 def _predict_fc(args) -> dict[str, Iterable[str]]:
+    from .structfunc import FcModel, predict_fc
     g = fileio.read_graph(args.input)
     model = FcModel(beta=args.beta, scale=args.scale, offset=args.offset)
     F = predict_fc(g, model, LaplacianKind(args.laplacian))
@@ -167,6 +169,7 @@ def _predict_fc(args) -> dict[str, Iterable[str]]:
 
 
 def _fit_fc(args) -> dict[str, Iterable[str]]:
+    from .structfunc import _eigenvalue_correlation, _model_eigenvalues, fit_fc
     g = fileio.read_graph(args.input)
     observed = fileio.read_fc_matrix(args.observed)
     kind = LaplacianKind(args.laplacian)
@@ -185,6 +188,7 @@ def _fit_fc(args) -> dict[str, Iterable[str]]:
 
 
 def _jacobian_graph(args) -> dict[str, Iterable[str]]:
+    from .nonlinear import jacobian_graph
     system = fileio.read_coupling_system(args.input, args.mask)
     g, largest = jacobian_graph(system, args.threshold)
     return _json_report(args.output, {

@@ -33,11 +33,8 @@ from .errors import (
     SelfLoopError,
 )
 from .graphs import Graph, _check_symmetric, _graph, _node_labels
-from .hierarchy import Hierarchy
-from .nonlinear import CouplingSystem
 from .partition import ConnectivityProfile, CutMetrics, Partition
 from .spectral import Spectrum
-from .structfunc import _FC_SYMMETRY_TOL
 
 _MATRIX_DIAGONAL_TOL = 1e-12
 
@@ -281,6 +278,7 @@ def read_graph(path: str) -> Graph:
 
 def read_fc_matrix(path: str) -> np.ndarray:
     """Read a functional matrix: CSV, symmetric within 1e-10, any diagonal."""
+    from .structfunc import _FC_SYMMETRY_TOL
     _, data = _parse_csv_cells(_read_text(path))
     _check_symmetric(data, _FC_SYMMETRY_TOL, AsymmetricMatrixError)
     return data
@@ -288,6 +286,7 @@ def read_fc_matrix(path: str) -> np.ndarray:
 
 def read_coupling_system(couplings_path: str, mask_path: str) -> CouplingSystem:
     """Read a coupling matrix and its parallel 0/1 structure mask."""
+    from .nonlinear import CouplingSystem
     _, couplings = _parse_csv_cells(_read_text(couplings_path))
     _, mask_values = _parse_csv_cells(_read_text(mask_path))
     # CouplingSystem checks the shapes, which take precedence over the values

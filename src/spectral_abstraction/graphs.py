@@ -105,7 +105,7 @@ class LaplacianMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        M = np.asarray(self.matrix, dtype=np.float64)
+        M = _floats(self.matrix, "Laplacian entries")
         _check_symmetric(M)
         M.flags.writeable = False
         object.__setattr__(self, "matrix", M)
@@ -126,6 +126,10 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
     """
     labels = _node_labels(labels)
     n = len(labels)
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InvalidArgumentError(f"edges must be an iterable of (i, j, weight) triples, got {edges!r}") from None
 
     canonical: list[Edge] = []
     seen: set[tuple[int, int]] = set()
@@ -159,8 +163,11 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
 
 
 def _node_labels(labels: Sequence[str]) -> tuple[str, ...]:
-    """Labels as a tuple of strings; InvalidArgumentError unless nonempty and distinct."""
-    labels = tuple(str(x) for x in labels)
+    """Labels as a tuple of strings; InvalidArgumentError unless an iterable, nonempty and distinct."""
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError:
+        raise InvalidArgumentError(f"labels must be an iterable of node labels, got {labels!r}") from None
     if not labels:
         raise InvalidArgumentError("a graph needs at least one node")
     if len(set(labels)) != len(labels):
@@ -309,15 +316,18 @@ _CHUNK = 1 << 16  # uniforms per draw in sbm_generate; bounds its scratch memory
 
 
 def _integer(value, name: str) -> int:
+    """value as an int; InvalidArgumentError for anything else, a bool included."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _real(value, name: str, error):
-    """value itself if it is a real number; `error` otherwise."""
-    if not isinstance(value, Real):
+    """value itself if it is a real number, not a bool; `error` otherwise."""
+    if not isinstance(value, Real) or isinstance(value, bool):
         raise error(f"{name} must be a real number, got {value!r}")
     return value
 

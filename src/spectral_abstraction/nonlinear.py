@@ -57,7 +57,7 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _graph, _node_labels, _node_vector, _real, connected_components
+from .graphs import Graph, LaplacianKind, _floats, _graph, _node_labels, _node_vector, _real, connected_components
 from .partition import (
     _EPS,
     SELECTIONS as _SELECTIONS,
@@ -101,7 +101,7 @@ class CouplingSystem:
     linear_mask: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.couplings, dtype=np.float64)
+        c = _floats(self.couplings, "couplings")
         m = np.asarray(self.linear_mask, dtype=bool)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionMismatchError(f"couplings must be square, got shape {c.shape}")
@@ -302,7 +302,8 @@ def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float, str
 
 
 def _mean_weight_rescaled(g: Graph) -> Graph:
-    return _graph(g.labels, g.ei, g.ej, g.w / (g.total_weight / g.n_edges))
+    """g with mean edge weight 1, so lambda_2 tests see no weight scale; g itself if it has no edges."""
+    return _graph(g.labels, g.ei, g.ej, g.w / (g.total_weight / g.n_edges)) if g.n_edges else g
 
 
 def p_spectral_bipartition(
@@ -357,12 +358,13 @@ def p_recursive_bipartition(
     Shares the recursion policy of recursive_bipartition (weakest
     cluster first, components pre-split, singletons untouched, one
     spectrum per cluster) with p_spectral_bipartition's descent as the splitter.
+    Like p_spectral_bipartition, it tests lambda_2 at mean edge weight 1.
     """
 
     def p_split(sub: Graph, s: Spectrum) -> Partition:
         return _p_split(_mean_weight_rescaled(sub), s, params.p, "cheeger")
 
-    return _recursive_split(g, k, p_split)
+    return _recursive_split(_mean_weight_rescaled(g), k, p_split)
 
 
 def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[int, ...]]:

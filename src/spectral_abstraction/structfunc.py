@@ -52,7 +52,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _check_symmetric, _real
+from .graphs import Graph, LaplacianKind, _check_symmetric, _floats, _real
 from .spectral import Spectrum, graph_spectrum
 
 _FC_SYMMETRY_TOL = 1e-10
@@ -79,7 +79,7 @@ class FcModel:
 
 
 def _check_fc_matrix(m: np.ndarray, n: int | None = None) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+    m = _floats(m, "matrix entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if n is not None and m.shape[0] != n:

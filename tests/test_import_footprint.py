@@ -167,3 +167,91 @@ def test_the_lapack_loader_returns_a_module_scipy_linalg_already_loaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+_DEFERRED = ("nonlinear", "hierarchy", "structfunc")
+
+
+def _fresh(script: str) -> list[str]:
+    """Standard output lines of `script` run in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_the_package_and_its_cli_load_only_the_eager_layers():
+    # nonlinear, hierarchy and structfunc load on first use
+    lines = _fresh(
+        "import sys, spectral_abstraction, spectral_abstraction.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('spectral_abstraction.')))\n"
+    )
+    eager = ["cli", "errors", "fileio", "graphs", "partition", "spectral"]
+    assert lines == [str([f"spectral_abstraction.{name}" for name in eager])]
+
+
+def test_linear_clustering_and_the_linear_cli_commands_load_no_deferred_layer(tmp_path):
+    script = f"""
+import os, sys, spectral_abstraction as sa
+from spectral_abstraction import cli
+def report(step):
+    print(step, [m for m in {_DEFERRED!r} if 'spectral_abstraction.' + m in sys.modules])
+g = sa.sbm_generate(2, 8, 0.9, 0.1, seed=3)
+part = sa.recursive_bipartition(g, 3)
+sa.cut_metrics(g, part), sa.connectivity_profile(g, part)
+report('cluster-linear')
+tsv = os.path.join({str(tmp_path)!r}, 'g.tsv')
+with open(tsv, 'w') as f:
+    f.writelines(f"{{g.labels[i]}}\\t{{g.labels[j]}}\\t{{w!r}}\\n" for i, j, w in g.edges)
+for argv in (['spectrum'], ['bipartition'], ['cluster', '--k', '3'], ['cluster', '--k', '3', '--dims', '2']):
+    out = os.path.join({str(tmp_path)!r}, 'out.json')
+    assert cli.main(argv + ['--input', tsv, '--output', out]) == 0
+    report(' '.join(argv))
+"""
+    assert _fresh(script) == [
+        "cluster-linear []",
+        "spectrum []",
+        "bipartition []",
+        "cluster --k 3 []",
+        "cluster --k 3 --dims 2 []",
+    ]
+
+
+def test_every_public_name_resolves_to_its_defining_modules_object():
+    script = f"""
+import importlib, sys, spectral_abstraction as sa
+for name in sa.__all__:
+    value = getattr(sa, name)
+    if name in sa._LAZY:
+        module = importlib.import_module('spectral_abstraction.' + sa._LAZY[name])
+        assert value is getattr(module, name) and value.__module__ == module.__name__, name
+    elif hasattr(value, '__module__') and value.__module__.startswith('spectral_abstraction'):
+        assert value is getattr(sys.modules[value.__module__], name), name
+for name in {_DEFERRED!r}:
+    assert getattr(sa, name) is sys.modules['spectral_abstraction.' + name], name
+print(sorted(set(sa._LAZY.values())))
+try:
+    sa.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh(script) == [
+        "['hierarchy', 'nonlinear', 'structfunc']",
+        "module 'spectral_abstraction' has no attribute 'no_such_name'",
+    ]
+
+
+def test_a_patched_layer_function_is_what_the_package_returns():
+    # the package reads a deferred name from its module on every access, so a tracer's wrapper is seen
+    script = """
+import spectral_abstraction as sa
+from spectral_abstraction import structfunc
+original = structfunc.fit_fc
+def patched(*args):
+    return 'patched'
+structfunc.fit_fc = patched
+print(sa.fit_fc is patched, sa.fit_fc(None, None))
+structfunc.fit_fc = original
+print(sa.fit_fc is original, 'fit_fc' in vars(sa))
+"""
+    assert _fresh(script) == ["True patched", "True False"]

@@ -209,6 +209,19 @@ class TestPRecursive:
         with pytest.raises(sa.errors.KOutOfRangeError):
             p_recursive_bipartition(triangle, 9, PLaplacianParams(p=1.5))
 
+    def test_lambda_2_is_tested_at_mean_weight_one(self):
+        # unscaled, this connected path has lambda_2 of about 1e-12, below CONNECTIVITY_TOL
+        params = PLaplacianParams(p=1.5)
+        tiny = sa.graph_from_edges(list("abc"), [(0, 1, 1e-12), (1, 2, 1e-12)])
+        unit = sa.graph_from_edges(list("abc"), [(0, 1, 1.0), (1, 2, 1.0)])
+        assert p_recursive_bipartition(tiny, 2, params).assignment.tolist() == [0, 0, 1]
+        assert p_recursive_bipartition(unit, 2, params).assignment.tolist() == [0, 0, 1]
+        assert p_spectral_bipartition(tiny, params).assignment.tolist() == [0, 0, 1]
+
+    def test_an_edgeless_graph_splits_into_its_nodes(self):
+        g = sa.graph_from_edges(list("ab"), [])
+        assert p_recursive_bipartition(g, 2, PLaplacianParams(p=1.5)).assignment.tolist() == [0, 1]
+
 
 def shift_test_vector(seed: int, n: int, kind: str) -> np.ndarray:
     rng = np.random.default_rng(seed)

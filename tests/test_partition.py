@@ -517,7 +517,8 @@ class TestRecursiveComponents:
 class TestNumericallyZeroLambda2:
     """A connected cluster whose lambda_2 is at most 1e-9 has no cut to make."""
 
-    PATH = sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1e-12), (1, 2, 1e-12)])
+    # lambda_2 is about 1e-12 at this weight scale and at mean weight 1, where the p route tests it
+    PATH = sa.graph_from_edges(["a", "b", "c"], [(0, 1, 1e-12), (1, 2, 1.0)])
 
     @pytest.mark.parametrize("split", _SPLITS)
     @pytest.mark.parametrize("k", [2, 3])

@@ -48,7 +48,9 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
-    assert set(record) == {"nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "cli_disconnected", "src_lines"}
+    assert set(record) == {
+        "nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "cli_disconnected", "import", "src_lines"
+    }
     assert record["numpy"] == np.__version__ and record["nproc"] == os.cpu_count()
     assert [(r["workload"], r["trace"]) for r in record["runs"]] == [("p-cluster", 0), ("p-cluster", 1)]
     for r in record["runs"]:
@@ -65,6 +67,11 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
         # a cold interpreter that imports numpy takes a tenth of a second and some tens of MB at least
         assert 0.05 < cli["wall_s_p50"] < 60.0
         assert 10.0 < cli["peak_rss_mb"] < 2048.0
+    imported = record["import"]
+    assert (imported["statement"], imported["runs"]) == ("import spectral_abstraction, spectral_abstraction.cli", 5)
+    assert 0.01 < imported["wall_s_p50"] < 60.0
+    eager = ["cli", "errors", "fileio", "graphs", "partition", "spectral"]
+    assert imported["modules"] == ["spectral_abstraction"] + [f"spectral_abstraction.{name}" for name in eager]
     package = os.path.join(os.path.dirname(SCRIPTS), "src", "spectral_abstraction")
     lines = 0
     for name in os.listdir(package):

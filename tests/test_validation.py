@@ -229,6 +229,50 @@ _MALFORMED_VALUES = [
         _MISFIT.format((2,), (2,)),
         lambda: sa.Spectrum(np.zeros(2), np.zeros(2)),
     ),
+    (
+        "LaplacianMatrix-str",
+        InvalidArgumentError,
+        "Laplacian entries must be real numbers",
+        lambda: sa.LaplacianMatrix("x"),
+    ),
+    ("fit_fc-str", InvalidArgumentError, "matrix entries must be real numbers", lambda: sa.fit_fc(_P4, "x")),
+    (
+        "spectra_similarity-str",
+        InvalidArgumentError,
+        "matrix entries must be real numbers",
+        lambda: sa.spectra_similarity("x", "y"),
+    ),
+    (
+        "CouplingSystem-str",
+        InvalidArgumentError,
+        "couplings must be real numbers",
+        lambda: sa.CouplingSystem("x", "y"),
+    ),
+    (
+        "graph_from_edges-labels-int",
+        InvalidArgumentError,
+        "labels must be an iterable of node labels, got 5",
+        lambda: sa.graph_from_edges(5, []),
+    ),
+    (
+        "graph_from_edges-edges-none",
+        InvalidArgumentError,
+        "edges must be an iterable of (i, j, weight) triples, got None",
+        lambda: sa.graph_from_edges(["a", "b"], None),
+    ),
+    # a bool is not a number: it returned a k = 1 partition, and a model with beta = 1
+    (
+        "recursive_bipartition-bool-k",
+        InvalidArgumentError,
+        "k must be an integer, got True",
+        lambda: sa.recursive_bipartition(_P4, True),
+    ),
+    (
+        "FcModel-bool-beta",
+        InvalidArgumentError,
+        "beta must be a real number, got True",
+        lambda: sa.FcModel(beta=True, scale=1.0, offset=0.0),
+    ),
 ]
 
 
