@@ -4,7 +4,9 @@
 The digest covers, in this order:
 
 * each cluster-linear benchmark input of the run seed: the graph, its
-  k = 8 recursive_bipartition, then its count-2 and count-5 spectra;
+  k = 8 recursive_bipartition, the cut_metrics and connectivity_profile
+  of that partition (each field as float64 bytes), then its count-2 and
+  count-5 spectra;
 * each p-cluster benchmark input: the graph and its p = 1.5 k = 2
   partition;
 * the criterion-5 graphs sbm_generate(2, 8, 0.9, 0.05, s) for s in
@@ -38,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import copy  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
@@ -77,6 +80,11 @@ def add_graph(h, g) -> None:
 def add_partition(h, p) -> None:
     h.update(np.int64(p.k).tobytes())
     h.update(p.assignment.tobytes())
+
+
+def add_reports(h, metrics, profile) -> None:
+    for report in (metrics, *profile.clusters):
+        h.update(np.array(dataclasses.astuple(report), dtype=np.float64).tobytes())
 
 
 def add_spectrum(h, s) -> None:
@@ -148,7 +156,9 @@ def digest(seed: int, toy: bool) -> str:
     for i in range(linear["graphs"]):
         g = sbm(linear, seed, i)
         add_graph(h, g)
-        add_partition(h, sa.recursive_bipartition(g, linear["blocks"]))
+        p = sa.recursive_bipartition(g, linear["blocks"])
+        add_partition(h, p)
+        add_reports(h, sa.cut_metrics(g, p), sa.connectivity_profile(g, p))
         for count in (2, 5):
             add_spectrum(h, sa.graph_spectrum(g, count=count))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, LevelOutOfRangeError, SpecMonotonicityViolationError
 from .graphs import Graph, LaplacianKind, _integer, quotient_graph
-from .nonlinear import PLaplacianParams, p_recursive_bipartition
+from .nonlinear import PLaplacianParams, _p_of, p_recursive_bipartition
 from .partition import (
     ConnectivityProfile,
     Partition,
@@ -51,6 +51,8 @@ class LevelSpec:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.method not in METHODS:
             raise InvalidArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.p_params is not None:
+            _p_of(self.p_params, "p_params")
 
 
 @dataclass(frozen=True)

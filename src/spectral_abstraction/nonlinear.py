@@ -93,6 +93,13 @@ class PLaplacianParams:
             raise ExponentOutOfRangeError(f"p must lie in (1, 2], got {self.p}")
 
 
+def _p_of(params, name: str = "params") -> float:
+    """The exponent of a PLaplacianParams; InvalidArgumentError naming the argument for anything else."""
+    if not isinstance(params, PLaplacianParams):
+        raise InvalidArgumentError(f"{name} must be a PLaplacianParams, got {params!r}")
+    return params.p
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingSystem:
     """Pairwise coupling strengths plus a mask of structurally present terms."""
@@ -318,6 +325,7 @@ def p_spectral_bipartition(
     cut value under `selection` (cheeger, ratio or normalized). The
     whole pipeline is deterministic.
     """
+    p = _p_of(params)
     if selection not in _SELECTIONS:
         raise InvalidArgumentError(f"selection must be one of {_SELECTIONS}, got {selection!r}")
     if g.n < 2:
@@ -327,7 +335,7 @@ def p_spectral_bipartition(
     gs = _mean_weight_rescaled(g)
     s = graph_spectrum(gs, LaplacianKind.COMBINATORIAL, count=2)
     fiedler_vector(s)  # DisconnectedGraphError unless lambda_2 > CONNECTIVITY_TOL
-    return _p_split(gs, s, params.p, selection)
+    return _p_split(gs, s, p, selection)
 
 
 def _p_split(gs: Graph, s: Spectrum, p: float, selection: str) -> Partition:
@@ -360,9 +368,10 @@ def p_recursive_bipartition(
     spectrum per cluster) with p_spectral_bipartition's descent as the splitter.
     Like p_spectral_bipartition, it tests lambda_2 at mean edge weight 1.
     """
+    p = _p_of(params)
 
     def p_split(sub: Graph, s: Spectrum) -> Partition:
-        return _p_split(_mean_weight_rescaled(sub), s, params.p, "cheeger")
+        return _p_split(_mean_weight_rescaled(sub), s, p, "cheeger")
 
     return _recursive_split(_mean_weight_rescaled(g), k, p_split)
 

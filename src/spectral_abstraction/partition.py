@@ -494,24 +494,33 @@ def cut_metrics(g: Graph, p: Partition) -> CutMetrics:
     Zero-cut clusters contribute zero to every sum even when their
     volume is zero, so a k=1 partition scores zero across the board.
     """
-    if p.n != g.n:
-        raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
     return _cut_metrics(g, p.assignment, p.k)
+
+
+def _cluster_weights(g: Graph, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cluster's size, internal weight and cut weight, as float64 arrays.
+
+    A cluster adds its internal weights in edge order, and its crossing
+    weights in edge order, first ends before second ends.
+    """
+    if assign.shape[0] != g.n:
+        raise PartitionMismatchError(f"partition covers {assign.shape[0]} nodes, graph has {g.n}")
+    ai, aj = assign[g.ei], assign[g.ej]
+    same = ai == aj
+    size = np.bincount(assign, minlength=k)
+    internal = np.bincount(ai[same], g.w[same], k)
+    cut = np.bincount(np.concatenate([ai[~same], aj[~same]]), np.concatenate([g.w[~same]] * 2), k)
+    # np.bincount over no edges returns int64
+    return size.astype(np.float64), internal.astype(np.float64), cut.astype(np.float64)
 
 
 def _cut_metrics(g: Graph, assign: np.ndarray, k: int) -> CutMetrics:
     """cut_metrics of cluster ids 0..k-1, one per node of g, all of them used."""
-    ai, aj = assign[g.ei], assign[g.ej]
-    crossing = ai != aj
-    w = g.w[crossing]
-    # each cluster adds its crossing weights in edge order, first ends before second ends
-    cut = np.bincount(np.concatenate([ai[crossing], aj[crossing]]), np.concatenate([w, w]), k)
+    size, _, cut = _cluster_weights(g, assign, k)
     vol = np.bincount(assign, weights=degrees(g), minlength=k)
-    size = np.bincount(assign, minlength=k).astype(np.float64)
     total_cut = float(cut.sum()) / 2.0
-    # the complement's own volume, row a of the other clusters' volumes in
-    # cluster order: the total less vol(C) can round to 0
-    complement = np.broadcast_to(vol, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1).sum(axis=1)
+    # each complement summed from the other clusters: the total less vol(C) can round to 0
+    complement = np.array([np.concatenate((vol[:c], vol[c + 1:])).sum() for c in range(k)])
 
     def safe(den: np.ndarray) -> np.ndarray:
         # a zero cut scores zero, whatever den is
@@ -537,33 +546,12 @@ def connectivity_profile(g: Graph, p: Partition) -> ConnectivityProfile:
     divides that density by the per-pair external weight; clusters with
     no external weight get the +infinity sentinel.
     """
-    if p.n != g.n:
-        raise PartitionMismatchError(f"partition covers {p.n} nodes, graph has {g.n}")
-    assign = p.assignment
-    ai, aj = assign[g.ei], assign[g.ej]
-    same = ai == aj
-    w = g.w[~same]
-    # each cluster adds its weights in edge order, crossing first ends before second ends
-    internal = np.bincount(ai[same], g.w[same], p.k)
-    external = np.bincount(np.concatenate([ai[~same], aj[~same]]), np.concatenate([w, w]), p.k)
-    size = np.bincount(assign, minlength=p.k).astype(np.float64)
-    n = float(g.n)
-    records = []
-    for c in range(p.k):
-        s = size[c]
-        pairs_in = s * (s - 1.0) / 2.0
-        density = internal[c] / pairs_in if pairs_in > 0 else 0.0
-        pairs_out = s * (n - s)
-        if external[c] > 0 and pairs_out > 0:
-            separation = density / (external[c] / pairs_out)
-        else:
-            separation = float("inf")
-        records.append(
-            ClusterProfile(
-                internal_weight=float(internal[c]),
-                external_weight=float(external[c]),
-                internal_density=float(density),
-                separation=float(separation),
-            )
-        )
-    return ConnectivityProfile(clusters=tuple(records))
+    size, internal, external = _cluster_weights(g, p.assignment, p.k)
+    pairs_in = size * (size - 1.0) / 2.0
+    density = np.divide(internal, pairs_in, out=np.zeros(p.k), where=pairs_in > 0)
+    # external weight means some node lies outside the cluster, so its pair count is positive
+    crossed = external > 0
+    per_pair_out = np.divide(external, size * (g.n - size), out=np.ones(p.k), where=crossed)
+    separation = np.divide(density, per_pair_out, out=np.full(p.k, np.inf), where=crossed)
+    rows = zip(internal.tolist(), external.tolist(), density.tolist(), separation.tolist())
+    return ConnectivityProfile(clusters=tuple(ClusterProfile(*row) for row in rows))

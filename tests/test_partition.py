@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -846,6 +849,37 @@ class TestConnectivityProfile:
     def test_partition_size_mismatch(self, triangle):
         with pytest.raises(PartitionMismatchError):
             sa.connectivity_profile(triangle, sa.Partition(assignment=(0,), k=1))
+
+
+@pytest.mark.parametrize(
+    "edges, assignment, k",
+    [
+        pytest.param([], (0, 1, 2), 3, id="edgeless-singletons"),
+        pytest.param([(0, 1, 1.0), (1, 2, 2.0)], (0, 1, 2), 3, id="path-singletons"),
+        pytest.param([(0, 1, 1.0), (1, 2, 2.0)], (0, 0, 0), 1, id="path-one-cluster"),
+    ],
+)
+def test_report_fields_are_python_floats(edges, assignment, k):
+    """np.bincount over no edges returns int64, which must not reach a report."""
+    g = sa.graph_from_edges(list("abc"), edges)
+    p = sa.Partition(assignment=assignment, k=k)
+    values = list(dataclasses.astuple(sa.cut_metrics(g, p)))
+    values += [v for c in sa.connectivity_profile(g, p).clusters for v in dataclasses.astuple(c)]
+    assert len(values) == 4 + 4 * k
+    assert [type(v) for v in values] == [float] * len(values)
+
+
+def test_cut_metrics_scratch_memory_stays_linear_in_k():
+    # 4,000 singleton clusters: one k x k array of float64 would take 128 MB
+    g = sa.sbm_generate(2, 2000, 0.01, 0.001, 0)
+    p = sa.Partition(assignment=np.arange(g.n), k=g.n)
+    tracemalloc.start()
+    try:
+        sa.cut_metrics(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_cheeger_is_finite_when_weights_span_many_orders():

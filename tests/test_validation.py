@@ -273,6 +273,31 @@ _MALFORMED_VALUES = [
         "beta must be a real number, got True",
         lambda: sa.FcModel(beta=True, scale=1.0, offset=0.0),
     ),
+    # a bare p is not a PLaplacianParams: it raised AttributeError, or returned a k = 1 partition
+    (
+        "p_spectral_bipartition-bare-p",
+        InvalidArgumentError,
+        "params must be a PLaplacianParams, got 1.5",
+        lambda: sa.p_spectral_bipartition(_G, 1.5),
+    ),
+    (
+        "p_recursive_bipartition-bare-p",
+        InvalidArgumentError,
+        "params must be a PLaplacianParams, got 1.5",
+        lambda: sa.p_recursive_bipartition(_G, 2, 1.5),
+    ),
+    (
+        "p_recursive_bipartition-k1-str",
+        InvalidArgumentError,
+        "params must be a PLaplacianParams, got 'x'",
+        lambda: sa.p_recursive_bipartition(_G, 1, "x"),
+    ),
+    (
+        "LevelSpec-bare-p",
+        InvalidArgumentError,
+        "p_params must be a PLaplacianParams, got 1.5",
+        lambda: sa.LevelSpec(k=2, method="recursive-p", p_params=1.5),
+    ),
 ]
 
 
