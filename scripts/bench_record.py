@@ -19,9 +19,16 @@ spectral_abstraction.cli` with PYTHONDONTWRITEBYTECODE=1 on a copy of the
 package without bytecode caches, as a fresh checkout compiles it, and the
 sorted package modules that import loads, so an eager import shows up.
 
+Last it runs the tier-1 suite once, `python -m pytest -q` with
+PYTHONPATH=src, and keeps `tier1`: the suite's wall time, its passed and
+failed counts from pytest's summary line, and each acceptance
+criterion's elapsed time and budget from the line it prints in the
+"acceptance criteria" section. --tier1 runs only the named test ids.
+
 Usage:
     python3 scripts/bench_record.py --out BENCH_<n>.json --seed 0
-    python3 scripts/bench_record.py --out bench.json --workload cli-io --seconds 5
+    python3 scripts/bench_record.py --out bench.json --workload cli-io --seconds 5 \
+        --tier1 tests/test_acceptance.py::test_criterion_6_hierarchy_refinement
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -45,6 +53,9 @@ CLI_RUNS = 3
 PACKAGE = "spectral_abstraction"
 IMPORT_STATEMENT = f"import {PACKAGE}, {PACKAGE}.cli"
 IMPORT_RUNS = 5
+# "criterion 6 [hierarchy refinement]: PASS (...; 0.21s < 60s)", as tests/test_acceptance.py prints it
+CRITERION_LINE = re.compile(r"^criterion (\d+) \[.*\]: (?:PASS|FAIL) \(.*; ([\d.]+)s < (\d+)s\)$")
+SUMMARY_COUNT = re.compile(r"(\d+) (passed|failed)\b")
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -124,6 +135,26 @@ def import_run() -> dict:
     }
 
 
+def tier1_run(nodeids: list[str]) -> dict:
+    """Wall time, passed and failed counts and acceptance criterion times of one pytest run of `nodeids`."""
+    argv = [sys.executable, "-m", "pytest", "-q", *nodeids]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                          check=False)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    if proc.returncode not in (0, 1) or not lines:  # 1: some tests failed, which the counts record
+        raise SystemExit(f"{' '.join(argv[1:])} exited {proc.returncode}: {proc.stderr.strip() or proc.stdout[-2000:]}")
+    counts = {outcome: int(number) for number, outcome in SUMMARY_COUNT.findall(lines[-1])}
+    criteria = {}
+    for line in lines:
+        match = CRITERION_LINE.match(line)
+        if match:
+            criteria[match[1]] = {"elapsed_s": float(match[2]), "budget_s": float(match[3])}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "criteria": criteria}
+
+
 def src_lines() -> int:
     """Total line count of src/spectral_abstraction/*.py."""
     total = 0
@@ -143,6 +174,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--workload", action="append", choices=names,
                         help="workload to run, repeatable (default: every workload)")
+    parser.add_argument("--tier1", action="append", metavar="NODEID", default=[],
+                        help="tier-1 test id to run, repeatable (default: the whole suite)")
     args = parser.parse_args()
 
     runs = []
@@ -165,6 +198,7 @@ def main() -> int:
         "cli_disconnected": cli_run(copies, f"two copies of sbm_generate{CLI_GRAPH}"),
         "import": import_run(),
         "src_lines": src_lines(),
+        "tier1": tier1_run(args.tier1),
     }
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)

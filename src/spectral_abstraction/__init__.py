@@ -55,7 +55,6 @@ from .spectral import (
     eigendecompose,
     fiedler_vector,
     graph_spectrum,
-    partial_eigendecompose,
     rayleigh_quotient,
     spectral_embedding,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "eigendecompose",
     "fiedler_vector",
     "graph_spectrum",
-    "partial_eigendecompose",
     "rayleigh_quotient",
     "spectral_embedding",
     "ClusterProfile",

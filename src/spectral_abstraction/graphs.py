@@ -332,6 +332,12 @@ def _real(value, name: str, error):
     return value
 
 
+def _choice(value, name: str, choices: tuple[str, ...]) -> None:
+    """InvalidArgumentError unless value is a str among `choices`; an array is not one."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidArgumentError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def _floats(value, name: str) -> np.ndarray:
     """value as a float64 array, copied only if it is not one; InvalidArgumentError if numpy cannot read it."""
     try:
@@ -394,7 +400,7 @@ def sbm_generate(
         raise InvalidArgumentError("need at least 2 nodes per block")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
-    if not (isinstance(p_in, Real) and isinstance(p_out, Real)):
+    if not all(isinstance(p, Real) and not isinstance(p, bool) for p in (p_in, p_out)):
         raise InvalidProbabilityError(f"probabilities must be real numbers, got p_in={p_in!r}, p_out={p_out!r}")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise InvalidProbabilityError(

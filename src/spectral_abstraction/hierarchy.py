@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, LevelOutOfRangeError, SpecMonotonicityViolationError
-from .graphs import Graph, LaplacianKind, _integer, quotient_graph
+from .graphs import Graph, LaplacianKind, _choice, _integer, quotient_graph
 from .nonlinear import PLaplacianParams, _p_of, p_recursive_bipartition
 from .partition import (
     ConnectivityProfile,
@@ -49,8 +49,7 @@ class LevelSpec:
     def __post_init__(self) -> None:
         for name in ("k", "dim", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.method not in METHODS:
-            raise InvalidArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
+        _choice(self.method, "method", METHODS)
         if self.p_params is not None:
             _p_of(self.p_params, "p_params")
 
@@ -95,7 +94,12 @@ def build_hierarchy(g: Graph, level_specs: list[LevelSpec] | tuple[LevelSpec, ..
     different clustering method. Clustering errors (k out of range for
     the current level, unsplittable clusters and so on) propagate.
     """
-    specs = tuple(level_specs)
+    try:
+        specs = tuple(level_specs)
+        if not all(isinstance(spec, LevelSpec) for spec in specs):
+            raise TypeError
+    except TypeError:
+        raise InvalidArgumentError(f"level_specs must be an iterable of LevelSpec, got {level_specs!r}") from None
     if not specs:
         raise InvalidArgumentError("need at least one level spec")
     for a, b in zip(specs, specs[1:]):

@@ -57,7 +57,9 @@ from .errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
 )
-from .graphs import Graph, LaplacianKind, _floats, _graph, _node_labels, _node_vector, _real, connected_components
+from .graphs import (
+    Graph, LaplacianKind, _choice, _floats, _graph, _node_labels, _node_vector, _real, connected_components
+)
 from .partition import (
     _EPS,
     SELECTIONS as _SELECTIONS,
@@ -326,8 +328,7 @@ def p_spectral_bipartition(
     whole pipeline is deterministic.
     """
     p = _p_of(params)
-    if selection not in _SELECTIONS:
-        raise InvalidArgumentError(f"selection must be one of {_SELECTIONS}, got {selection!r}")
+    _choice(selection, "selection", _SELECTIONS)
     if g.n < 2:
         raise DimensionMismatchError("need at least two nodes to bipartition")
     if len(connected_components(g)) > 1:

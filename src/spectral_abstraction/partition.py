@@ -44,6 +44,7 @@ from .errors import (
 from .graphs import (
     Graph,
     LaplacianKind,
+    _choice,
     _integer,
     _node_vector,
     _real,
@@ -271,8 +272,7 @@ def threshold_partition(g: Graph, f: np.ndarray, selection: str = "cheeger") -> 
     or more are re-scored with cut_metrics, and the smallest t among
     their exact minima wins.
     """
-    if selection not in SELECTIONS:
-        raise InvalidArgumentError(f"selection must be one of {SELECTIONS}, got {selection!r}")
+    _choice(selection, "selection", SELECTIONS)
     f = _node_vector(f, g.n, PartitionMismatchError)
     if g.n < 2:
         raise PartitionMismatchError("need at least two nodes to threshold")
@@ -460,8 +460,7 @@ def kway_embedding_cluster(
     (InvalidArgumentError otherwise); Embedding has checked the coordinates.
     """
     k, seed = _integer(k, "k"), _integer(seed, "seed")
-    if metric not in METRICS:
-        raise InvalidArgumentError(f"metric must be one of {METRICS}, got {metric!r}")
+    _choice(metric, "metric", METRICS)
     if metric == "fractional" and not 0.0 < _real(q, "q", InvalidFractionalExponentError) < 1.0:
         raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
     if seed < 0:

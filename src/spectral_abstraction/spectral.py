@@ -28,26 +28,11 @@ so Rayleigh quotients of combinatorial Laplacians are nonnegative and
 vanish exactly on vectors that are constant on every connected
 component.
 
-Which solver answers a request (`_solve` picks):
-
-* a full spectrum comes from the dense symmetric solver (LAPACK's
-  divide and conquer, through numpy);
-* the smallest few pairs, up to DENSE_SOLVER_MAX_N nodes, come from
-  LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
-  2006), called with the workspace sizes scipy.linalg.eigh would query,
-  which are kept per matrix size;
-* the smallest few pairs beyond DENSE_SOLVER_MAX_N come from
-  shift-invert Lanczos, and from the MRRR driver once a request has
-  widened past its first doubling.
-
-Every route widens a counted request until its last eigenspace is whole
-and passes the same canonicalization and checks, so a counted spectrum
-is a full one's leading pairs whichever solver ran. The MRRR driver loads
-scipy's compiled LAPACK module alone (_lapack); only Lanczos loads more.
-
-A full spectrum is a pure function of the graph and the Laplacian kind,
-so graph_spectrum stores each one on its graph, and one
-eigendecomposition per graph and kind serves every later full request.
+eigendecompose answers every request, full or counted; its docstring
+says which solver it picks. A full spectrum is a pure function of the
+graph and the Laplacian kind, so graph_spectrum stores each one on its
+graph, and one eigendecomposition per graph and kind serves every later
+full request.
 Count-limited results are never stored, and never served from a stored
 spectrum; stored spectra are freed with their graph and shared
 read-only.
@@ -125,13 +110,15 @@ class Embedding:
     dim: int
 
     def __post_init__(self) -> None:
+        dim = _integer(self.dim, "dim")
         coords = np.array(_floats(self.coordinates, "embedding coordinates"))
-        if coords.ndim != 2 or coords.shape[1] != self.dim:
-            raise DimensionMismatchError(f"coordinates of shape {coords.shape} do not have {self.dim} columns")
+        if coords.ndim != 2 or coords.shape[1] != dim:
+            raise DimensionMismatchError(f"coordinates of shape {coords.shape} do not have {dim} columns")
         if not np.isfinite(coords).all():
             raise InvalidArgumentError("embedding coordinates must be finite")
         coords.flags.writeable = False
         object.__setattr__(self, "coordinates", coords)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def n(self) -> int:
@@ -270,19 +257,25 @@ def _lanczos(M: np.ndarray, m: int):
     return vals[order], vecs[:, order]
 
 
-def _solve(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
-    """Solve L, checked when it was made, then canonicalize, verify and cut the pairs to `count`.
+def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
+    """Eigenpairs of a Laplacian, checked when it was made: all n, or the smallest `count`.
 
-    A full request (count=None) takes every pair from np.linalg.eigh. A
-    counted one, 1 <= count < n, takes the smallest m = count + 1 pairs
-    and doubles m, up to n, until a gap closes the group that holds pair
-    count - 1, so only whole eigenspaces are canonicalized. Above
+    A full request (count=None) takes every pair from LAPACK's divide
+    and conquer, through np.linalg.eigh. A counted one, 1 <= count < n,
+    takes the smallest m = count + 1 pairs and doubles m, up to n, until
+    a gap closes the group that holds pair count - 1, so only whole
+    eigenspaces are canonicalized and a counted spectrum is a full one's
+    leading pairs whichever solver ran. Above
     DENSE_SOLVER_MAX_N nodes the first two requests short of n go to
-    Lanczos; all others go to the MRRR driver, whose cost does not grow
-    with m. Every solver returns its pairs ascending; its own arrays are
-    freed once made contiguous and never sit beside the checked copies.
+    shift-invert Lanczos, from a fixed start vector; all others go to
+    LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
+    2006), whose cost does not grow with m. Every solver returns its
+    pairs ascending; its own arrays are freed once made contiguous and
+    never sit beside the checked copies, which pass the canonicalization
+    and the orthonormality, residual and semidefiniteness checks.
     """
     M, n = L.matrix, L.n
+    count = None if count is None else _integer(count, "count")
     if count is not None and not 1 <= count < n:
         raise DimensionOutOfRangeError(f"eigenpair count {count} outside 1..{n - 1}")
     m = first = n if count is None else count + 1
@@ -310,27 +303,6 @@ def _solve(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
     return Spectrum(eigenvalues=vals[:count], eigenvectors=np.ascontiguousarray(vecs[:, :count]))
 
 
-def eigendecompose(L: LaplacianMatrix) -> Spectrum:
-    """Full deterministic eigendecomposition of a Laplacian.
-
-    Uses the dense symmetric solver, then sorts ascending, rebuilds
-    degenerate eigenspaces canonically, applies the sign convention and
-    verifies orthonormality, residuals and positive semidefiniteness.
-    """
-    return _solve(L)
-
-
-def partial_eigendecompose(L: LaplacianMatrix, count: int) -> Spectrum:
-    """Smallest `count` eigenpairs, 1 <= count < n, routed by size (see _solve).
-
-    Shift-invert Lanczos above DENSE_SOLVER_MAX_N nodes, the MRRR subset
-    driver up to it. The Lanczos start vector is fixed, so results are
-    reproducible; they widen to whole eigenspaces and pass the same
-    canonicalization and checks as eigendecompose.
-    """
-    return _solve(L, _integer(count, "count"))
-
-
 def graph_spectrum(
     g: Graph,
     kind: LaplacianKind = LaplacianKind.COMBINATORIAL,
@@ -343,13 +315,13 @@ def graph_spectrum(
     shared read-only, and serves every later full request.
 
     A counted request (count < n) gets only the smallest `count` pairs,
-    widened to whole eigenspaces, from the solver _solve picks by size.
+    widened to whole eigenspaces, from the solver eigendecompose picks.
     It never reads or writes the store, so its result never depends on
     call history.
     """
     count = None if count is None else _integer(count, "count")
     if count is not None and count < g.n:
-        return _solve(laplacian(g, kind), count)
+        return eigendecompose(laplacian(g, kind), count)
     # an unknown kind, hashable or not, is left for laplacian to reject
     s = g._spectra.get(kind) if isinstance(kind, LaplacianKind) else None
     if s is None:

@@ -44,13 +44,13 @@ def dense_solves(monkeypatch) -> list[tuple[str, int]]:
     from spectral_abstraction import spectral
 
     calls: list[tuple[str, int]] = []
-    solve = spectral._solve
+    solve = spectral.eigendecompose
 
     def counted(L, count=None):
         calls.append(("full" if count is None else "subset", L.n))
         return solve(L, count)
 
-    monkeypatch.setattr(spectral, "_solve", counted)
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
     return calls
 
 

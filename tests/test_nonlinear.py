@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import spectral_abstraction as sa
 from spectral_abstraction import nonlinear
 from spectral_abstraction.errors import (
+    ConvergenceFailureError,
     DimensionMismatchError,
     DisconnectedGraphError,
     ExponentOutOfRangeError,
@@ -271,6 +272,10 @@ class TestOptimalShift:
         ours, _ = nonlinear._p_rayleigh(ei, ej, w, g, p)
         exact = exact_shift_p_rayleigh(zip(ei.tolist(), ej.tolist(), w.tolist()), g, p)
         assert abs(ours - exact) <= 1e-12 * exact
+
+    def test_recentring_a_constant_vector_is_a_convergence_failure(self):
+        with pytest.raises(ConvergenceFailureError, match=r"^iterate collapsed to a constant vector$"):
+            nonlinear._recentre(np.full(5, 3.0), 1.5)
 
     def test_bisection_shift_gives_the_same_partitions(self, monkeypatch):
         params = PLaplacianParams(p=1.5)

@@ -626,6 +626,15 @@ class TestKwayCluster:
             opt, _ = best_assignment(pts, 2, "fractional", 0.5)
             assert ours >= opt - 1e-12
 
+    def test_lloyd_at_its_iteration_cap_scores_the_assignment_against_its_moved_centers(self, monkeypatch):
+        monkeypatch.setattr(partition, "_KMEANS_MAX_ITER", 1)
+        pts = np.random.default_rng(4).normal(size=(12, 2))
+        assign, objective = partition._lloyd(pts, 3, "euclidean", 0.5, pts[:3].copy())
+        centers = np.array([pts[assign == c].mean(axis=0) for c in range(3)])
+        assert objective == pytest.approx(np.linalg.norm(pts - centers[assign], axis=1).sum(), rel=1e-12)
+        # the starting centers score the same assignment differently
+        assert objective != pytest.approx(np.linalg.norm(pts - pts[:3][assign], axis=1).sum(), rel=1e-6)
+
     def test_unknown_metric_rejected(self, c4):
         with pytest.raises(ValueError):
             sa.kway_embedding_cluster(embed(c4, 1), 2, metric="bogus")

@@ -41,7 +41,8 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
     out = tmp_path / "bench.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "bench_record.py"), "--out", str(out),
-         "--workload", "p-cluster", "--seconds", "0.2", "--seed", "1"],
+         "--workload", "p-cluster", "--seconds", "0.2", "--seed", "1",
+         "--tier1", "tests/test_acceptance.py::test_criterion_6_hierarchy_refinement"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -49,7 +50,7 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert set(record) == {
-        "nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "cli_disconnected", "import", "src_lines"
+        "nproc", "numpy", "scipy", "seed", "seconds", "runs", "cli", "cli_disconnected", "import", "src_lines", "tier1"
     }
     assert record["numpy"] == np.__version__ and record["nproc"] == os.cpu_count()
     assert [(r["workload"], r["trace"]) for r in record["runs"]] == [("p-cluster", 0), ("p-cluster", 1)]
@@ -79,6 +80,10 @@ def test_bench_record_writes_every_run_with_versions(tmp_path):
             with open(os.path.join(package, name)) as f:
                 lines += len(f.read().splitlines())
     assert record["src_lines"] == lines
+    tier1 = record["tier1"]
+    assert (tier1["passed"], tier1["failed"]) == (1, 0)
+    assert set(tier1["criteria"]) == {"6"} and tier1["criteria"]["6"]["budget_s"] == 60
+    assert 0.0 < tier1["criteria"]["6"]["elapsed_s"] < tier1["wall_s"]
 
 
 def test_output_digest_repeats_at_a_toy_size():

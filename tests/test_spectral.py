@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,6 @@ from spectral_abstraction import graphs, spectral
 from spectral_abstraction.spectral import (
     DENSE_SOLVER_MAX_N,
     eigendecompose,
-    partial_eigendecompose,
 )
 
 from conftest import random_connected_graph
@@ -295,7 +296,7 @@ class TestPartialAndCount:
         g = random_connected_graph(rng, 40, p=0.2)
         L = sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL)
         dense = eigendecompose(L)
-        sparse = partial_eigendecompose(L, 5)
+        sparse = eigendecompose(L, 5)
         assert np.abs(sparse.eigenvalues - dense.eigenvalues[:5]).max() < 1e-8
 
     def test_oversized_count_clamps_to_full_spectrum(self, triangle):
@@ -305,7 +306,7 @@ class TestPartialAndCount:
     def test_partial_solver_rejects_nonpositive_count(self, triangle):
         L = sa.laplacian(triangle, sa.LaplacianKind.COMBINATORIAL)
         with pytest.raises(DimensionOutOfRangeError):
-            partial_eigendecompose(L, 0)
+            eigendecompose(L, 0)
 
 
 def _complete(n):
@@ -483,25 +484,25 @@ class TestLanczosRoute:
     def test_lanczos_equals_the_subset_driver_on_a_cycle(self, monkeypatch, count):
         # C20's nonzero eigenvalues come in pairs, so counts 2 and 4 cut a group
         L = sa.laplacian(_cycle(20), sa.LaplacianKind.COMBINATORIAL)
-        subset = partial_eigendecompose(L, count)
+        subset = eigendecompose(L, count)
         monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
-        lanczos = partial_eigendecompose(L, count)
+        lanczos = eigendecompose(L, count)
         assert np.abs(lanczos.eigenvalues - subset.eigenvalues).max() < 1e-10
         assert np.abs(lanczos.eigenvectors - subset.eigenvectors).max() < 1e-10
 
     def test_widening_past_the_first_doubling_goes_to_the_subset_driver(self, monkeypatch):
         calls = _record_drivers(monkeypatch)
         monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
-        partial_eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
+        eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
         assert calls == [("lanczos", 3), ("lanczos", 6), ("subset", 12), ("subset", 24)]
         calls.clear()
-        s = partial_eigendecompose(sa.laplacian(_cycle(6), sa.LaplacianKind.COMBINATORIAL), 5)
+        s = eigendecompose(sa.laplacian(_cycle(6), sa.LaplacianKind.COMBINATORIAL), 5)
         assert calls == [("subset", 6)] and s.n_pairs == 5
 
     def test_up_to_the_dense_limit_every_counted_request_goes_to_the_subset_driver(self, monkeypatch):
         calls = _record_drivers(monkeypatch)
         g = _complete(24)
-        partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 2)
+        eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 2)
         sa.graph_spectrum(g, count=2)
         assert calls == [("subset", 3), ("subset", 6), ("subset", 12), ("subset", 24)] * 2
 
@@ -512,7 +513,17 @@ class TestLanczosRoute:
         monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
         monkeypatch.setattr(spectral, "_mrrr", failing)
         with pytest.raises(ConvergenceFailureError, match=r"^dense subset eigensolver failed: Internal Error\.$"):
-            partial_eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
+            eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
+
+    def test_a_lapack_error_in_the_subset_driver_is_a_convergence_failure(self, monkeypatch):
+        lapack = spectral._lapack()
+
+        def dsyevr(*args, **kwargs):
+            return (*lapack.dsyevr(*args, **kwargs)[:4], 1)  # info = 1
+
+        monkeypatch.setattr(spectral, "_lapack", lambda: SimpleNamespace(dsyevr=dsyevr, dsyevr_lwork=lapack.dsyevr_lwork))
+        with pytest.raises(ConvergenceFailureError, match=r"^dense subset eigensolver failed: Internal Error\.$"):
+            eigendecompose(sa.laplacian(_complete(6), sa.LaplacianKind.COMBINATORIAL), 2)
 
 
 def _record_drivers(monkeypatch):
@@ -623,12 +634,12 @@ def test_lanczos_non_convergence_is_a_convergence_failure(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX_N", 0)
     g = random_connected_graph(np.random.default_rng(5), 12)
     with pytest.raises(ConvergenceFailureError, match=r"^Lanczos solver failed: .*No convergence \(3 iterations\)"):
-        partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 3)
+        eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 3)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_the_lapack_drivers_return_their_pairs_ascending(seed):
-    # _solve takes every solver's pairs in the order they come
+    # eigendecompose takes every solver's pairs in the order they come
     g = sa.sbm_generate(4, 12, 0.6, 0.05, seed=seed)
     M = sa.laplacian(g, sa.LaplacianKind.NORMALIZED).matrix
     for vals in (np.linalg.eigh(M)[0], spectral._mrrr(M, 20)[0]):
@@ -651,9 +662,9 @@ def test_lanczos_sorts_the_pairs_arpack_returns(monkeypatch):
     vals, vecs = spectral._lanczos(M, 5)
     assert (np.diff(vals) >= 0).all()
     assert np.abs(M @ vecs - vecs * vals).max() < 1e-10
-    expected = partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 4)
+    expected = eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 4)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real)
-    assert _same_bytes(expected, partial_eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 4))
+    assert _same_bytes(expected, eigendecompose(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL), 4))
 
 
 def _twin(g):

@@ -3,6 +3,10 @@ node vectors, edge weights and spectra."""
 
 from __future__ import annotations
 
+import inspect
+import re
+from enum import EnumMeta
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,8 @@ from spectral_abstraction.errors import (
     ExponentOutOfRangeError,
     InvalidArgumentError,
     InvalidFractionalExponentError,
+    InvalidProbabilityError,
+    ToolkitError,
 )
 
 # two complete blocks of five joined by two edges: connected, with a clear 2-way split
@@ -43,14 +49,15 @@ _INTEGER_ARGUMENTS = [
     ("kway_embedding_cluster", "seed", 3, lambda v: sa.kway_embedding_cluster(_embedding(), 3, seed=v)),
     ("spectral_embedding", "k", 2, lambda v: sa.spectral_embedding(_spectrum(), v)),
     ("graph_spectrum", "count", 2, lambda v: sa.graph_spectrum(_G, count=v)),
-    ("partial_eigendecompose", "count", 2, lambda v: sa.partial_eigendecompose(sa.laplacian(_G), v)),
+    ("eigendecompose", "count", 2, lambda v: sa.eigendecompose(sa.laplacian(_G), v)),
     ("flatten", "level", 1, lambda v: sa.flatten(_hierarchy(), v)),
     ("LevelSpec", "k", 2, lambda v: sa.LevelSpec(k=v)),
     ("LevelSpec", "dim", 2, lambda v: sa.LevelSpec(k=2, method="kway-embedding", dim=v)),
     ("LevelSpec", "seed", 3, lambda v: sa.LevelSpec(k=2, method="kway-embedding", seed=v)),
+    ("Embedding", "dim", 2, lambda v: sa.Embedding(np.zeros((3, 2)), v)),
 ]
-# None is a valid count for graph_spectrum: the full spectrum
-_NONE_IS_VALID = {("graph_spectrum", "count")}
+# None is a valid count for graph_spectrum and eigendecompose: the full spectrum
+_NONE_IS_VALID = {("graph_spectrum", "count"), ("eigendecompose", "count")}
 
 
 @pytest.mark.parametrize(
@@ -298,6 +305,57 @@ _MALFORMED_VALUES = [
         "p_params must be a PLaplacianParams, got 1.5",
         lambda: sa.LevelSpec(k=2, method="recursive-p", p_params=1.5),
     ),
+    # bools read as 0 and 1, and arrays read as their truth value or leaked ValueError
+    (
+        "sbm_generate-bool-probabilities",
+        InvalidProbabilityError,
+        "probabilities must be real numbers, got p_in=True, p_out=False",
+        lambda: sa.sbm_generate(2, 4, True, False, 0),
+    ),
+    ("Embedding-bool-dim", InvalidArgumentError, "dim must be an integer, got True", lambda: sa.Embedding(np.zeros((3, 1)), True)),
+    (
+        "Embedding-2x2-dim",
+        InvalidArgumentError,
+        f"dim must be an integer, got {np.ones((2, 2))!r}",
+        lambda: sa.Embedding(np.zeros((3, 2)), np.ones((2, 2))),
+    ),
+    (
+        "threshold_partition-1-element-selection",
+        InvalidArgumentError,
+        f"selection must be one of {sa.SELECTIONS}, got {np.array(['cheeger'])!r}",
+        lambda: sa.threshold_partition(_P4, [-1.0, -0.5, 0.5, 1.0], np.array(["cheeger"])),
+    ),
+    (
+        "p_spectral_bipartition-2-element-selection",
+        InvalidArgumentError,
+        f"selection must be one of {sa.SELECTIONS}, got {np.array(['cheeger', 'ratio'])!r}",
+        lambda: sa.p_spectral_bipartition(_G, _P, np.array(["cheeger", "ratio"])),
+    ),
+    (
+        "kway_embedding_cluster-0d-metric",
+        InvalidArgumentError,
+        f"metric must be one of {sa.METRICS}, got {np.array('manhattan')!r}",
+        lambda: sa.kway_embedding_cluster(_embedding(), 2, metric=np.array("manhattan")),
+    ),
+    (
+        "LevelSpec-0d-method",
+        InvalidArgumentError,
+        "method must be one of ('recursive-linear', 'recursive-p', 'kway-embedding'), got "
+        + repr(np.array("recursive-linear")),
+        lambda: sa.LevelSpec(k=2, method=np.array("recursive-linear")),
+    ),
+    (
+        "build_hierarchy-int-level_specs",
+        InvalidArgumentError,
+        "level_specs must be an iterable of LevelSpec, got 5",
+        lambda: sa.build_hierarchy(_G, 5),
+    ),
+    (
+        "build_hierarchy-str-spec",
+        InvalidArgumentError,
+        "level_specs must be an iterable of LevelSpec, got ['k=2']",
+        lambda: sa.build_hierarchy(_G, ["k=2"]),
+    ),
 ]
 
 
@@ -320,3 +378,89 @@ def test_a_spectrum_stores_read_only_float64_and_keeps_float64_arrays_uncopied()
     t = sa.Spectrum(vals, vecs)
     assert t.eigenvalues is vals and t.eigenvectors is vecs
     assert (t.n, t.n_pairs) == (3, 2)
+
+
+def _fuzz_baselines() -> dict:
+    """A valid positional call for every callable the package exports."""
+    L, s = sa.laplacian(_G), _spectrum()
+    part = sa.Partition(np.repeat([0, 1], 5), 2)
+    observed = np.exp(-sa.laplacian(_G, sa.LaplacianKind.NORMALIZED).matrix)
+    return {
+        "Graph": (_G.labels, _G.ei, _G.ej, _G.w),
+        "LaplacianMatrix": (L.matrix,),
+        "adjacency_matrix": (_G,),
+        "connected_components": (_G,),
+        "degrees": (_G,),
+        "graph_from_edges": (list("ab"), [(0, 1, 1.0)]),
+        "induced_subgraph": (_G, [0, 1, 2]),
+        "laplacian": (_G,),
+        "quotient_graph": (_G, part),
+        "sbm_generate": (2, 4, 0.5, 0.1, 0),
+        "Embedding": (np.zeros((3, 2)), 2),
+        "Spectrum": (np.zeros(2), np.eye(2)),
+        "algebraic_connectivity": (s,),
+        "eigendecompose": (L, 2),
+        "fiedler_vector": (s,),
+        "graph_spectrum": (_G, sa.LaplacianKind.COMBINATORIAL, 2),
+        "rayleigh_quotient": (L, np.arange(10.0)),
+        "spectral_embedding": (s, 2),
+        "ClusterProfile": (1.0, 1.0, 1.0, 1.0),
+        "ConnectivityProfile": ((),),
+        "CutMetrics": (1.0, 1.0, 1.0, 1.0),
+        "Partition": (np.repeat([0, 1], 5), 2),
+        "connectivity_profile": (_G, part),
+        "cut_metrics": (_G, part),
+        "kway_embedding_cluster": (_embedding(), 2, "fractional", 0.5, 0),
+        "recursive_bipartition": (_G, 2),
+        "sign_bipartition": (_G, sa.fiedler_vector(s)),
+        "threshold_partition": (_G, sa.fiedler_vector(s), "cheeger"),
+        "CouplingSystem": (np.ones((3, 3)), np.ones((3, 3), dtype=bool)),
+        "PLaplacianParams": (1.5,),
+        "jacobian_graph": (_SYSTEM, 0.5),
+        "p_laplacian_apply": (_G, np.arange(10.0), 1.5),
+        "p_recursive_bipartition": (_G, 2, _P),
+        "p_spectral_bipartition": (_G, _P, "cheeger"),
+        "Hierarchy": ((),),
+        "HierarchyLevel": (0, part, _G, sa.connectivity_profile(_G, part), 1),
+        "LevelSpec": (2, "kway-embedding", 0, 1, "euclidean", 0.5, None),
+        "build_hierarchy": (_G, [sa.LevelSpec(k=4), sa.LevelSpec(k=2)]),
+        "flatten": (_hierarchy(), 1),
+        "FcModel": (1.0, 1.0, 0.0),
+        "fit_fc": (_G, observed),
+        "predict_fc": (_G, sa.FcModel(1.0, 1.0, 0.0)),
+        "spectra_similarity": (np.eye(3), np.eye(3)),
+    }
+
+
+# arguments of these types are objects the toolkit made, not values, and are not fuzzed
+_OBJECT_TYPES = re.compile(
+    r"\b(Graph|LaplacianMatrix|Spectrum|Partition|Embedding|PLaplacianParams|CouplingSystem|Hierarchy|FcModel|LaplacianKind)\b"
+)
+_FUZZ_VALUES = {"str": "x", "none": None, "nan": float("nan"), "bool": True, "2x2": np.ones((2, 2)), "0d": np.array(2)}
+
+
+def test_every_malformed_value_returns_or_raises_a_toolkit_error():
+    """Each exported callable, from a valid call, with each value argument in turn set to each fuzz value."""
+    baselines = _fuzz_baselines()
+    exported = {
+        name for name in sa.__all__ if callable(getattr(sa, name)) and not isinstance(getattr(sa, name), EnumMeta)
+    }
+    assert set(baselines) == exported
+    leaks = []
+    for name, args in baselines.items():
+        fn = getattr(sa, name)
+        signature = inspect.signature(fn)
+        bound = signature.bind(*args)
+        bound.apply_defaults()
+        for param in signature.parameters.values():
+            if _OBJECT_TYPES.search(str(param.annotation)):
+                continue
+            for label, value in _FUZZ_VALUES.items():
+                call = dict(bound.arguments, **{param.name: value})
+                try:
+                    fn(**call)
+                except ToolkitError:
+                    pass
+                except Exception as exc:
+                    leaks.append(f"{name}({param.name}={label}): {type(exc).__name__}: {exc}")
+    assert not leaks, "\n".join(leaks)
