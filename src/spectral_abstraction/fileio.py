@@ -2,10 +2,13 @@
 
 Graphs arrive either as tab-separated edge lists (src, dst, weight; #
 starts a comment; labels indexed by first appearance) or as CSV
-adjacency matrices with an optional label header. Functional matrices
-reuse the CSV form but may carry a nonzero diagonal. All numeric output
-is rendered with 17 significant digits, which round-trips doubles
-exactly and keeps repeated runs byte-identical. Scalars and float lists
+adjacency matrices with an optional label header. A valid edge list is
+checked in bulk, by numpy over blocks of lines; a file that fails a
+check is read again one line at a time, only to word the error with
+its line number. Functional matrices reuse the CSV form but may carry
+a nonzero diagonal. All numeric output is rendered with 17 significant
+digits, which round-trips doubles exactly and keeps repeated runs
+byte-identical. Scalars and float lists
 go through `format_float` one value at a time; float64 arrays are
 written to the same bytes in numpy passes over blocks of rows, by the
 `_floattext` kernel. Reports are built as iterables of text chunks and
@@ -21,7 +24,8 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable, Iterator
+from itertools import count, repeat
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .partition import ConnectivityProfile, CutMetrics, Partition
 from .spectral import Spectrum
 
 _MATRIX_DIAGONAL_TOL = 1e-12
+_TSV_BLOCK_LINES = 512  # lines per block of the bulk edge-list parse; larger blocks are no faster and hold more strings
 
 
 def format_float(x: float) -> str:
@@ -138,15 +143,67 @@ def parse_edge_list_tsv(text: str) -> Graph:
     """Parse a tab-separated edge list into a graph.
 
     Lines hold src, dst and weight; blank lines and lines starting with
-    # are skipped. Labels are indexed by first appearance. Errors name
-    the offending line. Each line is checked once, here; the graph is
-    then built from the sorted edge arrays.
+    # are skipped. Labels are indexed by first appearance. A valid file
+    is checked in bulk, block by block, and the graph is built from the
+    sorted edge arrays. If any check fails, `_raise_line_error` reads
+    the lines one at a time and raises the error that names the first
+    offending line.
     """
+    edges = _edge_arrays(text.splitlines())
+    if edges is None:
+        _raise_line_error(text)
+    return _graph(*edges)
+
+
+def _edge_arrays(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels and canonical edge arrays of valid edge-list lines, or None if any line is faulty.
+
+    The lines are read _TSV_BLOCK_LINES at a time, so only one block's
+    fields are held as strings at once.
+    """
+    first: dict[str, int] = {}  # label -> position of its first appearance among the endpoints
+    ends = np.empty(2 * len(lines), np.int64)  # src, dst, src, dst, ... as first positions
+    w = np.empty(len(lines))
+    m = 0
+    for start in range(0, len(lines), _TSV_BLOCK_LINES):
+        block = lines[start:start + _TSV_BLOCK_LINES]
+        joined = "\t".join(block)
+        if "#" in joined or "" in map(str.lstrip, block):  # some line may be blank or a comment
+            block = [line for line in block if (s := line.lstrip()) and s[0] != "#"]
+            if not block:
+                continue
+            joined = "\t".join(block)
+        if list(map(str.count, block, repeat("\t"))).count(2) != len(block):
+            return None
+        fields = list(map(str.strip, joined.split("\t")))
+        try:
+            w[m:m + len(block)] = list(map(float, fields[2::3]))
+        except ValueError:
+            return None
+        del fields[2::3]
+        if "" in fields:
+            return None
+        positions = map(first.setdefault, fields, count(2 * m))
+        ends[2 * m:2 * (m + len(block))] = np.fromiter(positions, np.int64, len(fields))
+        m += len(block)
+    if not m:
+        return None
+    rank = np.empty(2 * m, np.int64)  # first position -> label index
+    rank[np.fromiter(first.values(), np.int64, len(first))] = np.arange(len(first))
+    src, dst, w = rank[ends[0:2 * m:2]], rank[ends[1:2 * m:2]], w[:m]
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    key = lo * len(first) + hi  # orders distinct pairs by (lo, hi)
+    order = np.argsort(key)
+    key = key[order]
+    if (src == dst).any() or not ((w > 0.0) & (w < np.inf)).all() or (key[1:] == key[:-1]).any():
+        return None
+    return list(first), lo[order], hi[order], w[order]
+
+
+def _raise_line_error(text: str) -> NoReturn:
+    """Raise the error for the first faulty line of an edge list the bulk checks refused."""
     labels: list[str] = []
     index: dict[str, int] = {}
-    ei: list[int] = []
-    ej: list[int] = []
-    ws: list[float] = []
     seen_pairs: set[tuple[int, int]] = set()
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -174,13 +231,9 @@ def parse_edge_list_tsv(text: str) -> Graph:
         if pair in seen_pairs:
             raise DuplicateEdgeError(f"line {ln}: edge {src!r} to {dst!r} appears twice")
         seen_pairs.add(pair)
-        ei.append(pair[0])
-        ej.append(pair[1])
-        ws.append(weight)
     if not labels:
         raise ParseError("edge list contains no edges")
-    order = np.lexsort((ej, ei))
-    return _graph(labels, np.array(ei)[order], np.array(ej)[order], np.array(ws)[order])
+    raise AssertionError("the edge list has no faulty line")
 
 
 def _csv_rows(text: str) -> list[list[str]]:

@@ -313,6 +313,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 _CHUNK = 1 << 16  # uniforms per draw in sbm_generate; bounds its scratch memory at any n
+_SYMMETRY_TILE = 128  # rows and columns per tile of the exact symmetry test: two float64 tiles are 256 KB
 
 
 def _integer(value, name: str) -> int:
@@ -360,13 +361,21 @@ def _check_symmetric(M: np.ndarray, tol: float = 1e-12, error=NotSymmetricError)
     """Raise `error` unless M is square with max |M - M^T| at most `tol`."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise error(f"expected a square matrix, got shape {M.shape}")
-    if np.array_equal(M, M.T) and np.isfinite(M).all():  # M - M.T is all zeros
+    if _exactly_symmetric(M) and np.isfinite(M).all():  # M - M.T is all zeros
         return
     with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test below
         d = M - M.T
     asym = np.abs(d, out=d).max() if M.size else 0.0
     if not asym <= tol:
         raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
+
+
+def _exactly_symmetric(M: np.ndarray) -> bool:
+    """np.array_equal(M, M.T) for square M, tile by tile: each tile of M.T is read while it is in cache."""
+    n, b = M.shape[0], _SYMMETRY_TILE
+    return all(
+        (M[i:i + b, j:j + b] == M[j:j + b, i:i + b].T).all() for i in range(0, n, b) for j in range(i, n, b)
+    )
 
 
 def sbm_generate(

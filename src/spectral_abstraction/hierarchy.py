@@ -20,6 +20,7 @@ from .nonlinear import PLaplacianParams, _p_of, p_recursive_bipartition
 from .partition import (
     ConnectivityProfile,
     Partition,
+    _check_metric,
     connectivity_profile,
     kway_embedding_cluster,
     recursive_bipartition,
@@ -36,6 +37,8 @@ class LevelSpec:
     dim, metric, q and seed apply to kway-embedding; p_params applies to
     recursive-p (defaulting to p = 1.2 continuation when omitted). k, dim
     and seed must be integers (InvalidArgumentError) and are kept as ints.
+    metric and q are checked as kway_embedding_cluster checks them,
+    whatever the method.
     """
 
     k: int
@@ -50,6 +53,7 @@ class LevelSpec:
         for name in ("k", "dim", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         _choice(self.method, "method", METHODS)
+        _check_metric(self.metric, self.q)
         if self.p_params is not None:
             _p_of(self.p_params, "p_params")
 

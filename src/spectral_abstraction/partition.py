@@ -441,6 +441,13 @@ def _lloyd(pts: np.ndarray, k: int, metric: str, q: float, centers: np.ndarray):
     return assign, float(D[np.arange(n), assign].sum())
 
 
+def _check_metric(metric: str, q: float) -> None:
+    """InvalidArgumentError unless metric is one of METRICS; for fractional, q must be a real number in (0, 1)."""
+    _choice(metric, "metric", METRICS)
+    if metric == "fractional" and not 0.0 < _real(q, "q", InvalidFractionalExponentError) < 1.0:
+        raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
+
+
 def kway_embedding_cluster(
     e: Embedding,
     k: int,
@@ -460,9 +467,7 @@ def kway_embedding_cluster(
     (InvalidArgumentError otherwise); Embedding has checked the coordinates.
     """
     k, seed = _integer(k, "k"), _integer(seed, "seed")
-    _choice(metric, "metric", METRICS)
-    if metric == "fractional" and not 0.0 < _real(q, "q", InvalidFractionalExponentError) < 1.0:
-        raise InvalidFractionalExponentError(f"fractional exponent must lie in (0, 1), got {q}")
+    _check_metric(metric, q)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     pts = e.coordinates

@@ -42,6 +42,7 @@ comparison of global structure.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -179,7 +180,7 @@ def fit_fc(
 
     lo = float(betas[max(0, best - 1)])
     hi = float(betas[min(_BETA_GRID_POINTS - 1, best + 1)])
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0  # a float, so the refined beta is one too
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)

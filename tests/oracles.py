@@ -11,30 +11,33 @@ streamed as chunks, CSV cells by parsing and checking one cell at
 a time instead of a row at once, degenerate eigenspace bases by
 probe-by-probe Gram-Schmidt instead of one QR, k-means distances over an
 n x k x d array and centers cluster by cluster instead of coordinate by
-coordinate, edge lists through graph_from_edges instead of sorted
-edge arrays, and the p-descent by recentring every backtracking trial
-instead of screening trials by a lower bound, and the normalized
-Laplacian by n x n broadcast products over a dense adjacency instead of
-one write per edge.
+coordinate, edge lists one line at a time instead of in blocks
+checked by numpy, the exact symmetry test by one whole-matrix
+comparison instead of tile by tile, and the p-descent by recentring
+every backtracking trial instead of screening trials by a lower bound,
+and the normalized Laplacian by n x n broadcast products over a dense
+adjacency instead of one write per edge.
 Keeping the routes disjoint is what gives the comparisons their value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
 from spectral_abstraction import nonlinear
-from spectral_abstraction.graphs import degrees
+from spectral_abstraction.graphs import _graph, degrees
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
     DuplicateEdgeError,
     InvalidArgumentError,
     KOutOfRangeError,
     NonpositiveWeightError,
+    NotSymmetricError,
     ParseError,
     PartitionMismatchError,
     SelfLoopError,
@@ -733,15 +736,14 @@ def loop_kway_embedding_cluster(pts: np.ndarray, k: int, metric: str = "euclidea
 
 
 def loop_parse_edge_list_tsv(text: str):
-    """fileio.parse_edge_list_tsv as it was: line checks, then graph_from_edges."""
-    import spectral_abstraction as sa
-
+    """fileio.parse_edge_list_tsv as it was: every line checked and indexed in one Python loop."""
     labels: list[str] = []
     index: dict[str, int] = {}
-    edges = []
+    ei: list[int] = []
+    ej: list[int] = []
+    ws: list[float] = []
     seen_pairs: set[tuple[int, int]] = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -756,25 +758,41 @@ def loop_parse_edge_list_tsv(text: str):
             raise ParseError(f"line {ln}: weight {weight_text!r} is not a number") from None
         if src == dst:
             raise SelfLoopError(f"line {ln}: self loop on {src!r}")
-        if not np.isfinite(weight) or weight <= 0:
+        if not math.isfinite(weight) or weight <= 0:
             raise NonpositiveWeightError(f"line {ln}: weight must be positive and finite")
         for label in (src, dst):
             if label not in index:
                 index[label] = len(labels)
                 labels.append(label)
         i, j = index[src], index[dst]
-        pair = (min(i, j), max(i, j))
+        pair = (i, j) if i < j else (j, i)
         if pair in seen_pairs:
             raise DuplicateEdgeError(f"line {ln}: edge {src!r} to {dst!r} appears twice")
         seen_pairs.add(pair)
-        edges.append((i, j, weight))
+        ei.append(pair[0])
+        ej.append(pair[1])
+        ws.append(weight)
     if not labels:
         raise ParseError("edge list contains no edges")
-    return sa.graph_from_edges(labels, edges)
+    order = np.lexsort((ej, ei))
+    return _graph(labels, np.array(ei)[order], np.array(ej)[order], np.array(ws)[order])
 
 
 # The former per-entry and per-column checks and the former cut and split
 # bookkeeping, kept as references for their whole-array replacements.
+
+def array_equal_check_symmetric(M: np.ndarray, tol: float = 1e-12, error=NotSymmetricError) -> None:
+    """graphs._check_symmetric as it was: the exact test is one np.array_equal(M, M.T)."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise error(f"expected a square matrix, got shape {M.shape}")
+    if np.array_equal(M, M.T) and np.isfinite(M).all():  # M - M.T is all zeros
+        return
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test below
+        d = M - M.T
+    asym = np.abs(d, out=d).max() if M.size else 0.0
+    if not asym <= tol:
+        raise error(f"matrix asymmetry {asym:.2e} exceeds {tol}")
+
 
 def loop_validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
     """spectral._validate_spectrum with one np.linalg.norm per residual column."""

@@ -593,6 +593,33 @@ def test_level_spec_key_errors_are_usage_errors(bridged_file, tmp_path, capsys, 
     assert json.loads(lines[0]) == {"error": "Usage", "detail": detail}
 
 
+@pytest.mark.parametrize(
+    "level, error, detail",
+    [
+        pytest.param(
+            "k=2,method=kway-embedding,metric=bogus",
+            "InvalidArgument",
+            "metric must be one of ('euclidean', 'manhattan', 'fractional'), got 'bogus'",
+            id="unknown-metric",
+        ),
+        pytest.param(
+            "k=2,method=kway-embedding,metric=fractional,q=1.5",
+            "InvalidFractionalExponent",
+            "fractional exponent must lie in (0, 1), got 1.5",
+            id="fractional-q-out-of-range",
+        ),
+    ],
+)
+def test_a_bad_level_metric_exits_2_before_the_input_is_read(tmp_path, capsys, level, error, detail):
+    out = tmp_path / "h.json"
+    rc = run_cli("hierarchy", "--input", str(tmp_path / "missing.tsv"), "--output", str(out), "--level", level)
+    assert rc == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "detail": detail}
+
+
 def test_hierarchy_seed_without_a_kway_level_is_a_usage_error(bridged_file, tmp_path, capsys):
     out = tmp_path / "h.json"
     rc = run_cli("hierarchy", "--input", str(bridged_file), "--output", str(out),

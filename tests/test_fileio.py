@@ -347,6 +347,132 @@ def test_tsv_parse_matches_graph_from_edges(bad, seed, n, density):
     assert sa.graph_from_edges(g.labels, edges) == g
 
 
+# every valid spelling of a field, line and file; the weights parse to one of a few values
+_PADS = ("", " ", "  ", "\xa0")
+_WEIGHT_TEXTS = ("1", "3", "2.5", "0.1", "2.5e-3", "1E2", "1_0", "+4", ".5", "7.", "3e+2")
+_LINE_ENDS = ("\n", "\r\n", "\r")
+_FILLERS = ("", "   ", " \t ", "\t\t", "#", "# comment", "  # indented\tcomment", "\t#\ttabbed\tcomment")
+
+
+def _edge_list_text(rng, n: int, density: float) -> tuple[str, list[tuple[str, str]]]:
+    """A valid edge list in a random mix of the forms above, and its (src, dst) label pairs."""
+    names = [rng.choice(["v{}", "a#{}", "ü{}", "{}"]).format(i) for i in rng.permutation(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density] or [(0, 1)]
+    edges = [(names[j], names[i]) if rng.random() < 0.5 else (names[i], names[j]) for i, j in pairs]
+    lines = []
+    for a, b in edges:
+        pads = rng.choice(_PADS, size=6)
+        w = rng.choice(_WEIGHT_TEXTS)
+        lines.append(f"{pads[0]}{a}{pads[1]}\t{pads[2]}{b}{pads[3]}\t{pads[4]}{w}{pads[5]}")
+    rng.shuffle(lines)
+    for _ in range(int(rng.integers(0, 6))):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(_FILLERS)))
+    text = "".join(line + str(rng.choice(_LINE_ENDS)) for line in lines)
+    if rng.random() < 0.5:  # no newline after the last line
+        text = text.rstrip("\r\n")
+    return text, edges
+
+
+def _assert_same_graph(g, expected):
+    assert g.labels == expected.labels
+    for ours, theirs in ((g.ei, expected.ei), (g.ej, expected.ej), (g.w, expected.w)):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def _assert_same_error(text: str):
+    """The parse raises the former loop's error class and message, line number included."""
+    with pytest.raises(ToolkitError) as expected:
+        loop_parse_edge_list_tsv(text)
+    with pytest.raises(ToolkitError) as caught:
+        fileio.parse_edge_list_tsv(text)
+    assert type(caught.value) is type(expected.value)
+    assert str(caught.value) == str(expected.value)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 40),
+    density=st.floats(0.05, 1.0),
+    block=st.sampled_from([1, 2, 3, 7, 64, fileio._TSV_BLOCK_LINES]),
+)
+@settings(max_examples=150, deadline=None)
+def test_valid_files_are_parsed_in_bulk_to_the_line_loop_graph(seed, n, density, block):
+    """Every valid form gives the former loop's graph, byte for byte, and never reaches the line checks."""
+    text, _ = _edge_list_text(np.random.default_rng(seed), n, density)
+    expected = loop_parse_edge_list_tsv(text)
+    with mock.patch.object(fileio, "_TSV_BLOCK_LINES", block), mock.patch.object(
+        fileio, "_raise_line_error", side_effect=AssertionError("the line checks ran on a valid file")
+    ) as line_checks:
+        g = fileio.parse_edge_list_tsv(text)
+    assert not line_checks.called
+    _assert_same_graph(g, expected)
+
+
+def test_a_file_of_several_blocks_is_parsed_in_bulk():
+    rng = np.random.default_rng(5)
+    text, _ = _edge_list_text(rng, 120, 0.6)
+    assert len(text.splitlines()) > 2 * fileio._TSV_BLOCK_LINES
+    with mock.patch.object(fileio, "_raise_line_error", side_effect=AssertionError("line checks ran")):
+        g = fileio.parse_edge_list_tsv(text)
+    _assert_same_graph(g, loop_parse_edge_list_tsv(text))
+
+
+# one faulty line, given a (src, dst) pair the file already holds
+_FAULTY_LINES = {
+    "two-fields": lambda a, b: f"{a}\t{b}",
+    "four-fields": lambda a, b: f"{a}\t{b}\t1\t2",
+    "one-field": lambda a, b: f"{a}",
+    "empty-src": lambda a, b: f"\t{b}\t1",
+    "blank-dst": lambda a, b: f"{a}\t \t1",
+    "not-a-number": lambda a, b: f"{a}\t{b}\tfast",
+    "empty-weight": lambda a, b: f"{a}\t{b}\t",
+    "self-loop": lambda a, b: f"{a}\t{a}\t1",
+    "new-self-loop": lambda a, b: "fresh\tfresh\t1",
+    "zero": lambda a, b: f"{a}\tfresh\t0",
+    "minus-one": lambda a, b: f"{a}\t{b}x\t-1",
+    "nan": lambda a, b: f"{a}\t{b}\tnan",
+    "inf": lambda a, b: f"{a}\t{b}\tinf",
+    "minus-inf": lambda a, b: f"{a}\t{b}\t-inf",
+    "repeat": lambda a, b: f"{a}\t{b}\t2",
+    "repeat-reversed": lambda a, b: f" {b}\t{a} \t3",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTY_LINES))
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 30), block=st.sampled_from([1, 2, 5, fileio._TSV_BLOCK_LINES]))
+@settings(max_examples=20, deadline=None)
+def test_a_faulty_line_raises_the_line_loop_error(fault, seed, n, block):
+    rng = np.random.default_rng(seed)
+    text, edges = _edge_list_text(rng, n, 0.5)
+    lines = text.splitlines()
+    a, b = edges[int(rng.integers(0, len(edges)))]
+    lines.insert(int(rng.integers(0, len(lines) + 1)), _FAULTY_LINES[fault](a, b))
+    with mock.patch.object(fileio, "_TSV_BLOCK_LINES", block):
+        _assert_same_error("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTY_LINES))
+def test_a_faulty_line_in_a_later_block_names_its_line(fault):
+    lines = [f"u{i}\tu{i + 1}\t1" for i in range(2 * fileio._TSV_BLOCK_LINES + 10)]
+    lines.insert(2 * fileio._TSV_BLOCK_LINES + 3, _FAULTY_LINES[fault]("u5", "u6"))
+    text = "\n".join(lines) + "\n"
+    _assert_same_error(text)
+    with pytest.raises(ToolkitError, match=f"^line {2 * fileio._TSV_BLOCK_LINES + 4}: "):
+        fileio.parse_edge_list_tsv(text)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \r\n\t\n", "# only\n  # comments\n", "#a\tb\t1"])
+def test_a_file_without_edges_raises_the_line_loop_error(text):
+    _assert_same_error(text)
+    with pytest.raises(ParseError, match="^edge list contains no edges$"):
+        fileio.parse_edge_list_tsv(text)
+
+
+def test_the_line_checks_refuse_to_return_on_a_valid_file():
+    with pytest.raises(AssertionError):
+        fileio._raise_line_error("a\tb\t1\n")
+
+
 class TestMatrixCsvGraph:
     def test_headerless_matrix_gets_generated_labels(self):
         g = fileio.parse_matrix_csv_graph("0,1.5\n1.5,0\n")

@@ -28,6 +28,7 @@ from spectral_abstraction.spectral import (
 
 from conftest import random_connected_graph
 from oracles import (
+    array_equal_check_symmetric,
     charpoly_eigenvalues,
     loop_degenerate_groups,
     loop_sign_convention,
@@ -799,6 +800,50 @@ class TestCheckMessages:
         with pytest.raises(NotSymmetricError) as info:
             graphs._check_symmetric(np.array(M))
         assert str(info.value) == message
+
+    @staticmethod
+    def _symmetry_outcome(check, M):
+        try:
+            check(M)
+        except NotSymmetricError as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 1024])
+    def test_the_tiled_symmetry_check_decides_as_one_whole_comparison(self, n):
+        """One asymmetric, NaN or infinite entry in a diagonal, off-diagonal or last partial tile."""
+        b = graphs._SYMMETRY_TILE
+        assert b == 128  # the sizes above are 1, 2, b - 1, b, b + 1 and 2b + 1
+        A = np.random.default_rng(n).random((n, n))
+        S = A + A.T
+        places = {(min(1, n - 1), 0), (n - 1, 0), (0, n - 1), (n - 1, max(n - 2, 0)), (n - 1, n - 1)}
+        if n > b:  # either side of a tile edge
+            places |= {(b, b - 1), (n - 1, b)}
+        outcomes = set()
+
+        def same_outcome(M):
+            assert graphs._exactly_symmetric(M) == np.array_equal(M, M.T)
+            outcome = self._symmetry_outcome(graphs._check_symmetric, M)
+            assert outcome == self._symmetry_outcome(array_equal_check_symmetric, M)
+            outcomes.add(outcome and outcome[1].split()[2])
+
+        same_outcome(S)
+        for r, c in sorted(places):
+            x, mirror = S[r, c], S[c, r]
+            for value in (x + 1e-13, x + 1.0, np.nan, np.inf, -np.inf):
+                S[r, c] = value
+                same_outcome(S)
+            S[r, c] = S[c, r] = np.inf  # symmetric, but not finite
+            same_outcome(S)
+            S[r, c], S[c, r] = x, mirror
+        assert None in outcomes and "nan" in outcomes and (n == 1 or "1.00e+00" in outcomes)
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3), (3, 2), (129, 128), (1, 0), (2, 2, 2)])
+    def test_a_non_square_shape_is_refused_as_before(self, shape):
+        M = np.zeros(shape)
+        outcome = self._symmetry_outcome(graphs._check_symmetric, M)
+        assert outcome == self._symmetry_outcome(array_equal_check_symmetric, M)
+        assert outcome == (NotSymmetricError, f"expected a square matrix, got shape {shape}")
 
 
 @given(

@@ -151,6 +151,14 @@ class TestFitFc:
         assert err <= 30 * 1e-3
         assert abs(model.beta - truth.beta) < 0.05
 
+    @pytest.mark.parametrize("beta, on_grid", [(1.0, True), (1.37, False)], ids=["grid-point-wins", "refined-wins"])
+    def test_beta_is_a_python_float(self, beta, on_grid):
+        g = sa.sbm_generate(3, 6, 0.8, 0.1, seed=5)
+        model, _ = fit_fc(g, predict_fc(g, FcModel(beta=beta, scale=2.0, offset=0.1)))
+        assert (model.beta in np.linspace(0.0, 10.0, 101).tolist()) == on_grid
+        assert abs(model.beta - beta) < 1e-9
+        assert type(model.beta) is float
+
     def test_shape_and_symmetry_validation(self, triangle):
         with pytest.raises(DimensionMismatchError):
             fit_fc(triangle, np.eye(4))

@@ -344,6 +344,38 @@ _MALFORMED_VALUES = [
         + repr(np.array("recursive-linear")),
         lambda: sa.LevelSpec(k=2, method=np.array("recursive-linear")),
     ),
+    # a LevelSpec checks metric and q as kway_embedding_cluster does, whatever its method:
+    # they were reported only when build_hierarchy reached a kway-embedding level
+    (
+        "LevelSpec-unknown-metric",
+        InvalidArgumentError,
+        f"metric must be one of {sa.METRICS}, got 'bogus'",
+        lambda: sa.LevelSpec(k=2, method="kway-embedding", metric="bogus"),
+    ),
+    (
+        "LevelSpec-recursive-linear-unknown-metric",
+        InvalidArgumentError,
+        f"metric must be one of {sa.METRICS}, got 'bogus'",
+        lambda: sa.LevelSpec(k=2, metric="bogus"),
+    ),
+    (
+        "LevelSpec-0d-metric",
+        InvalidArgumentError,
+        f"metric must be one of {sa.METRICS}, got {np.array('manhattan')!r}",
+        lambda: sa.LevelSpec(k=2, method="kway-embedding", metric=np.array("manhattan")),
+    ),
+    (
+        "LevelSpec-fractional-q-out-of-range",
+        InvalidFractionalExponentError,
+        "fractional exponent must lie in (0, 1), got 1.5",
+        lambda: sa.LevelSpec(k=2, method="kway-embedding", metric="fractional", q=1.5),
+    ),
+    (
+        "LevelSpec-recursive-p-fractional-str-q",
+        InvalidFractionalExponentError,
+        "q must be a real number, got '0.5'",
+        lambda: sa.LevelSpec(k=2, method="recursive-p", metric="fractional", q="0.5"),
+    ),
     (
         "build_hierarchy-int-level_specs",
         InvalidArgumentError,
