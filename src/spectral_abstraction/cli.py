@@ -129,7 +129,7 @@ def _spectrum(args) -> dict[str, Iterable[str]]:
 
 def _bipartition(args) -> dict[str, Iterable[str]]:
     g = fileio.read_graph(args.input)
-    s = graph_spectrum(g, LaplacianKind(args.laplacian))
+    s = graph_spectrum(g, LaplacianKind(args.laplacian), count=2)
     return _partition_report(args.output, g, sign_bipartition(g, fiedler_vector(s)))
 
 

@@ -235,7 +235,7 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.COMBINATORIAL) -> La
         return LaplacianMatrix(matrix=_edge_matrix(g, d, -g.w))
     if kind is LaplacianKind.NORMALIZED:
         s = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0)
-        # both triangles take the lower one's product order, the triangle eigh and dsyevr read
+        # both triangles take the lower one's product order, the triangle dsyevd and dsyevr read
         off = -(s[g.ej] * g.w) * s[g.ei]
         return LaplacianMatrix(matrix=_edge_matrix(g, (d > 0).astype(np.float64), off))
     raise InvalidArgumentError(f"unknown Laplacian kind: {kind!r}")

@@ -67,6 +67,8 @@ _DEGENERACY_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _PSD_TOL = 1e-10
+# rows of vecs * vals formed at a time, so the residual check holds no fourth n x m array
+_RESIDUAL_BLOCK = 64
 # a projected probe shorter than this, relative to the longest probe, is
 # rounding noise; the basis error grows like eps over the smallest QR pivot
 _PROBE_RANK_FLOOR = 1e-8
@@ -187,10 +189,12 @@ def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Non
     gram = vecs.T @ vecs
     gram.flat[:: vals.shape[0] + 1] -= 1.0
     gram_err = np.abs(gram, out=gram).max() if vals.size else 0.0
+    del gram  # so M, vecs and the residual are the only n x m arrays held below
     if not gram_err < _ORTHONORMALITY_TOL:
         raise ConvergenceFailureError(f"eigenvectors lost orthonormality ({gram_err:.2e})")
     residual = M @ vecs
-    residual -= vecs * vals
+    for lo in range(0, residual.shape[0], _RESIDUAL_BLOCK):
+        residual[lo : lo + _RESIDUAL_BLOCK] -= vecs[lo : lo + _RESIDUAL_BLOCK] * vals
     # One pass settles every pair that clears its bound by far more than
     # this column sum and np.linalg.norm can differ by rounding; the loop
     # decides, and names, any other pair with one norm per column.
@@ -208,7 +212,7 @@ def _validate_spectrum(M: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Non
 
 @functools.cache
 def _lapack():
-    """scipy.linalg._flapack, which holds dsyevr, loaded without running scipy/linalg/__init__.py."""
+    """scipy.linalg._flapack, which holds dsyevd and dsyevr, loaded without running scipy/linalg/__init__.py."""
     import scipy  # light; on some wheels it sets up the bundled library paths
     name = "scipy.linalg._flapack"
     if name not in sys.modules:  # registered, so scipy.linalg.lapack imported later reuses it
@@ -223,6 +227,19 @@ def _mrrr_workspace(n: int) -> tuple[int, int]:
     """dsyevr's (lwork, liwork) for an n x n matrix, from the query scipy.linalg.eigh makes."""
     work, iwork, _ = _lapack().dsyevr_lwork(n, lower=1)
     return int(work), int(iwork)
+
+
+def _dsyevd(M: np.ndarray):
+    """Every eigenpair of symmetric M from LAPACK's dsyevd, the driver np.linalg.eigh calls.
+
+    The eigenvectors overwrite one Fortran-order copy of M, so the solve
+    holds M, that copy and dsyevd's 2n^2 workspace, not a fourth n x n
+    array for its output.
+    """
+    vals, vecs, info = _lapack().dsyevd(np.array(M, order="F"), compute_v=1, lower=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")  # np.linalg.eigh's message
+    return vals, vecs
 
 
 def _mrrr(M: np.ndarray, m: int):
@@ -261,18 +278,20 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
     """Eigenpairs of a Laplacian, checked when it was made: all n, or the smallest `count`.
 
     A full request (count=None) takes every pair from LAPACK's divide
-    and conquer, through np.linalg.eigh. A counted one, 1 <= count < n,
-    takes the smallest m = count + 1 pairs and doubles m, up to n, until
-    a gap closes the group that holds pair count - 1, so only whole
-    eigenspaces are canonicalized and a counted spectrum is a full one's
-    leading pairs whichever solver ran. Above
-    DENSE_SOLVER_MAX_N nodes the first two requests short of n go to
-    shift-invert Lanczos, from a fixed start vector; all others go to
-    LAPACK's MRRR subset driver (Dhillon, Parlett & Voemel, ACM TOMS
-    2006), whose cost does not grow with m. Every solver returns its
+    and conquer, dsyevd, which writes them over one copy of the matrix.
+    A counted one, 1 <= count < n, takes the smallest m = count + 1
+    pairs and doubles m, up to n, until a gap closes the group that
+    holds pair count - 1, so only whole eigenspaces are canonicalized
+    and a counted spectrum is a full one's leading pairs whichever
+    solver ran. Above DENSE_SOLVER_MAX_N nodes the first two requests
+    short of n go to shift-invert Lanczos, from a fixed start vector;
+    all others go to LAPACK's MRRR subset driver (Dhillon, Parlett &
+    Voemel, ACM TOMS 2006), whose cost does not grow with m. A subset
+    that driver fails on widens straight to n. Every solver returns its
     pairs ascending; its own arrays are freed once made contiguous and
-    never sit beside the checked copies, which pass the canonicalization
-    and the orthonormality, residual and semidefiniteness checks.
+    never sit beside the checked copies, which pass the
+    canonicalization and the orthonormality, residual and
+    semidefiniteness checks.
     """
     M, n = L.matrix, L.n
     count = None if count is None else _integer(count, "count")
@@ -281,7 +300,7 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
     m = first = n if count is None else count + 1
     while True:
         if count is None:
-            solver, name = np.linalg.eigh, "dense eigensolver"
+            solver, name = _dsyevd, "dense eigensolver"
         elif n > DENSE_SOLVER_MAX_N and m <= 2 * first and m < n:
             solver, name = _lanczos, "Lanczos solver"
         else:
@@ -289,7 +308,12 @@ def eigendecompose(L: LaplacianMatrix, count: int | None = None) -> Spectrum:
         try:
             vals, vecs = solver(M) if count is None else solver(M, m)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
+            if solver is not _mrrr or m == n:
+                raise ConvergenceFailureError(f"{name} failed: {exc}") from exc
+            # dsyevr can fail on a subset that ends inside a cluster of equal
+            # eigenvalues, as many small components make, and solve all n
+            m = n
+            continue
         vecs = np.ascontiguousarray(vecs)
         groups = _degenerate_groups(vals)
         end = m if count is None else next(hi for _, hi in groups if hi >= count)

@@ -255,3 +255,25 @@ structfunc.fit_fc = original
 print(sa.fit_fc is original, 'fit_fc' in vars(sa))
 """
     assert _fresh(script) == ["True patched", "True False"]
+
+
+def test_scipys_own_solvers_work_after_a_full_spectrum_loaded_its_lapack_module():
+    # the full solve loads scipy.linalg._flapack before scipy.linalg, so the package
+    # attribute stays unbound; scipy's public routes reach the module by import
+    script = """
+import sys, numpy as np, spectral_abstraction as sa
+from spectral_abstraction import spectral
+g = sa.sbm_generate(3, 10, 0.8, 0.1, seed=4)
+s = sa.graph_spectrum(g)
+print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)
+import scipy.linalg, scipy.sparse, scipy.sparse.linalg
+print(hasattr(scipy.linalg, '_flapack'))
+M = np.asarray(sa.laplacian(g, sa.LaplacianKind.COMBINATORIAL).matrix)
+vals, vecs = scipy.linalg.eigh(M)
+print(np.abs(vals - s.eigenvalues).max() < 1e-12)
+syevd, = scipy.linalg.get_lapack_funcs(('syevd',), (M,))
+print(syevd is spectral._lapack().dsyevd, np.abs(syevd(M, lower=1)[0] - s.eigenvalues).max() < 1e-12)
+small = scipy.sparse.linalg.eigsh(scipy.sparse.csc_matrix(M), k=2, sigma=-1e-2, which='LM')[0]
+print(np.abs(np.sort(small) - s.eigenvalues[:2]).max() < 1e-10)
+"""
+    assert _fresh(script) == ["False True", "False", "True", "True True", "True"]

@@ -516,6 +516,29 @@ class TestLanczosRoute:
         with pytest.raises(ConvergenceFailureError, match=r"^dense subset eigensolver failed: Internal Error\.$"):
             eigendecompose(sa.laplacian(_complete(24), sa.LaplacianKind.COMBINATORIAL), 2)
 
+    def test_a_subset_the_driver_fails_on_widens_straight_to_every_pair(self, monkeypatch):
+        lapack = spectral._lapack()
+        calls = []
+
+        def dsyevr(M, **kwargs):
+            calls.append(kwargs["iu"])
+            out = lapack.dsyevr(M, **kwargs)
+            return (*out[:4], 1) if kwargs["iu"] == 6 else out  # info = 1 on the second subset
+
+        monkeypatch.setattr(
+            spectral, "_lapack", lambda: SimpleNamespace(dsyevd=lapack.dsyevd, dsyevr=dsyevr, dsyevr_lwork=lapack.dsyevr_lwork)
+        )
+        _assert_subset_matches_full(_complete(24), sa.LaplacianKind.COMBINATORIAL, 2)
+        assert calls == [3, 6, 24]
+
+    def test_eleven_components_cut_inside_a_group_of_equal_eigenvalues(self):
+        # combinatorial eigenvalues 0 (x11), 1 (x4), 2 (x4), 3 (x2), 4; dsyevr has
+        # failed on this matrix at every iu from 12 to 16 but 15, and a request
+        # for two pairs widens from m = 6 to 12
+        edges = [(0, 5), (1, 17), (2, 9), (3, 5), (4, 8), (4, 18), (5, 13), (6, 7), (11, 19), (12, 17), (14, 16)]
+        g = sa.graph_from_edges([f"v{i}" for i in range(22)], [(i, j, 1.0) for i, j in edges])
+        _assert_subset_matches_full(g, sa.LaplacianKind.COMBINATORIAL, 2)
+
     def test_a_lapack_error_in_the_subset_driver_is_a_convergence_failure(self, monkeypatch):
         lapack = spectral._lapack()
 
@@ -643,7 +666,7 @@ def test_the_lapack_drivers_return_their_pairs_ascending(seed):
     # eigendecompose takes every solver's pairs in the order they come
     g = sa.sbm_generate(4, 12, 0.6, 0.05, seed=seed)
     M = sa.laplacian(g, sa.LaplacianKind.NORMALIZED).matrix
-    for vals in (np.linalg.eigh(M)[0], spectral._mrrr(M, 20)[0]):
+    for vals in (spectral._dsyevd(M)[0], spectral._mrrr(M, 20)[0]):
         assert (np.diff(vals) >= 0).all()
 
 
@@ -755,6 +778,86 @@ class TestMrrrDriver:
                 assert vecs.tobytes() == ref_vecs.tobytes()
 
 
+def _weighted(n, seed):
+    """A connected graph with real weights spread over four decades."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, p=0.3)
+    edges = [(i, j, w * 10.0 ** rng.uniform(-2, 2)) for i, j, w in g.edges]
+    return sa.graph_from_edges(list(g.labels), edges)
+
+
+class TestDsyevdDriver:
+    """A full request runs LAPACK's dsyevd over one Fortran-order copy of the matrix."""
+
+    @pytest.mark.parametrize("kind", list(sa.LaplacianKind))
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(sa.graph_from_edges([f"v{i}" for i in range(41)], [(i, i + 1, 1.0) for i in range(40)]), id="path41"),
+            pytest.param(_grid(9), id="grid9"),
+            pytest.param(sa.sbm_generate(4, 30, 0.4, 0.03, seed=6), id="sbm120"),
+            pytest.param(_weighted(90, 3), id="weighted90"),
+        ],
+    )
+    def test_a_full_spectrum_matches_numpys_eigh_canonicalized(self, g, kind):
+        # two bindings of two OpenBLAS builds: close, not necessarily the same bytes
+        M = np.asarray(sa.laplacian(g, kind).matrix)
+        vals, vecs = np.linalg.eigh(M)
+        groups = spectral._degenerate_groups(vals)
+        expected = spectral._canonicalize(groups, np.ascontiguousarray(vecs))
+        s = eigendecompose(sa.laplacian(g, kind))
+        assert spectral._degenerate_groups(s.eigenvalues) == groups
+        assert np.abs(s.eigenvalues - vals).max() <= 1e-12 * vals[-1]
+        assert np.abs(s.eigenvectors - expected).max() <= 1e-10
+
+    def test_a_grid_has_repeated_eigenvalues(self):
+        vals = eigendecompose(sa.laplacian(_grid(9), sa.LaplacianKind.COMBINATORIAL)).eigenvalues
+        assert max(hi - lo for lo, hi in spectral._degenerate_groups(vals)) >= 2
+
+    def test_the_eigenvectors_overwrite_the_copy_and_the_matrix_is_untouched(self, monkeypatch):
+        M = np.asarray(sa.laplacian(_weighted(30, 1), sa.LaplacianKind.NORMALIZED).matrix)
+        before = M.tobytes()
+        copies = []
+        lapack = spectral._lapack()
+
+        def dsyevd(a, **kwargs):
+            copies.append(a)
+            return lapack.dsyevd(a, **kwargs)
+
+        monkeypatch.setattr(spectral, "_lapack", lambda: SimpleNamespace(dsyevd=dsyevd))
+        vals, vecs = spectral._dsyevd(M)
+        assert vecs is copies[0] and vecs.flags.f_contiguous
+        assert M.tobytes() == before
+        assert np.abs(M @ vecs - vecs * vals).max() < 1e-12
+
+    def test_a_lapack_error_in_the_full_driver_is_a_convergence_failure(self, monkeypatch):
+        lapack = spectral._lapack()
+
+        def dsyevd(*args, **kwargs):
+            return (*lapack.dsyevd(*args, **kwargs)[:2], 1)  # info = 1
+
+        monkeypatch.setattr(spectral, "_lapack", lambda: SimpleNamespace(dsyevd=dsyevd))
+        with pytest.raises(ConvergenceFailureError, match=r"^dense eigensolver failed: Eigenvalues did not converge$"):
+            eigendecompose(sa.laplacian(_complete(6), sa.LaplacianKind.COMBINATORIAL))
+
+    def test_a_full_solve_holds_about_three_matrices_beside_the_laplacian(self):
+        # the Fortran copy that becomes the eigenvectors and dsyevd's 2n^2 workspace;
+        # np.linalg.eigh held a fourth, its separate output (4.06 x 8n^2 here)
+        import tracemalloc
+
+        g = sa.sbm_generate(4, 100, 0.2, 0.02, seed=1)
+        eigendecompose(sa.laplacian(_complete(6), sa.LaplacianKind.COMBINATORIAL))  # loads the LAPACK module
+        for kind in sa.LaplacianKind:
+            L = sa.laplacian(g, kind)
+            tracemalloc.start()
+            try:
+                eigendecompose(L)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.1 * 8 * L.n**2, peak / (8 * L.n**2)
+
+
 def _failure(check, *args):
     """The message a check raises ConvergenceFailureError with, or None when it passes."""
     try:
@@ -844,6 +947,23 @@ class TestCheckMessages:
         outcome = self._symmetry_outcome(graphs._check_symmetric, M)
         assert outcome == self._symmetry_outcome(array_equal_check_symmetric, M)
         assert outcome == (NotSymmetricError, f"expected a square matrix, got shape {shape}")
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+@pytest.mark.parametrize("where", ["first", "block-edge", "last"])
+def test_validate_spectrum_matches_the_loop_over_several_row_blocks(n, where):
+    # the residual is formed _RESIDUAL_BLOCK rows at a time
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    M = A @ A.T
+    vals, vecs = np.linalg.eigh(M)
+    assert _failure(spectral._validate_spectrum, M, vals, vecs) is None
+    k = {"first": 0, "block-edge": min(n - 1, spectral._RESIDUAL_BLOCK), "last": n - 1}[where]
+    vals = vals.copy()
+    vals[k] += 2e-8 * max(1.0, abs(vals[k]))
+    message = _failure(spectral._validate_spectrum, M, vals, vecs)
+    assert message is not None and message.startswith(f"residual for eigenpair {k} ")
+    assert message == _failure(loop_validate_spectrum, M, vals, vecs)
 
 
 @given(
