@@ -2,10 +2,10 @@
 
 Graphs arrive either as tab-separated edge lists (src, dst, weight; #
 starts a comment; labels indexed by first appearance) or as CSV
-adjacency matrices with an optional label header. A valid edge list is
-checked in bulk, by numpy over blocks of lines; a file that fails a
-check is read again one line at a time, only to word the error with
-its line number. Functional matrices reuse the CSV form but may carry
+adjacency matrices with an optional label header. An edge list is read
+in bulk, by numpy over blocks of lines, and checked by the `Graph`
+constructor; a file that fails a check is read again one line at a
+time, only to word the error with its line number. Functional matrices reuse the CSV form but may carry
 a nonzero diagonal. All numeric output is rendered with 17 significant
 digits, which round-trips doubles exactly and keeps repeated runs
 byte-identical. Scalars and float lists
@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
-from .graphs import Graph, _check_symmetric, _graph, _node_labels
+from .graphs import Graph, _check_symmetric
 from .partition import ConnectivityProfile, CutMetrics, Partition
 from .spectral import Spectrum
 
@@ -143,20 +143,21 @@ def parse_edge_list_tsv(text: str) -> Graph:
     """Parse a tab-separated edge list into a graph.
 
     Lines hold src, dst and weight; blank lines and lines starting with
-    # are skipped. Labels are indexed by first appearance. A valid file
-    is checked in bulk, block by block, and the graph is built from the
-    sorted edge arrays. If any check fails, `_raise_line_error` reads
-    the lines one at a time and raises the error that names the first
-    offending line.
+    # are skipped. Labels are indexed by first appearance. A file is read
+    in bulk, block by block, and the `Graph` constructor checks the
+    sorted edge arrays. If the fields or any edge are faulty,
+    `_raise_line_error` reads the lines one at a time and raises the
+    error that names the first offending line.
     """
     edges = _edge_arrays(text.splitlines())
-    if edges is None:
-        _raise_line_error(text)
-    return _graph(*edges)
+    if edges is not None:
+        with contextlib.suppress(SelfLoopError, NonpositiveWeightError, DuplicateEdgeError):
+            return Graph(*edges)
+    _raise_line_error(text)
 
 
-def _edge_arrays(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
-    """Labels and canonical edge arrays of valid edge-list lines, or None if any line is faulty.
+def _edge_arrays(lines: list[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels and edge arrays (lo, hi, w) sorted by pair, or None if some line's fields are faulty.
 
     The lines are read _TSV_BLOCK_LINES at a time, so only one block's
     fields are held as strings at once.
@@ -192,12 +193,8 @@ def _edge_arrays(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray, n
     rank[np.fromiter(first.values(), np.int64, len(first))] = np.arange(len(first))
     src, dst, w = rank[ends[0:2 * m:2]], rank[ends[1:2 * m:2]], w[:m]
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    key = lo * len(first) + hi  # orders distinct pairs by (lo, hi)
-    order = np.argsort(key)
-    key = key[order]
-    if (src == dst).any() or not ((w > 0.0) & (w < np.inf)).all() or (key[1:] == key[:-1]).any():
-        return None
-    return list(first), lo[order], hi[order], w[order]
+    order = np.argsort(lo * len(first) + hi)  # the key orders pairs by (lo, hi)
+    return tuple(first), lo[order], hi[order], w[order]
 
 
 def _raise_line_error(text: str) -> NoReturn:
@@ -313,10 +310,10 @@ def parse_matrix_csv_graph(text: str) -> Graph:
     negatives = data.min()
     if negatives < 0:
         raise NonpositiveWeightError(f"adjacency contains a negative weight {negatives}")
-    labels = _node_labels(header if header is not None else [f"n{i}" for i in range(n)])
+    labels = tuple(header if header is not None else [f"n{i}" for i in range(n)])
     # row-major nonzeros of the upper triangle are canonical: i < j, sorted by (i, j)
     ei, ej = np.nonzero(np.triu(data > 0, k=1))
-    return _graph(labels, ei, ej, data[ei, ej])
+    return Graph(labels, ei, ej, data[ei, ej])
 
 
 def read_graph(path: str) -> Graph:

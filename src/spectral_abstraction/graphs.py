@@ -3,10 +3,10 @@
 The graph model is intentionally small. Nodes carry string labels,
 edges are undirected with strictly positive weights, there are no self
 loops, and every constructed value is immutable. Edges are stored once,
-as read-only arrays, and graphs derived from a valid graph skip the
-per-edge validation of outside input. Matrix forms are dense numpy
-arrays, which is the right trade-off at the network sizes this toolkit
-targets (up to a few thousand nodes).
+as read-only arrays that every `Graph` checks in whole-array steps;
+derived graphs skip only the per-edge loop that words errors in outside
+input. Matrix forms are dense numpy arrays, which is the right trade-off
+at the network sizes this toolkit targets (up to a few thousand nodes).
 
 Matrix conventions, for a graph on n nodes with adjacency A and
 weighted degree d(i) = sum_j A[i, j]:
@@ -60,12 +60,12 @@ class Graph:
     Edge k joins ei[k] < ej[k] with weight w[k], in read-only int64,
     int64 and float64 arrays sorted by endpoint pair, so equal graphs
     compare equal and serialize identically; `edges` renders them as
-    (i, j, weight) tuples. Construct through :func:`graph_from_edges`,
-    which validates and canonicalizes; the raw constructor trusts its
-    input. `_spectra` holds the full spectra that
-    :func:`spectral.graph_spectrum` has solved, by Laplacian kind, and
-    `_degrees` the vector :func:`degrees` computed on its first call;
-    neither takes part in equality, hashing or repr.
+    (i, j, weight) tuples. The constructor raises a toolkit error unless
+    labels are distinct strings in a tuple and edges are in this form;
+    :func:`graph_from_edges` takes edges in any order. `_spectra` holds
+    the full spectra that :func:`spectral.graph_spectrum` has solved, by
+    Laplacian kind, and `_degrees` the vector :func:`degrees` computed on
+    its first call; neither takes part in equality, hashing or repr.
     """
 
     labels: tuple[str, ...]
@@ -74,6 +74,48 @@ class Graph:
     w: np.ndarray
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _degrees: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            if not isinstance(self.labels, tuple):
+                raise TypeError
+            "".join(self.labels)  # one pass in C: TypeError at the first label that is not a str
+            n = len(self.labels)
+        except TypeError:
+            raise InvalidArgumentError("node labels must be a tuple of strings") from None
+        if not n:
+            raise InvalidArgumentError("a graph needs at least one node")
+        if len(set(self.labels)) != n:
+            raise InvalidArgumentError("node labels must be distinct")
+        ei, ej = np.asarray(self.ei), np.asarray(self.ej)
+        if ei.dtype.kind not in "iu" and ei.size or ej.dtype.kind not in "iu" and ej.size:  # no float is truncated
+            raise IndexOutOfRangeError("edge endpoints must be integers")
+        ei, ej = np.ascontiguousarray(ei, np.int64), np.ascontiguousarray(ej, np.int64)
+        w = np.ascontiguousarray(_floats(self.w, "edge weights"))
+        if not (ei.ndim == ej.ndim == w.ndim == 1 and len(ei) == len(ej) == len(w)):
+            raise InvalidArgumentError(f"edge arrays must be 1-D of one length: {ei.shape}, {ej.shape}, {w.shape}")
+        key = ei * n + ej  # with 0 <= ei < ej < n, the key orders pairs by (ei, ej)
+        with np.errstate(over="ignore"):  # the total volume bounds every degree, cut and eigenvalue
+            volume = 2.0 * w.sum()  # finite with positive weights only if each is finite; NaN fails both
+        if len(w) and not (ei.min() >= 0 and ej.max() < n and (ej - ei).min() > 0 and (key[1:] > key[:-1]).all()
+                           and w.min() > 0.0 and volume < np.inf):
+            bad = (ei < 0) | (ej >= n) | (ei >= ej) | ~((w > 0.0) & (w < np.inf))
+            bad[1:] |= key[1:] <= key[:-1]
+            if not bad.any():
+                raise InvalidArgumentError("total edge weight overflows: twice its sum must be finite")
+            k = int(bad.argmax())
+            i, j, x = int(ei[k]), int(ej[k]), float(w[k])
+            error, why = next((error, why) for error, broken, why in (
+                (IndexOutOfRangeError, not (0 <= i < n and 0 <= j < n), f"endpoint outside 0..{n - 1}"),
+                (SelfLoopError, i == j, "self loops are not allowed"),
+                (DuplicateEdgeError, k and key[k] == key[k - 1], "pair already present"),
+                (InvalidArgumentError, i > j or k and key[k] < key[k - 1], "pairs must have ei < ej and be sorted"),
+                (NonpositiveWeightError, True, "weight must be positive and finite"),
+            ) if broken)
+            raise error(f"edge ({i}, {j}, {x}): {why}")
+        for name, a in (("ei", ei), ("ej", ej), ("w", w)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -124,21 +166,25 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
     edge, and InvalidArgumentError for structural problems with the labels
     or for weights whose doubled sum (the total volume) overflows.
     """
-    labels = _node_labels(labels)
-    n = len(labels)
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError:
+        raise InvalidArgumentError(f"labels must be an iterable of node labels, got {labels!r}") from None
+    n = Graph(labels, (), (), ()).n  # the constructor checks the labels before any edge is read
     try:
         edges = iter(edges)
     except TypeError:
         raise InvalidArgumentError(f"edges must be an iterable of (i, j, weight) triples, got {edges!r}") from None
 
-    canonical: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
+    canonical: dict[tuple[int, int], float] = {}  # (min, max) pair -> weight
     for edge in edges:
         try:
             a, b, w = edge
         except (TypeError, ValueError):
             raise InvalidArgumentError(f"edge {edge!r} is not an (i, j, weight) triple") from None
         try:
+            if bool in (type(a), type(b)):  # a bool is not a number
+                raise TypeError
             i, j = operator.index(a), operator.index(b)
         except TypeError:
             raise IndexOutOfRangeError(f"edge {edge!r}: endpoints must be integers") from None
@@ -146,54 +192,18 @@ def graph_from_edges(labels: Sequence[str], edges: Iterable[tuple[int, int, floa
             raise IndexOutOfRangeError(f"edge ({i}, {j}, {w}): endpoint outside 0..{n - 1}")
         if i == j:
             raise SelfLoopError(f"edge ({i}, {j}, {w}): self loops are not allowed")
-        try:
-            w = float(w)
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(f"edge ({i}, {j}, {w!r}): weight must be a real number") from None
+        if not isinstance(w, Real) or isinstance(w, bool):
+            raise InvalidArgumentError(f"edge ({i}, {j}, {w!r}): weight must be a real number")
+        w = float(w)
         if not np.isfinite(w) or w <= 0.0:
             raise NonpositiveWeightError(f"edge ({i}, {j}, {w}): weight must be positive and finite")
         key = (min(i, j), max(i, j))
-        if key in seen:
+        if key in canonical:
             raise DuplicateEdgeError(f"edge ({i}, {j}, {w}): pair already present")
-        seen.add(key)
-        canonical.append((key[0], key[1], w))
+        canonical[key] = w
 
-    canonical.sort(key=lambda e: (e[0], e[1]))
-    return _graph(labels, *np.array(canonical, dtype=np.float64).reshape(-1, 3).T)
-
-
-def _node_labels(labels: Sequence[str]) -> tuple[str, ...]:
-    """Labels as a tuple of strings; InvalidArgumentError unless an iterable, nonempty and distinct."""
-    try:
-        labels = tuple(str(x) for x in labels)
-    except TypeError:
-        raise InvalidArgumentError(f"labels must be an iterable of node labels, got {labels!r}") from None
-    if not labels:
-        raise InvalidArgumentError("a graph needs at least one node")
-    if len(set(labels)) != len(labels):
-        raise InvalidArgumentError("node labels must be distinct")
-    return labels
-
-
-def _graph(labels: Sequence[str], ei, ej, w) -> Graph:
-    """Graph from canonical edge arrays (i < j, sorted by (i, j), no repeats).
-
-    The structure is trusted. The weights are checked, since sums and
-    rescalings of valid weights can overflow or underflow.
-    """
-    ei, ej = np.ascontiguousarray(ei, np.int64), np.ascontiguousarray(ej, np.int64)
-    w = np.ascontiguousarray(w, np.float64)
-    ok = (w > 0.0) & (w < np.inf)  # NaN fails both
-    if not ok.all():
-        bad = np.flatnonzero(~ok)[0]
-        i, j, x = int(ei[bad]), int(ej[bad]), float(w[bad])
-        raise NonpositiveWeightError(f"edge ({i}, {j}, {x}): weight must be positive and finite")
-    with np.errstate(over="ignore"):  # total volume bounds every degree, cut, eigenvalue
-        if not np.isfinite(2.0 * w.sum()):
-            raise InvalidArgumentError("total edge weight overflows: twice its sum must be finite")
-    for a in (ei, ej, w):
-        a.flags.writeable = False
-    return Graph(labels=tuple(labels), ei=ei, ej=ej, w=w)
+    pairs = sorted(canonical)
+    return Graph(labels, *np.array(pairs, np.int64).reshape(-1, 2).T, [canonical[p] for p in pairs])
 
 
 def _edge_matrix(g: Graph, diagonal: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -265,10 +275,8 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
     # the new index of each kept node: increasing, so kept edges stay canonical
     remap = inside.cumsum() - 1
     keep = inside[g.ei] & inside[g.ej]
-    labels = g.labels
-    return _graph(
-        [labels[i] for i in inside.nonzero()[0].tolist()], remap[g.ei[keep]], remap[g.ej[keep]], g.w[keep]
-    )
+    labels, kept = g.labels, inside.nonzero()[0].tolist()
+    return Graph(tuple([labels[i] for i in kept]), remap[g.ei[keep]], remap[g.ej[keep]], g.w[keep])
 
 
 def quotient_graph(g: Graph, partition: "Partition") -> Graph:
@@ -289,7 +297,7 @@ def quotient_graph(g: Graph, partition: "Partition") -> Graph:
     pairs, slot = np.unique(a[crossing] * k + b[crossing], return_inverse=True)
     # bincount adds each pair's weights in edge order, as a running sum would
     w = np.bincount(slot, weights=g.w[crossing], minlength=pairs.size)
-    return _graph([f"c{c}" for c in range(k)], pairs // k, pairs % k, w)
+    return Graph(tuple([f"c{c}" for c in range(k)]), pairs // k, pairs % k, w)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -416,7 +424,7 @@ def sbm_generate(
             f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}"
         )
     n = blocks * nodes_per_block
-    labels = [f"b{i // nodes_per_block}n{i % nodes_per_block}" for i in range(n)]
+    labels = tuple([f"b{i // nodes_per_block}n{i % nodes_per_block}" for i in range(n)])
     rng = np.random.default_rng(seed)
     rows = np.arange(n - 1)
     first = rows * (2 * n - 1 - rows) // 2  # linear index of pair (i, i + 1)
@@ -433,4 +441,4 @@ def sbm_generate(
         ei.append(i[keep])
         ej.append(j[keep])
     ej = np.concatenate(ej)
-    return _graph(labels, np.concatenate(ei), ej, np.ones(ej.size))
+    return Graph(labels, np.concatenate(ei), ej, np.ones(ej.size))

@@ -58,7 +58,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .graphs import (
-    Graph, LaplacianKind, _choice, _floats, _graph, _node_labels, _node_vector, _real, connected_components
+    Graph, LaplacianKind, _choice, _floats, _node_vector, _real, connected_components
 )
 from .partition import (
     _EPS,
@@ -312,7 +312,7 @@ def _descend(ei, ej, w, f: np.ndarray, p: float) -> tuple[np.ndarray, float, str
 
 def _mean_weight_rescaled(g: Graph) -> Graph:
     """g with mean edge weight 1, so lambda_2 tests see no weight scale; g itself if it has no edges."""
-    return _graph(g.labels, g.ei, g.ej, g.w / (g.total_weight / g.n_edges)) if g.n_edges else g
+    return Graph(g.labels, g.ei, g.ej, g.w / (g.total_weight / g.n_edges)) if g.n_edges else g
 
 
 def p_spectral_bipartition(
@@ -391,7 +391,7 @@ def jacobian_graph(sys: CouplingSystem, threshold: float) -> tuple[Graph, tuple[
     strength = np.maximum(c, c.T)
     present = sys.linear_mask | sys.linear_mask.T
     ei, ej = np.nonzero(np.triu(present & (strength > threshold), k=1))
-    g = _graph(_node_labels(f"x{i}" for i in range(sys.n)), ei, ej, np.ones(ei.size))
+    g = Graph(tuple([f"x{i}" for i in range(sys.n)]), ei, ej, np.ones(ei.size))
     components = connected_components(g)
     largest = max(components, key=len)
     return g, tuple(largest)

@@ -118,10 +118,10 @@ class Partition:
 
 
 def _int64_ids(assignment) -> np.ndarray | None:
-    """A fresh int64 array of the entries; None unless each is an integer that fits."""
-    # judged by type: numpy's conversion would take np.True_ and 0-d arrays as integers
+    """A fresh int64 array of the entries; None unless each is an integer that fits, a bool not included."""
+    # judged by type: numpy's conversion would take bools and 0-d arrays as integers
     types = {assignment.dtype.type} if isinstance(assignment, np.ndarray) else set(map(type, assignment))
-    if all(issubclass(t, (int, np.integer)) for t in types):
+    if bool not in types and all(issubclass(t, (int, np.integer)) for t in types):
         try:
             return np.array(assignment, dtype=np.int64)
         except (OverflowError, TypeError):  # beyond int64, so beyond k; or a set, which has no order

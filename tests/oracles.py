@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from spectral_abstraction import nonlinear
-from spectral_abstraction.graphs import _graph, degrees
+from spectral_abstraction.graphs import Graph, degrees
 from spectral_abstraction.errors import (
     ConvergenceFailureError,
     DuplicateEdgeError,
@@ -775,7 +775,7 @@ def loop_parse_edge_list_tsv(text: str):
     if not labels:
         raise ParseError("edge list contains no edges")
     order = np.lexsort((ej, ei))
-    return _graph(labels, np.array(ei)[order], np.array(ej)[order], np.array(ws)[order])
+    return Graph(tuple(labels), np.array(ei, np.int64)[order], np.array(ej, np.int64)[order], np.array(ws)[order])
 
 
 # The former per-entry and per-column checks and the former cut and split
@@ -822,7 +822,7 @@ def loop_partition_check(assignment: tuple, k) -> None:
         raise KOutOfRangeError(f"k must be at least 1, got {k}")
     if not assignment:
         raise PartitionMismatchError("assignment must cover at least one node")
-    if not all(isinstance(a, (int, np.integer)) and 0 <= a < k for a in assignment):
+    if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool) and 0 <= a < k for a in assignment):
         raise PartitionMismatchError("assignment ids must be integers in 0..k-1")
     # a float k that passed the range checks is still no cluster count
     if not isinstance(k, (int, np.integer)):

@@ -3,8 +3,10 @@
 induced_subgraph, quotient_graph and sbm_generate build their edge
 arrays directly; tests/oracles.py keeps the former per-edge loops, and
 the two must agree edge for edge, weights bit for bit. Derived graphs
-skip the per-edge validation of outside input but still reject weights
-that overflow or underflow.
+skip graph_from_edges' per-edge loop, but the `Graph` constructor
+checks every graph: its labels, its canonical edge arrays and its
+weights, which sums and rescalings of valid weights can overflow or
+underflow.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from hypothesis import strategies as st
 import spectral_abstraction as sa
 from spectral_abstraction import graphs
 from spectral_abstraction.errors import (
+    DuplicateEdgeError,
     EmptySubsetError,
     IndexOutOfRangeError,
     InvalidArgumentError,
     NonpositiveWeightError,
+    SelfLoopError,
+    ToolkitError,
 )
 from spectral_abstraction.nonlinear import CouplingSystem, PLaplacianParams, p_spectral_bipartition
 
@@ -106,9 +111,9 @@ def test_subgraph_selection_messages(triangle, nodes, error, message):
     assert str(info.value) == message
 
 
-def _trusted_path(w):
-    """a - b - c built by the raw constructor, which trusts its weights."""
-    return sa.Graph(labels=("a", "b", "c"), ei=np.array([0, 1]), ej=np.array([1, 2]), w=np.array(w))
+def _path(w=(1.0, 1.0), ei=(0, 1), ej=(1, 2), labels=("a", "b", "c")) -> sa.Graph:
+    """a - b - c through the constructor, with any part replaced."""
+    return sa.Graph(labels=labels, ei=np.array(ei), ej=np.array(ej), w=np.array(w))
 
 
 @pytest.mark.parametrize(
@@ -121,10 +126,111 @@ def _trusted_path(w):
         pytest.param([1e308, 1e308], InvalidArgumentError, "total edge weight overflows: twice its sum must be finite", id="overflow"),
     ],
 )
-def test_subgraph_weight_check_messages(w, error, message):
+def test_constructor_weight_check_messages(w, error, message):
     with pytest.raises(error) as info:
-        sa.induced_subgraph(_trusted_path(w), [0, 1, 2])
+        _path(w)
+    assert type(info.value) is error
     assert str(info.value) == message
+
+
+_OUTSIDE = "endpoint outside 0..2"
+_UNSORTED = "pairs must have ei < ej and be sorted"
+_NOT_STRINGS = "node labels must be a tuple of strings"
+
+
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        pytest.param({"ej": (1, 1)}, SelfLoopError, "edge (1, 1, 1.0): self loops are not allowed", id="self-loop"),
+        pytest.param({"ei": (0, 0), "ej": (1, 1)}, DuplicateEdgeError, "edge (0, 1, 1.0): pair already present", id="repeat"),
+        pytest.param({"ei": (1, 0), "ej": (2, 1)}, InvalidArgumentError, f"edge (0, 1, 1.0): {_UNSORTED}", id="unsorted"),
+        pytest.param({"ei": (0, 2), "ej": (1, 1)}, InvalidArgumentError, f"edge (2, 1, 1.0): {_UNSORTED}", id="ei-above-ej"),
+        pytest.param({"ej": (1, 3)}, IndexOutOfRangeError, f"edge (1, 3, 1.0): {_OUTSIDE}", id="id-n"),
+        pytest.param({"ei": (-1, 1)}, IndexOutOfRangeError, f"edge (-1, 1, 1.0): {_OUTSIDE}", id="id-minus-1"),
+        pytest.param({"ei": (-2**62, 1)}, IndexOutOfRangeError, f"edge ({-2**62}, 1, 1.0): {_OUTSIDE}", id="id-wrapping-the-key"),
+        pytest.param({"ei": (0.0, 1.0)}, IndexOutOfRangeError, "edge endpoints must be integers", id="float-ids"),
+        pytest.param({"ej": (0.5, 2)}, IndexOutOfRangeError, "edge endpoints must be integers", id="half-id"),
+        pytest.param({"ei": (False, True)}, IndexOutOfRangeError, "edge endpoints must be integers", id="bool-ids"),
+        pytest.param({"labels": ("a", 1, "c")}, InvalidArgumentError, _NOT_STRINGS, id="int-label"),
+        pytest.param({"labels": ["a", "b", "c"]}, InvalidArgumentError, _NOT_STRINGS, id="list-of-labels"),
+        pytest.param({"labels": "abc"}, InvalidArgumentError, _NOT_STRINGS, id="str-of-labels"),
+        pytest.param({"labels": ("a", "b", "a")}, InvalidArgumentError, "node labels must be distinct", id="duplicate-labels"),
+        pytest.param({"labels": ()}, InvalidArgumentError, "a graph needs at least one node", id="no-labels"),
+        pytest.param(
+            {"ej": (1,)}, InvalidArgumentError, "edge arrays must be 1-D of one length: (2,), (1,), (2,)", id="unequal-lengths"
+        ),
+        pytest.param(
+            {"w": [[1.0, 1.0]]}, InvalidArgumentError, "edge arrays must be 1-D of one length: (2,), (2,), (1, 2)", id="2d-weights"
+        ),
+        pytest.param({"w": ("x", "y")}, InvalidArgumentError, "edge weights must be real numbers", id="str-weights"),
+    ],
+)
+def test_constructor_structure_check_messages(parts, error, message):
+    with pytest.raises(error) as info:
+        _path(**parts)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_constructor_keeps_read_only_int64_and_float64_arrays():
+    g = sa.Graph(("a", "b", "c"), [0, 1], np.array([1, 2], dtype=np.uint8), [1, 2])
+    assert (g.ei.dtype, g.ej.dtype, g.w.dtype) == (np.int64, np.int64, np.float64)
+    assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+    assert not (g.ei.flags.writeable or g.ej.flags.writeable or g.w.flags.writeable)
+    empty = sa.Graph(("a",), [], [], [])
+    assert empty.edges == () and empty.ei.dtype == np.int64
+
+
+def _break_edge(ei: np.ndarray, ej: np.ndarray, w: np.ndarray, k: int, rule: str, n: int) -> None:
+    """Break edge k of canonical edge arrays, or edges k and k + 1, by one rule."""
+    if rule == "self-loop":
+        ei[k] = ej[k]
+    elif rule == "swapped":
+        ei[k], ej[k] = ej[k], ei[k]
+    elif rule == "id-n":
+        ej[k] = n
+    elif rule == "id-minus-1":
+        ei[k] = -1
+    elif rule == "repeat":
+        ei[k + 1], ej[k + 1] = ei[k], ej[k]
+    elif rule == "unsorted":
+        ei[[k, k + 1]], ej[[k, k + 1]] = ei[[k + 1, k]], ej[[k + 1, k]]
+    else:
+        w[k] = {"zero": 0.0, "negative": -w[k], "nan": np.nan, "inf": np.inf}[rule]
+
+
+# each rule and the error the constructor raises for it
+_RULES = {
+    "self-loop": SelfLoopError,
+    "swapped": InvalidArgumentError,
+    "id-n": IndexOutOfRangeError,
+    "id-minus-1": IndexOutOfRangeError,
+    "repeat": DuplicateEdgeError,
+    "unsorted": InvalidArgumentError,
+    **dict.fromkeys(["zero", "negative", "nan", "inf"], NonpositiveWeightError),
+}
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 14),
+    p=st.floats(0.1, 0.9),
+    kind=st.sampled_from(WEIGHT_KINDS),
+    rule=st.sampled_from(sorted(_RULES)),
+    at=st.floats(0.0, 1.0, exclude_max=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_constructor_rebuilds_a_valid_graph_and_refuses_each_broken_edge(seed, n, p, kind, rule, at):
+    g = random_graph(np.random.default_rng(seed), n, p, kind)
+    assert_same_graph(sa.Graph(g.labels, g.ei, g.ej, g.w), g)
+    two = rule in ("repeat", "unsorted")  # rules that take a second edge
+    if g.n_edges < 1 + two:
+        return
+    ei, ej, w = g.ei.copy(), g.ej.copy(), g.w.copy()
+    _break_edge(ei, ej, w, int(at * (g.n_edges - two)), rule, g.n)
+    with pytest.raises(ToolkitError) as info:
+        sa.Graph(g.labels, ei, ej, w)
+    assert type(info.value) is _RULES[rule]
 
 
 @given(

@@ -75,6 +75,17 @@ class TestConstruction:
             pytest.param(["a", "b"], [(0.0, 1, 1.0)], IndexOutOfRangeError,
                          "edge (0.0, 1, 1.0): endpoints must be integers", id="float-endpoint"),
             pytest.param([], [], InvalidArgumentError, "a graph needs at least one node", id="no-nodes"),
+            # a bool is not a number, and a numeric string is not a weight
+            pytest.param(["a", "b"], [(True, 0, True)], IndexOutOfRangeError,
+                         "edge (True, 0, True): endpoints must be integers", id="bool-endpoint"),
+            pytest.param(["a", "b"], [(0, np.True_, 1.0)], IndexOutOfRangeError,
+                         f"edge (0, {np.True_!r}, 1.0): endpoints must be integers", id="numpy-bool-endpoint"),
+            pytest.param(["a", "b"], [(0, 1, "2.5")], InvalidArgumentError,
+                         "edge (0, 1, '2.5'): weight must be a real number", id="str-weight"),
+            pytest.param(["a", "b"], [(0, 1, True)], InvalidArgumentError,
+                         "edge (0, 1, True): weight must be a real number", id="bool-weight"),
+            pytest.param(["a", "b"], [(0, 1, np.True_)], InvalidArgumentError,
+                         f"edge (0, 1, {np.True_!r}): weight must be a real number", id="numpy-bool-weight"),
         ],
     )
     def test_malformed_input_messages(self, labels, edges, error, message):

@@ -101,6 +101,7 @@ _NOT_IDS = "assignment ids must be integers in 0..k-1"
         pytest.param((0, 2), 2, _NOT_IDS, id="above-k"),
         pytest.param((0, -1, 1), 2, _NOT_IDS, id="negative"),
         pytest.param((0, np.True_), 2, _NOT_IDS, id="numpy-bool"),
+        pytest.param((False, True, True), 2, _NOT_IDS, id="python-bools"),
         pytest.param((0, np.array(1)), 2, _NOT_IDS, id="zero-dim-array"),
         pytest.param((0, 2**70), 2, _NOT_IDS, id="beyond-int64"),
         pytest.param(np.array([False, True]), 2, _NOT_IDS, id="bool-array"),
@@ -124,7 +125,6 @@ def test_partition_check_messages(assignment, k, message):
     [
         pytest.param((np.int64(0), np.int64(1)), 2, id="numpy-int64"),
         pytest.param((np.uint8(1), 0, np.int32(2)), 3, id="mixed-integer-types"),
-        pytest.param((False, True, True), 2, id="python-bools"),
         pytest.param((0, 1, 1), np.int64(2), id="numpy-k"),
         pytest.param(np.array([0, 2, 1], dtype=np.int32), 3, id="int32-array"),
         pytest.param(np.array([1, 0], dtype=np.uint8), 2, id="uint8-array"),
